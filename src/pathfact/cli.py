@@ -7,9 +7,8 @@ problems, 2 numerical aborts, 3 fit stopped at the sweep limit.
 """
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import dataio
 from .dataio import DataError, format_number
 from .inference import fit
-from .model import Hyperparameters, NumericalError, summarize
+from .model import Hyperparameters, NumericalError, rank_row, summarize
 from .synth import PlantedTruth, generate, score_arrays
 
 EXIT_OK = 0
@@ -40,15 +39,21 @@ class UsageError(Exception):
     pass
 
 
+def _path(help_text):
+    return field(default=None, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a fit run needs; mirrors the command-line flags 1:1."""
+    """Everything a fit run needs. Each field is a config key and a
+    command-line flag; the fields after the paths are the ones of
+    :class:`Hyperparameters`, plus the reporting settings."""
 
-    expression: str = None
-    labels: str = None
-    gmt: str = None
-    edges: str = None
-    out: str = None
+    expression: str = _path("expression matrix TSV")
+    labels: str = _path("sample cluster-label TSV")
+    gmt: str = _path("gene-set GMT file")
+    edges: str = _path("interaction edge list")
+    out: str = _path("output directory")
     alpha_a0: float = 1.0
     alpha_b0: float = 1.0
     lambda_s0: float = 1.0
@@ -61,52 +66,38 @@ class RunConfig:
     max_sweeps: int = 1000
     elbo_rel_tol: float = 1e-6
     seed: int = 0
-    threads: int = None
     top_m: int = 5
     clamp_known: bool = False
 
     def hyperparameters(self) -> Hyperparameters:
-        threads = self.threads
-        if threads is None:
-            threads = int(os.environ.get("PATHFACT_THREADS", "1"))
         return Hyperparameters(
-            alpha_a0=self.alpha_a0,
-            alpha_b0=self.alpha_b0,
-            lambda_s0=self.lambda_s0,
-            mu_v0=self.mu_v0,
-            sigma_v0=self.sigma_v0,
-            beta_a=self.beta_a,
-            zeta=self.zeta,
-            xi=self.xi,
-            epsilon=self.epsilon,
-            max_sweeps=self.max_sweeps,
-            elbo_rel_tol=self.elbo_rel_tol,
-            seed=self.seed,
-            threads=threads,
+            **{f.name: getattr(self, f.name) for f in fields(Hyperparameters)}
         )
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_STR_KEYS = {"expression", "labels", "gmt", "edges", "out"}
-_INT_KEYS = {"max_sweeps", "seed", "threads", "top_m"}
-_BOOL_KEYS = {"clamp_known"}
-_OPTIONAL_KEYS = {"beta_a", "threads"}
+_PATH_KEYS = tuple(name for name, kind in _CONFIG_TYPES.items() if kind is str)
+# settings that may be left unset ('none') and are then derived from the data
+_OPTIONAL_KEYS = {
+    f.name for f in fields(RunConfig) if f.default is None and f.type is not str
+}
 
 
 def _coerce(key, text):
     text = text.strip()
-    if key in _STR_KEYS:
+    kind = _CONFIG_TYPES[key]
+    if kind is str:
         return text
     if text.lower() == "none" and key in _OPTIONAL_KEYS:
         return None
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
         raise UsageError(f"config key {key!r} expects true/false, got {text!r}")
     try:
-        return int(text) if key in _INT_KEYS else float(text)
+        return kind(text)
     except ValueError:
         raise UsageError(f"config key {key!r} has non-numeric value {text!r}")
 
@@ -138,27 +129,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--expression", help="expression matrix TSV")
-    parser.add_argument("--labels", help="sample cluster-label TSV")
-    parser.add_argument("--gmt", help="gene-set GMT file")
-    parser.add_argument("--edges", help="interaction edge list")
-    parser.add_argument("--out", help="output directory")
-    for name in (
-        "alpha-a0",
-        "alpha-b0",
-        "lambda-s0",
-        "mu-v0",
-        "sigma-v0",
-        "beta-a",
-        "zeta",
-        "xi",
-        "epsilon",
-        "elbo-rel-tol",
-    ):
-        parser.add_argument(f"--{name}", type=float, default=None)
-    for name in ("max-sweeps", "seed", "threads", "top-m"):
-        parser.add_argument(f"--{name}", type=int, default=None)
-    parser.add_argument("--clamp-known", choices=("true", "false"), default=None)
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type is bool:
+            parser.add_argument(flag, choices=("true", "false"))
+        else:
+            parser.add_argument(flag, type=f.type, help=f.metadata.get("help"))
 
 
 def build_config(args) -> RunConfig:
@@ -166,17 +142,23 @@ def build_config(args) -> RunConfig:
     if args.config:
         config = replace(config, **parse_config_file(args.config))
     overrides = {}
-    for field in fields(RunConfig):
-        value = getattr(args, field.name, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[field.name] = (
-                value == "true" if field.name in _BOOL_KEYS else value
-            )
+            overrides[f.name] = value == "true" if f.type is bool else value
     return replace(config, **overrides)
 
 
 def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
+
+
+def _render_ranked(cluster_ids, ranked) -> str:
+    lines = ["cluster\trank\tset_id\tscore"]
+    for cluster, pairs in zip(cluster_ids, ranked):
+        for rank, (set_id, value) in enumerate(pairs, start=1):
+            lines.append(f"{cluster}\t{rank}\t{set_id}\t{format_number(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
@@ -188,21 +170,18 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
     lines.append("# cluster_order: " + ",".join(data.cluster_ids))
     lines.append("# set_order: " + ",".join(data.set_ids))
     lines.append(f"# status: {report.status} after {report.sweeps} sweep(s)")
+    # scalar settings as resolved; the broadcast prior arrays keep the
+    # config's scalar
     resolved = replace(
         config,
-        alpha_a0=hyper.alpha_a0,
-        alpha_b0=hyper.alpha_b0,
-        beta_a=hyper.beta_a,
-        zeta=hyper.zeta,
-        xi=hyper.xi,
-        epsilon=hyper.epsilon,
-        max_sweeps=hyper.max_sweeps,
-        elbo_rel_tol=hyper.elbo_rel_tol,
-        seed=hyper.seed,
-        threads=hyper.threads,
+        **{
+            f.name: getattr(hyper, f.name)
+            for f in fields(Hyperparameters)
+            if np.ndim(getattr(hyper, f.name)) == 0
+        },
     )
-    for field in fields(RunConfig):
-        value = getattr(resolved, field.name)
+    for f in fields(RunConfig):
+        value = getattr(resolved, f.name)
         if value is None:
             text = "none"
         elif isinstance(value, bool):
@@ -211,7 +190,7 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
             text = format_number(value)
         else:
             text = str(value)
-        lines.append(f"{field.name} = {text}")
+        lines.append(f"{f.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -220,7 +199,7 @@ def cmd_fit(argv) -> int:
     _add_config_flags(parser)
     args = parser.parse_args(argv)
     config = build_config(args)
-    for key in ("expression", "labels", "gmt", "edges", "out"):
+    for key in _PATH_KEYS:
         if not getattr(config, key):
             raise UsageError(f"missing required setting {key!r}")
 
@@ -261,11 +240,7 @@ def cmd_fit(argv) -> int:
             data.feature_ids, data.set_ids, report.state.basis.mean, corner="feature"
         ),
     )
-    ranked_lines = ["cluster\trank\tset_id\tscore"]
-    for k, cluster in enumerate(data.cluster_ids):
-        for rank, (set_id, value) in enumerate(result.ranked[k], start=1):
-            ranked_lines.append(f"{cluster}\t{rank}\t{set_id}\t{format_number(value)}")
-    _write(out / "ranked_sets.tsv", "\n".join(ranked_lines) + "\n")
+    _write(out / "ranked_sets.tsv", _render_ranked(data.cluster_ids, result.ranked))
     trace_lines = ["sweep\telbo\tpenalty\tobjective"]
     for rec in report.trace.records:
         trace_lines.append(
@@ -379,7 +354,17 @@ def cmd_simulate(argv) -> int:
     return EXIT_OK
 
 
-def _load_truth(truth_dir: Path) -> PlantedTruth:
+# the fit outputs eval reads, with the ids that label their rows and columns
+_EVAL_INPUTS = {
+    "association.tsv": ("cluster", "set"),
+    "z_posterior.tsv": ("feature", "set"),
+    "u_mixed.tsv": ("sample", "cluster"),
+    "basis_mean.tsv": ("feature", "set"),
+}
+
+
+def _load_truth(truth_dir: Path):
+    """The planted truth, and its ids by kind (cluster, set, feature, sample)."""
     cluster_ids, set_ids, associations = dataio.load_labeled_matrix(
         truth_dir / "associations.tsv"
     )
@@ -391,7 +376,7 @@ def _load_truth(truth_dir: Path) -> PlantedTruth:
     n, k = len(sample_ids), len(cluster_ids)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), np.arange(n) % k] = 1.0
-    return PlantedTruth(
+    truth = PlantedTruth(
         associations=associations,
         basis=basis,
         membership=membership.astype(int),
@@ -400,6 +385,21 @@ def _load_truth(truth_dir: Path) -> PlantedTruth:
         noise_precision=meta["noise_precision"],
         noiseless_mean=mean,
     )
+    ids = {
+        "cluster": cluster_ids,
+        "set": set_ids,
+        "feature": feature_ids,
+        "sample": sample_ids,
+    }
+    return truth, ids
+
+
+def _check_ids(path, kind, found, expected):
+    for i, (got, want) in enumerate(zip(found, expected), start=1):
+        if got != want:
+            raise UsageError(f"{path}: {kind} id {i} is {got!r}, truth has {want!r}")
+    if len(found) != len(expected):
+        raise UsageError(f"{path}: {len(found)} {kind} ids, truth has {len(expected)}")
 
 
 def parse_config_meta(path) -> dict:
@@ -421,15 +421,25 @@ def cmd_eval(argv) -> int:
     args = parser.parse_args(argv)
     fit_dir = Path(args.fit_dir)
     truth_dir = Path(args.truth_dir)
-    for name in ("association.tsv", "z_posterior.tsv", "u_mixed.tsv", "basis_mean.tsv"):
+    for name in _EVAL_INPUTS:
         if not (fit_dir / name).exists():
             raise UsageError(f"missing fit output {name!r} in {fit_dir}")
 
-    truth = _load_truth(truth_dir)
-    cluster_ids, set_ids, assoc = dataio.load_labeled_matrix(fit_dir / "association.tsv")
-    _, _, z_post = dataio.load_labeled_matrix(fit_dir / "z_posterior.tsv")
-    _, _, u_mixed = dataio.load_labeled_matrix(fit_dir / "u_mixed.tsv")
-    _, _, basis_mean = dataio.load_labeled_matrix(fit_dir / "basis_mean.tsv")
+    truth, truth_ids = _load_truth(truth_dir)
+    matrices = []
+    for name, kinds in _EVAL_INPUTS.items():
+        path = fit_dir / name
+        row_ids, col_ids, matrix = dataio.load_labeled_matrix(path)
+        for kind, found in zip(kinds, (row_ids, col_ids)):
+            _check_ids(path, kind, found, truth_ids[kind])
+        matrices.append(matrix)
+    assoc, z_post, u_mixed, basis_mean = matrices
+    n_sets = assoc.shape[1]
+    if not 1 <= args.top_m <= n_sets:
+        raise UsageError(
+            f"--top-m {args.top_m} must lie in [1, {n_sets}]:"
+            f" {fit_dir / 'association.tsv'} has {n_sets} sets"
+        )
     recon = u_mixed @ assoc @ (z_post * basis_mean).T
     metrics = score_arrays(assoc, recon, z_post, basis_mean, truth, args.top_m)
 
@@ -454,16 +464,12 @@ def cmd_rank(argv) -> int:
     parser.add_argument("--out", default=None, help="defaults next to the input")
     args = parser.parse_args(argv)
     cluster_ids, set_ids, assoc = dataio.load_labeled_matrix(args.association)
-    if not 1 <= args.top_m <= len(set_ids):
-        raise UsageError(f"top_m must lie in [1, {len(set_ids)}]")
-    lines = ["cluster\trank\tset_id\tscore"]
-    for k, cluster in enumerate(cluster_ids):
-        row = assoc[k]
-        order = sorted(range(len(set_ids)), key=lambda j: (-row[j], set_ids[j]))
-        for rank, j in enumerate(order[: args.top_m], start=1):
-            lines.append(f"{cluster}\t{rank}\t{set_ids[j]}\t{format_number(row[j])}")
+    try:
+        ranked = [rank_row(row, set_ids, args.top_m) for row in assoc]
+    except ValueError as exc:
+        raise UsageError(str(exc))
     out = Path(args.out) if args.out else Path(args.association).parent / "ranked_sets.tsv"
-    _write(out, "\n".join(lines) + "\n")
+    _write(out, _render_ranked(cluster_ids, ranked))
     print(f"rankings written to {out}")
     return EXIT_OK
 

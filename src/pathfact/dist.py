@@ -147,11 +147,6 @@ def trunc_norm_moments(location, scale_sq):
     return mean, var, entropy
 
 
-def trunc_norm_second_moment(location, scale_sq):
-    mean, var, _ = trunc_norm_moments(location, scale_sq)
-    return var + mean * mean
-
-
 def gamma_expectations(params: GammaParams):
     """E[x], E[log x] and entropy of Gam(shape, rate)."""
     a, b = params.shape, params.rate

@@ -9,7 +9,6 @@ sufficient-ascent test, so the objective never decreases.
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,53 +168,26 @@ def update_basis(state, data, hyper, j, r) -> NormalParams:
     return NormalParams(linear / prec, 1.0 / prec)
 
 
-def _basis_rows(rows, data, rh, mom, noise_mean, mean_out, var_out):
-    """Gauss-Seidel over sets within each row; rows are independent."""
-    x = data.X
-    a = mom.a
-    a_sq_sum = mom.a_sq_sum
-    a2_sum = mom.a2_sum
-    rho = mom.rho
-    n_sets = data.n_sets
-    for j in rows:
-        row_mean = mom.v_mean[j].copy()
-        row_w = rho[j] * row_mean
-        resid = x[:, j] - a @ row_w
-        for r in range(n_sets):
-            prec = 1.0 / rh.sigma_v0[j, r] + noise_mean * rho[j, r] * a2_sum[r]
-            linear = rh.mu_v0[j, r] / rh.sigma_v0[j, r] + noise_mean * rho[j, r] * (
-                a[:, r] @ resid + row_w[r] * a_sq_sum[r]
-            )
-            new_mean = linear / prec
-            delta_w = rho[j, r] * (new_mean - row_mean[r])
-            resid -= a[:, r] * delta_w
-            row_w[r] += delta_w
-            row_mean[r] = new_mean
-            var_out[j, r] = 1.0 / prec
-        mean_out[j] = row_mean
-
-
 def _basis_sweep(state, data, rh, mom) -> NormalParams:
+    """Gauss-Seidel over the sets. With U, S and Z fixed the rows of V are
+    conditionally independent, so each step updates column r for all
+    features at once from the sufficient statistics X^T A and A^T A."""
     noise_mean = float(state.noise.shape / state.noise.rate)
-    d = data.n_features
-    mean_out = np.empty_like(state.basis.mean)
-    var_out = np.empty_like(state.basis.variance)
-    threads = rh.threads
-    if threads <= 1 or d < 2 * threads:
-        _basis_rows(range(d), data, rh, mom, noise_mean, mean_out, var_out)
-    else:
-        bounds = np.linspace(0, d, threads + 1).astype(int)
-        chunks = [range(bounds[i], bounds[i + 1]) for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _basis_rows, chunk, data, rh, mom, noise_mean, mean_out, var_out
-                )
-                for chunk in chunks
-            ]
-            for fut in futures:
-                fut.result()
-    return NormalParams(mean_out, var_out)
+    rho = mom.rho
+    proj = data.X.T @ mom.a  # (D, R)
+    gram = mom.a.T @ mom.a
+    mean = mom.v_mean.copy()
+    var = np.empty_like(mean)
+    w = rho * mean
+    for r in range(data.n_sets):
+        prec = 1.0 / rh.sigma_v0[:, r] + noise_mean * rho[:, r] * mom.a2_sum[r]
+        linear = rh.mu_v0[:, r] / rh.sigma_v0[:, r] + noise_mean * rho[:, r] * (
+            proj[:, r] - w @ gram[:, r] + w[:, r] * gram[r, r]
+        )
+        mean[:, r] = linear / prec
+        var[:, r] = 1.0 / prec
+        w[:, r] = rho[:, r] * mean[:, r]
+    return NormalParams(mean, var)
 
 
 def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
@@ -494,11 +466,11 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
 
     Stops when the relative objective change stays below ``elbo_rel_tol``
     for three consecutive sweeps, or at ``max_sweeps``. Deterministic for a
-    fixed seed at any thread count.
+    fixed seed and BLAS thread count.
     """
     rh = hyper.resolve(data)
     cfg = cfg or GradientBlockConfig()
-    if rh.xi > 0 and not data.M:
+    if rh.xi > 0 and not data.Z0.any():
         warnings.warn("penalty weight xi > 0 but the known-membership set is empty")
     lap = normalized_laplacian(data.graph, rh.epsilon)
     state = init_state(data, rh)

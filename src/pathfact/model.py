@@ -8,7 +8,7 @@ All functions here are side-effect free; inference drives them.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,7 +47,6 @@ class ObservationSet:
     feature_ids: tuple
     cluster_ids: tuple
     set_ids: tuple
-    M: frozenset = None
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -77,13 +76,6 @@ class ObservationSet:
             raise ValueError("duplicate sample or feature identifiers")
         if tuple(self.graph.node_labels) != self.feature_ids:
             raise ValueError("graph node order must equal the feature order")
-        derived = frozenset(zip(*np.nonzero(Z0)))
-        if self.M is None:
-            object.__setattr__(self, "M", derived)
-        elif frozenset(self.M) != derived:
-            raise ValueError("M must be exactly the nonzero index set of Z0")
-        else:
-            object.__setattr__(self, "M", frozenset(self.M))
 
     @property
     def n_samples(self):
@@ -102,13 +94,8 @@ class ObservationSet:
         return self.Z0.shape[1]
 
     def mask_indices(self):
-        """Known-membership indices (rows, cols) in a fixed sorted order."""
-        if not self.M:
-            return np.empty(0, dtype=int), np.empty(0, dtype=int)
-        pairs = sorted(self.M)
-        rows = np.array([p[0] for p in pairs], dtype=int)
-        cols = np.array([p[1] for p in pairs], dtype=int)
-        return rows, cols
+        """Known-membership indices (rows, cols), sorted by (row, col)."""
+        return np.nonzero(self.Z0)
 
 
 @dataclass(frozen=True)
@@ -131,7 +118,6 @@ class Hyperparameters:
     max_sweeps: int = 1000
     elbo_rel_tol: float = 1e-6
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.alpha_a0 <= 0 or self.alpha_b0 <= 0:
@@ -152,43 +138,28 @@ class Hyperparameters:
             raise ValueError("max_sweeps must be >= 1")
         if self.elbo_rel_tol <= 0:
             raise ValueError("elbo_rel_tol must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def resolve(self, data: ObservationSet) -> "ResolvedHyperparameters":
+        """Prior arrays broadcast to the data's shapes, ``beta_a`` filled in
+        and every scalar cast to its declared type."""
         k, r, d = data.n_clusters, data.n_sets, data.n_features
-        return ResolvedHyperparameters(
-            alpha_a0=float(self.alpha_a0),
-            alpha_b0=float(self.alpha_b0),
-            lambda_s0=np.broadcast_to(np.asarray(self.lambda_s0, dtype=float), (k, r)),
-            mu_v0=np.broadcast_to(np.asarray(self.mu_v0, dtype=float), (d, r)),
-            sigma_v0=np.broadcast_to(np.asarray(self.sigma_v0, dtype=float), (d, r)),
-            beta_a=float(self.beta_a) if self.beta_a is not None else r / 10.0,
-            zeta=float(self.zeta),
-            xi=float(self.xi),
-            epsilon=float(self.epsilon),
-            max_sweeps=int(self.max_sweeps),
-            elbo_rel_tol=float(self.elbo_rel_tol),
-            seed=int(self.seed),
-            threads=int(self.threads),
-        )
+        shapes = {"lambda_s0": (k, r), "mu_v0": (d, r), "sigma_v0": (d, r)}
+        values = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in shapes:
+                value = np.broadcast_to(np.asarray(value, dtype=float), shapes[f.name])
+            elif value is not None:
+                value = f.type(value)
+            values[f.name] = value
+        if values["beta_a"] is None:
+            values["beta_a"] = r / 10.0
+        return ResolvedHyperparameters(**values)
 
 
 @dataclass(frozen=True)
-class ResolvedHyperparameters:
-    alpha_a0: float
-    alpha_b0: float
-    lambda_s0: np.ndarray
-    mu_v0: np.ndarray
-    sigma_v0: np.ndarray
-    beta_a: float
-    zeta: float
-    xi: float
-    epsilon: float
-    max_sweeps: int
-    elbo_rel_tol: float
-    seed: int
-    threads: int
+class ResolvedHyperparameters(Hyperparameters):
+    """Hyperparameters already resolved against one dataset."""
 
     def resolve(self, data: ObservationSet) -> "ResolvedHyperparameters":
         return self
@@ -447,19 +418,23 @@ def regularized_objective(state, data, hyper, lap=None, mom=None):
     return bound + penalty, bound, penalty
 
 
-def rank_sets(result: AssociationResult, cluster_index: int, top_m: int):
-    """Top sets for one cluster, scored by posterior association mean.
+def rank_row(row, set_ids, top_m: int):
+    """The ``top_m`` highest-scoring (set_id, score) pairs of one row.
 
     Ties break lexicographically on set id so rankings are reproducible.
     """
-    n_sets = result.assoc_mean.shape[1]
-    if not 0 <= cluster_index < result.assoc_mean.shape[0]:
-        raise ValueError(f"cluster index {cluster_index} out of range")
+    n_sets = len(set_ids)
     if not 1 <= top_m <= n_sets:
         raise ValueError(f"top_m must lie in [1, {n_sets}]")
-    row = result.assoc_mean[cluster_index]
-    order = sorted(range(n_sets), key=lambda j: (-row[j], result.set_ids[j]))
-    return [(result.set_ids[j], float(row[j])) for j in order[:top_m]]
+    order = sorted(range(n_sets), key=lambda j: (-row[j], set_ids[j]))
+    return [(set_ids[j], float(row[j])) for j in order[:top_m]]
+
+
+def rank_sets(result: AssociationResult, cluster_index: int, top_m: int):
+    """Top sets for one cluster, scored by posterior association mean."""
+    if not 0 <= cluster_index < result.assoc_mean.shape[0]:
+        raise ValueError(f"cluster index {cluster_index} out of range")
+    return rank_row(result.assoc_mean[cluster_index], result.set_ids, top_m)
 
 
 def summarize(

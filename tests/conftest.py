@@ -95,7 +95,6 @@ def default_hyper(**overrides):
         max_sweeps=50,
         elbo_rel_tol=1e-6,
         seed=0,
-        threads=1,
     )
     base.update(overrides)
     return Hyperparameters(**base)

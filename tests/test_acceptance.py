@@ -5,7 +5,11 @@ criterion, checked at the stated tolerance; thresholds are frozen here and
 not tuned per run.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from pathfact.model import (
     regularized_objective,
     z_marginal,
 )
+import pathfact
 from pathfact import dataio
 from pathfact.cli import EXIT_OK, EXIT_MAX_SWEEPS, FIT_OUTPUTS, main
 from pathfact.synth import generate, generate_planted, sample_membership, score
@@ -378,8 +383,11 @@ def test_criterion_9_thread_determinism(tmp_path):
     )
     assert code == EXIT_OK
 
-    def run(out, threads):
+    def run(out, blas_threads):
         args = [
+            sys.executable,
+            "-m",
+            "pathfact.cli",
             "fit",
             "--expression",
             f"{dataset}/expression.tsv",
@@ -399,21 +407,22 @@ def test_criterion_9_thread_determinism(tmp_path):
             "2",
             "--seed",
             "11",
-            "--threads",
-            str(threads),
         ]
-        code = main(args)
-        assert code in (EXIT_OK, EXIT_MAX_SWEEPS)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads)
+        src = str(Path(pathfact.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(args, env=env, capture_output=True, text=True)
+        assert done.returncode in (EXIT_OK, EXIT_MAX_SWEEPS), done.stderr
 
-    run(tmp_path / "t1", 1)
-    run(tmp_path / "t8", 8)
+    run(tmp_path / "b1", "1")
+    run(tmp_path / "b2", "2")
     for name in FIT_OUTPUTS:
         if name == "run_meta":
-            continue  # records the differing thread count itself
-        b1 = (tmp_path / "t1" / name).read_bytes()
-        b8 = (tmp_path / "t8" / name).read_bytes()
-        assert b1 == b8, f"{name} differs between 1 and 8 threads"
-    report(9, True, "fit outputs byte-identical across 1 and 8 threads")
+            continue  # names the differing output directory
+        b1 = (tmp_path / "b1" / name).read_bytes()
+        b2 = (tmp_path / "b2" / name).read_bytes()
+        assert b1 == b2, f"{name} differs between 1 and 2 BLAS threads"
+    report(9, True, "fit outputs byte-identical across 1 and 2 BLAS threads")
 
 
 def test_criterion_10_format_round_trips():

@@ -1,3 +1,6 @@
+import shutil
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,11 @@ from pathfact.cli import (
     EXIT_MAX_SWEEPS,
     EXIT_OK,
     FIT_OUTPUTS,
+    RunConfig,
     main,
     parse_config_file,
 )
+from pathfact.model import Hyperparameters
 from pathfact.synth import generate
 
 
@@ -133,15 +138,6 @@ class TestFit:
             if name == "run_meta":
                 continue  # embeds the output directory path
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
-
-    def test_threads_do_not_change_outputs(self, dataset, tmp_path):
-        out1, out8 = tmp_path / "t1", tmp_path / "t8"
-        main(fit_args(dataset, out1, extra=["--threads", "1"]))
-        main(fit_args(dataset, out8, extra=["--threads", "8"]))
-        for name in FIT_OUTPUTS:
-            if name == "run_meta":
-                continue  # records the differing thread setting
-            assert (out1 / name).read_bytes() == (out8 / name).read_bytes(), name
 
     def test_zeta_one_outputs_one_hot_mixture(self, dataset, tmp_path):
         out = tmp_path / "zeta1"
@@ -300,6 +296,37 @@ class TestEvalAndRank:
             == EXIT_DATA
         )
 
+    def eval_copy(self, dataset, fitted, tmp_path, edit=None, top_m="2"):
+        """Exit code of eval on a copy of the fit whose z_posterior.tsv
+        lines have gone through ``edit``."""
+        fit_dir = tmp_path / "edited"
+        shutil.copytree(fitted, fit_dir)
+        z_path = fit_dir / "z_posterior.tsv"
+        if edit:
+            lines = z_path.read_text().splitlines(keepends=True)
+            z_path.write_text("".join(edit(lines)))
+        args = ["eval", "--fit-dir", str(fit_dir), "--truth-dir", str(dataset / "truth")]
+        return main(args + (["--top-m", top_m] if top_m else []))
+
+    def test_eval_swapped_rows_exit_one(self, dataset, fitted, tmp_path, capsys):
+        def swap(lines):
+            return [lines[0], lines[2], lines[1], *lines[3:]]
+
+        assert self.eval_copy(dataset, fitted, tmp_path, swap) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "z_posterior.tsv" in err and "feature id 1 is" in err
+
+    def test_eval_dropped_row_exit_one(self, dataset, fitted, tmp_path, capsys):
+        assert self.eval_copy(dataset, fitted, tmp_path, lambda ls: ls[:-1]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "z_posterior.tsv" in err and "feature ids, truth has" in err
+
+    def test_eval_top_m_beyond_sets_exit_one(self, dataset, fitted, tmp_path, capsys):
+        # the default --top-m 5 on a three-set fit
+        assert self.eval_copy(dataset, fitted, tmp_path, top_m=None) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "--top-m 5" in err and "association.tsv has 3 sets" in err
+
     def test_rank_rewrites_with_new_top_m(self, fitted, tmp_path):
         out = tmp_path / "rr.tsv"
         code = main(
@@ -351,6 +378,17 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mystery = 1\n")
         assert main(["fit", "--config", str(cfg)]) == EXIT_DATA
+
+    def test_config_carries_every_hyperparameter(self):
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        for f in fields(Hyperparameters):
+            assert defaults[f.name] == f.default, f.name
+
+    def test_removed_threads_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "old_run_meta"
+        cfg.write_text("seed = 3\nthreads = 1\n")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_DATA
+        assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_unknown_command(self):
         assert main(["transmogrify"]) == EXIT_DATA

@@ -579,23 +579,6 @@ class TestObservationSetValidation:
                 set_ids=data.set_ids,
             )
 
-    def test_m_is_derived_and_checked(self):
-        rng = np.random.default_rng(19)
-        data = make_dataset(rng, mask_prob=0.5)
-        assert data.M == frozenset(zip(*np.nonzero(data.Z0)))
-        with pytest.raises(ValueError):
-            ObservationSet(
-                X=data.X,
-                U0=data.U0,
-                Z0=data.Z0,
-                graph=data.graph,
-                sample_ids=data.sample_ids,
-                feature_ids=data.feature_ids,
-                cluster_ids=data.cluster_ids,
-                set_ids=data.set_ids,
-                M=frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)}),
-            )
-
 
 class TestElboTrace:
     def test_monotone_check(self):
