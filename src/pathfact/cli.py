@@ -170,6 +170,9 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
     lines.append("# cluster_order: " + ",".join(data.cluster_ids))
     lines.append("# set_order: " + ",".join(data.set_ids))
     lines.append(f"# status: {report.status} after {report.sweeps} sweep(s)")
+    lines.append(
+        "# stalled: " + " ".join(f"{block}={n}" for block, n in report.stalled.items())
+    )
     # scalar settings as resolved; the broadcast prior arrays keep the
     # config's scalar
     resolved = replace(
@@ -202,12 +205,16 @@ def cmd_fit(argv) -> int:
     for key in _PATH_KEYS:
         if not getattr(config, key):
             raise UsageError(f"missing required setting {key!r}")
+    try:
+        hyper = config.hyperparameters()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     expr = dataio.load_expression(config.expression, config.labels)
     sets = dataio.load_gmt(config.gmt)
     graph = dataio.load_edge_list(config.edges)
     data = dataio.align(expr, sets, graph)
-    hyper = config.hyperparameters().resolve(data)
+    hyper = hyper.resolve(data)
 
     report = fit(data, hyper)
     result = summarize(

@@ -65,13 +65,15 @@ class GradientBlockConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a fit: final state, trace, stop reason and block timings."""
+    """Outcome of a fit: final state, trace, stop reason, block timings, and
+    per gradient block the number of line searches that stalled."""
 
     state: VariationalState
     trace: ElboTrace
     status: str
     sweeps: int
     block_seconds: dict = field(default_factory=dict)
+    stalled: dict = field(default_factory=dict)
 
     @property
     def converged(self):
@@ -221,44 +223,50 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
             s *= cfg.shrink
         if not accepted:
             break
-    stalled = not accepted_any and np.sqrt(float(np.sum(g * g))) > cfg.grad_tol
+    stalled = not accepted_any and bool(np.sqrt(float(np.sum(g * g))) > cfg.grad_tol)
     return x, stalled
 
 
-def _cluster_context(state, data, rh, mom):
-    noise_mean = float(state.noise.shape / state.noise.rate)
-    col_scale = mom.w2_sum - mom.w_sq_sum  # per-set second-vs-first moment gap
-    var_load = mom.s_var @ mom.w2_sum  # per-cluster variance load
-    return noise_mean, col_scale, var_load
+class _ClusterStats:
+    """Sufficient statistics of the cluster block: everything its objective
+    needs that does not depend on the logits, so that an evaluation costs
+    O(NKR + NR^2) and forms no N x D residual."""
+
+    def __init__(self, state, data, rh):
+        mom = factor_moments(state, data, rh)
+        self.noise_mean = float(state.noise.shape / state.noise.rate)
+        self.s_mean = mom.s_mean
+        self.var_load = mom.s_var @ mom.w2_sum  # per-cluster variance load
+        self.xw = data.X @ mom.w  # (N, R)
+        # E[W^T W] under the factorized posterior: second moments on the
+        # diagonal, products of first moments across distinct sets
+        self.gram_w = mom.w.T @ mom.w
+        np.fill_diagonal(self.gram_w, mom.w2_sum)
+        self.x_sq = float(np.sum(data.X * data.X))
 
 
-def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True):
+def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, stats=None):
     """Likelihood part of the objective as a function of the cluster logits.
 
     Every other objective term is constant in theta, so ascent on this
-    restriction is ascent on the full objective.
+    restriction is ascent on the full objective. ``stats`` holds the
+    theta-independent statistics; they are built from the state when absent.
     """
     rh = hyper.resolve(data)
-    mom = factor_moments(state, data, rh)
-    noise_mean, col_scale, var_load = _cluster_context(state, data, rh, mom)
+    st = stats or _ClusterStats(state, data, rh)
     tilde = softmax_rows(theta)
     u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
-    a = u @ mom.s_mean
-    err = data.X - a @ mom.w.T
+    a = u @ st.s_mean
+    a_gram = a @ st.gram_w
     total = (
-        float(np.sum(err * err))
-        + float(np.einsum("ir,ir,r->", a, a, col_scale))
-        + float((u * u).sum(axis=0) @ var_load)
+        st.x_sq
+        - float(np.sum(a * (2.0 * st.xw - a_gram)))
+        + float((u * u).sum(axis=0) @ st.var_load)
     )
-    value = -0.5 * noise_mean * total
+    value = -0.5 * st.noise_mean * total
     if not with_grad:
         return value, None
-    d_total_du = (
-        -2.0 * (err @ mom.w) @ mom.s_mean.T
-        + 2.0 * (a * col_scale) @ mom.s_mean.T
-        + 2.0 * u * var_load
-    )
-    d_value_du = -0.5 * noise_mean * d_total_du
+    d_value_du = st.noise_mean * ((st.xw - a_gram) @ st.s_mean.T - u * st.var_load)
     inner = (tilde * d_value_du).sum(axis=1, keepdims=True)
     grad = (1.0 - rh.zeta) * tilde * (d_value_du - inner)
     return value, grad
@@ -271,11 +279,15 @@ def update_cluster(state, data, hyper, cfg: GradientBlockConfig = None):
     if rh.zeta == 1.0:
         return state.cluster_logits.copy(), False
 
+    stats = _ClusterStats(state, data, rh)
+
     def value(theta):
-        return cluster_objective_and_grad(theta, state, data, rh, with_grad=False)[0]
+        return cluster_objective_and_grad(
+            theta, state, data, rh, with_grad=False, stats=stats
+        )[0]
 
     def value_and_grad(theta):
-        return cluster_objective_and_grad(theta, state, data, rh)
+        return cluster_objective_and_grad(theta, state, data, rh, stats=stats)
 
     theta, stalled = _backtracking_ascent(
         state.cluster_logits, value, value_and_grad, cfg
@@ -475,12 +487,14 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
     lap = normalized_laplacian(data.graph, rh.epsilon)
     state = init_state(data, rh)
     block_seconds = {name: 0.0 for name in ("noise", "association", "basis", "cluster", "coupling")}
+    stalled = {"cluster": 0, "coupling": 0}
 
     # warm-up: one coupling pass before any factor block, so the curated
     # memberships shape q(Z) before the basis commits to features; pure
     # ascent, so the monotonicity contract is unaffected
     start = time.perf_counter()
-    coupling0, sparsity0, _ = update_coupling(state, data, rh, cfg, lap=lap)
+    coupling0, sparsity0, stuck = update_coupling(state, data, rh, cfg, lap=lap)
+    stalled["coupling"] += stuck
     state = state.updated(coupling=coupling0, sparsity=sparsity0)
     block_seconds["coupling"] += time.perf_counter() - start
     trace = ElboTrace()
@@ -527,13 +541,15 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         )
 
         def cluster_step(s):
-            theta, _ = update_cluster(s, data, rh, cfg)
+            theta, stuck = update_cluster(s, data, rh, cfg)
+            stalled["cluster"] += stuck
             return s.updated(cluster_logits=theta)
 
         timed("cluster", cluster_step)
 
         def coupling_step(s):
-            coupling, sparsity, _ = update_coupling(s, data, rh, cfg, lap=lap)
+            coupling, sparsity, stuck = update_coupling(s, data, rh, cfg, lap=lap)
+            stalled["coupling"] += stuck
             return s.updated(coupling=coupling, sparsity=sparsity)
 
         timed("coupling", coupling_step)
@@ -554,4 +570,5 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         status=status,
         sweeps=sweeps_done,
         block_seconds=block_seconds,
+        stalled=stalled,
     )

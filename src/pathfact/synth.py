@@ -48,16 +48,28 @@ class RecoveryMetrics:
     sign_agreement: float
 
 
+def _draw_edges(feature_ids, rng, edge_prob):
+    """Independent unit-weight edges over the pairs i < j in row-major order.
+
+    ``edge_prob(rows, cols)`` gives each pair's probability. One uniform is
+    drawn per pair in that order, so the edges, their insertion order and
+    the generator's state afterwards equal those of a nested loop that calls
+    ``rng.random()`` once per pair.
+    """
+    rows, cols = np.triu_indices(len(feature_ids), 1)
+    hit = rng.random(rows.size) < edge_prob(rows, cols)
+    return {
+        (feature_ids[i], feature_ids[j]): 1.0
+        for i, j in zip(rows[hit].tolist(), cols[hit].tolist())
+    }
+
+
 def random_graph(feature_ids, edge_prob, rng, min_degree=1) -> InteractionGraph:
     """Erdos-Renyi graph over the features; isolated nodes are patched to a
     ring neighbor so the edge-list serialization stays lossless."""
     feature_ids = tuple(feature_ids)
     d = len(feature_ids)
-    edges = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            if rng.random() < edge_prob:
-                edges[(feature_ids[i], feature_ids[j])] = 1.0
+    edges = _draw_edges(feature_ids, rng, lambda rows, cols: edge_prob)
     if min_degree >= 1 and d >= 2:
         degree = {f: 0 for f in feature_ids}
         for a, b in edges:
@@ -226,12 +238,11 @@ def community_graph(feature_ids, assignment, p_in, p_out, rng) -> InteractionGra
     feature_ids = tuple(feature_ids)
     assignment = np.asarray(assignment)
     d = len(feature_ids)
-    edges = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            p = p_in if assignment[i] == assignment[j] else p_out
-            if rng.random() < p:
-                edges[(feature_ids[i], feature_ids[j])] = 1.0
+    edges = _draw_edges(
+        feature_ids,
+        rng,
+        lambda rows, cols: np.where(assignment[rows] == assignment[cols], p_in, p_out),
+    )
     degree = {f: 0 for f in feature_ids}
     for a, b in edges:
         degree[a] += 1

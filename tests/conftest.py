@@ -3,18 +3,12 @@
 import numpy as np
 
 from pathfact.dist import GammaParams, NormalParams, TruncatedNormalParams
-from pathfact.graph import InteractionGraph
 from pathfact.model import Hyperparameters, ObservationSet, VariationalState
+from pathfact.synth import random_graph
 
 
 def make_graph(rng, feature_ids, edge_prob=0.3):
-    edges = {}
-    d = len(feature_ids)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if rng.random() < edge_prob:
-                edges[(feature_ids[i], feature_ids[j])] = 1.0
-    return InteractionGraph(node_labels=tuple(feature_ids), edges=edges)
+    return random_graph(feature_ids, edge_prob, rng, min_degree=0)
 
 
 def make_dataset(rng, n=6, d=5, k=2, r=3, edge_prob=0.3, mask_prob=0.4):

@@ -154,6 +154,7 @@ class TestFit:
     def test_run_meta_reproduces_run(self, dataset, tmp_path):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         main(fit_args(dataset, out1))
+        assert "# stalled: cluster=0 coupling=0" in (out1 / "run_meta").read_text()
         code = main(["fit", "--config", str(out1 / "run_meta"), "--out", str(out2)])
         assert code in (EXIT_OK, EXIT_MAX_SWEEPS)
         for name in FIT_OUTPUTS:
@@ -188,6 +189,18 @@ class TestFit:
 
     def test_missing_required_setting_exit_one(self):
         assert main(["fit", "--out", "/tmp/x"]) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--zeta", "2", "zeta must lie in [0, 1]"), ("--xi", "-1", "xi must be nonnegative")],
+    )
+    def test_out_of_range_hyperparameter_exit_one(
+        self, dataset, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "out"
+        assert main(fit_args(dataset, out, extra=[flag, value])) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_max_sweeps_exit_three(self, dataset, tmp_path):
         out = tmp_path / "short"

@@ -26,6 +26,7 @@ from pathfact.model import (
     expected_reconstruction,
     factor_moments,
     regularized_objective,
+    softmax_rows,
 )
 
 
@@ -305,7 +306,52 @@ class TestUpdateBasis:
         np.testing.assert_array_equal(swept.variance, var)
 
 
+def direct_cluster_objective_and_grad(theta, state, data, hyper):
+    """Reference cluster objective: the N x D residual formed explicitly."""
+    rh = hyper.resolve(data)
+    mom = factor_moments(state, data, rh)
+    noise_mean = float(state.noise.shape / state.noise.rate)
+    col_scale = mom.w2_sum - mom.w_sq_sum
+    var_load = mom.s_var @ mom.w2_sum
+    tilde = softmax_rows(theta)
+    u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
+    a = u @ mom.s_mean
+    err = data.X - a @ mom.w.T
+    total = (
+        float(np.sum(err * err))
+        + float(np.einsum("ir,ir,r->", a, a, col_scale))
+        + float((u * u).sum(axis=0) @ var_load)
+    )
+    value = -0.5 * noise_mean * total
+    d_total_du = (
+        -2.0 * (err @ mom.w) @ mom.s_mean.T
+        + 2.0 * (a * col_scale) @ mom.s_mean.T
+        + 2.0 * u * var_load
+    )
+    d_value_du = -0.5 * noise_mean * d_total_du
+    inner = (tilde * d_value_du).sum(axis=1, keepdims=True)
+    return value, (1.0 - rh.zeta) * tilde * (d_value_du - inner)
+
+
 class TestUpdateCluster:
+    @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.9])
+    def test_matches_direct_residual_formula(self, zeta):
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            data = make_dataset(rng, n=9, d=7, k=3, r=4, mask_prob=0.5)
+            assert data.Z0.any()
+            state = make_state(rng, data)
+            hyper = default_hyper(zeta=zeta)
+            theta = state.cluster_logits
+            want_val, want_grad = direct_cluster_objective_and_grad(theta, state, data, hyper)
+            val, grad = cluster_objective_and_grad(theta, state, data, hyper)
+            assert val == pytest.approx(want_val, rel=1e-10, abs=0)
+            np.testing.assert_allclose(
+                grad, want_grad, rtol=0, atol=1e-10 * np.abs(want_grad).max()
+            )
+            trial, none = cluster_objective_and_grad(theta, state, data, hyper, with_grad=False)
+            assert none is None and trial == val
+
     def test_zeta_one_leaves_logits(self):
         rng = np.random.default_rng(8)
         data = make_dataset(rng)
@@ -569,6 +615,16 @@ class TestFit:
         assert report.status == "max_sweeps"
         assert report.sweeps == 2
         assert not report.converged
+
+
+    def test_counts_stalled_line_searches(self):
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=10, d=8, k=2, r=3)
+        hyper = default_hyper(max_sweeps=3)
+        report = fit(data, hyper, GradientBlockConfig(init_step=1e-30))
+        # every call stalls; the coupling warm-up counts under coupling
+        assert report.stalled == {"cluster": 3, "coupling": 4}
+        assert fit(data, hyper).stalled == {"cluster": 0, "coupling": 0}
 
 
 class TestInitState:

@@ -7,6 +7,7 @@ from pathfact.graph import InteractionGraph, normalized_laplacian
 from pathfact.inference import FitReport, fit
 from pathfact.model import ElboTrace
 from pathfact.synth import (
+    community_graph,
     ranking_auc,
     random_graph,
     generate,
@@ -154,6 +155,48 @@ class TestGeneratePlanted:
         np.testing.assert_array_equal(a[0].X, b[0].X)
         np.testing.assert_array_equal(a[1].shown_mask, b[1].shown_mask)
         assert a[0].graph.edges == b[0].graph.edges
+
+
+def loop_edges(feature_ids, rng, edge_prob):
+    """Reference draw: one ``rng.random()`` call per pair i < j."""
+    edges = {}
+    d = len(feature_ids)
+    for i in range(d):
+        for j in range(i + 1, d):
+            if rng.random() < edge_prob(i, j):
+                edges[(feature_ids[i], feature_ids[j])] = 1.0
+    return edges
+
+
+class TestEdgeDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_graph_matches_loop(self, seed):
+        ids = tuple(f"G{i:02d}" for i in range(37))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_graph(ids, 0.1, rng, min_degree=0)
+        want = loop_edges(ids, ref_rng, lambda i, j: 0.1)
+        assert list(got.edges.items()) == list(want.items())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_community_graph_matches_loop(self, seed):
+        ids = tuple(f"G{i:02d}" for i in range(37))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assignment = rng.permutation(np.arange(37) % 4)
+        ref_rng.permutation(np.arange(37) % 4)
+        got = community_graph(ids, assignment, 0.4, 0.02, rng)
+        want = loop_edges(
+            ids, ref_rng, lambda i, j: 0.4 if assignment[i] == assignment[j] else 0.02
+        )
+        # patched edges for isolated nodes come after the drawn ones
+        assert list(got.edges.items())[: len(want)] == list(want.items())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_single_feature_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        assert random_graph(("G0",), 0.5, rng).edges == {}
+        assert rng.bit_generator.state == before
 
 
 class TestRandomGraph:
