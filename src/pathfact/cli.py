@@ -83,9 +83,7 @@ _OPTIONAL_KEYS = {
 }
 
 
-def _coerce(key, text):
-    text = text.strip()
-    kind = _CONFIG_TYPES[key]
+def _coerce(key, kind, text):
     if kind is str:
         return text
     if text.lower() == "none" and key in _OPTIONAL_KEYS:
@@ -102,8 +100,9 @@ def _coerce(key, text):
         raise UsageError(f"config key {key!r} has non-numeric value {text!r}")
 
 
-def parse_config_file(path) -> dict:
-    """Flat ``key = value`` settings; '#' starts a comment anywhere."""
+def parse_config_file(path, types=_CONFIG_TYPES) -> dict:
+    """Flat ``key = value`` settings; '#' starts a comment anywhere.
+    ``types`` maps each allowed key to its type."""
     values = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -116,9 +115,12 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, text = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        if key not in types:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _coerce(key, text)
+        try:
+            values[key] = _coerce(key, types[key], text)
+        except UsageError as exc:
+            raise UsageError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -209,6 +211,8 @@ def cmd_fit(argv) -> int:
         hyper = config.hyperparameters()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if config.top_m < 1:
+        raise UsageError(f"top_m must be at least 1, got {config.top_m}")
 
     expr = dataio.load_expression(config.expression, config.labels)
     sets = dataio.load_gmt(config.gmt)
@@ -379,7 +383,10 @@ def _load_truth(truth_dir: Path):
     _, _, membership = dataio.load_labeled_matrix(truth_dir / "membership.tsv")
     _, _, shown = dataio.load_labeled_matrix(truth_dir / "shown_mask.tsv")
     sample_ids, _, mean = dataio.load_labeled_matrix(truth_dir / "noiseless_mean.tsv")
-    meta = parse_config_meta(truth_dir / "meta")
+    meta_path = truth_dir / "meta"
+    meta = parse_config_file(meta_path, types={"noise_precision": float})
+    if "noise_precision" not in meta:
+        raise UsageError(f"{meta_path}: missing key 'noise_precision'")
     n, k = len(sample_ids), len(cluster_ids)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), np.arange(n) % k] = 1.0
@@ -407,17 +414,6 @@ def _check_ids(path, kind, found, expected):
             raise UsageError(f"{path}: {kind} id {i} is {got!r}, truth has {want!r}")
     if len(found) != len(expected):
         raise UsageError(f"{path}: {len(found)} {kind} ids, truth has {len(expected)}")
-
-
-def parse_config_meta(path) -> dict:
-    values = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, text = (part.strip() for part in line.split("=", 1))
-        values[key] = float(text)
-    return values
 
 
 def cmd_eval(argv) -> int:

@@ -100,25 +100,20 @@ def init_state(data: ObservationSet, hyper) -> VariationalState:
     )
 
 
-def update_noise(state, data, hyper) -> GammaParams:
+def update_noise(state, data, hyper, mom=None) -> GammaParams:
     """Conjugate Gamma update of the observation precision."""
     rh = hyper.resolve(data)
-    residual = expected_sq_residual(state, data, rh)
+    residual = expected_sq_residual(state, data, rh, mom=mom)
     shape = rh.alpha_a0 + 0.5 * data.n_samples * data.n_features
     rate = rh.alpha_b0 + 0.5 * residual
     return GammaParams(shape, rate)
 
 
-def _assoc_site(k, r, m, gram_u, proj, gram_w, w2_sum, noise_mean, lam_kr):
-    """Conditional truncated-normal maximizer for one association entry."""
-    prec = noise_mean * gram_u[k, k] * w2_sum[r]
-    pm = gram_u[k] @ m
-    linear = noise_mean * (
-        proj[k, r]
-        - pm @ gram_w[:, r]
-        + gram_w[r, r] * pm[r]
-        - w2_sum[r] * (pm[r] - gram_u[k, k] * m[k, r])
-    )
+def _assoc_site(k, r, m, gram_u, proj, gram_w, noise_mean, lam_kr):
+    """Conditional truncated-normal maximizer for one association entry;
+    ``gram_w`` is E[W^T W]."""
+    prec = noise_mean * gram_u[k, k] * gram_w[r, r]
+    linear = noise_mean * (proj[k, r] - (gram_u[k] @ m) @ gram_w[:, r]) + prec * m[k, r]
     scale = min(1.0 / max(prec, _MIN_PRECISION), _MAX_SCALE)
     return (linear - lam_kr) * scale, scale
 
@@ -129,10 +124,9 @@ def update_association(state, data, hyper, k, r) -> TruncatedNormalParams:
     mom = factor_moments(state, data, rh)
     noise_mean = float(state.noise.shape / state.noise.rate)
     gram_u = mom.u.T @ mom.u
-    proj = mom.u.T @ data.X @ mom.w
-    gram_w = mom.w.T @ mom.w
+    proj = mom.u.T @ mom.xw
     loc, scale = _assoc_site(
-        k, r, mom.s_mean, gram_u, proj, gram_w, mom.w2_sum, noise_mean, rh.lambda_s0[k, r]
+        k, r, mom.s_mean, gram_u, proj, mom.ww, noise_mean, rh.lambda_s0[k, r]
     )
     return TruncatedNormalParams(loc, scale)
 
@@ -140,16 +134,14 @@ def update_association(state, data, hyper, k, r) -> TruncatedNormalParams:
 def _association_sweep(state, data, rh, mom) -> TruncatedNormalParams:
     noise_mean = float(state.noise.shape / state.noise.rate)
     gram_u = mom.u.T @ mom.u
-    proj = mom.u.T @ data.X @ mom.w
-    gram_w = mom.w.T @ mom.w
-    w2_sum = mom.w2_sum
+    proj = mom.u.T @ mom.xw
     loc = state.assoc.location.copy()
     scale = state.assoc.scale_sq.copy()
     m = mom.s_mean.copy()
     for k in range(data.n_clusters):
         for r in range(data.n_sets):
             loc_new, scale_new = _assoc_site(
-                k, r, m, gram_u, proj, gram_w, w2_sum, noise_mean, rh.lambda_s0[k, r]
+                k, r, m, gram_u, proj, mom.ww, noise_mean, rh.lambda_s0[k, r]
             )
             loc[k, r] = loc_new
             scale[k, r] = scale_new
@@ -165,7 +157,7 @@ def update_basis(state, data, hyper, j, r) -> NormalParams:
     resid = data.X[:, j] - mom.a @ mom.w[j]
     prec = 1.0 / rh.sigma_v0[j, r] + noise_mean * mom.rho[j, r] * mom.a2_sum[r]
     linear = rh.mu_v0[j, r] / rh.sigma_v0[j, r] + noise_mean * mom.rho[j, r] * (
-        mom.a[:, r] @ resid + mom.w[j, r] * mom.a_sq_sum[r]
+        mom.a[:, r] @ resid + mom.w[j, r] * (mom.a[:, r] @ mom.a[:, r])
     )
     return NormalParams(linear / prec, 1.0 / prec)
 
@@ -173,11 +165,11 @@ def update_basis(state, data, hyper, j, r) -> NormalParams:
 def _basis_sweep(state, data, rh, mom) -> NormalParams:
     """Gauss-Seidel over the sets. With U, S and Z fixed the rows of V are
     conditionally independent, so each step updates column r for all
-    features at once from the sufficient statistics X^T A and A^T A."""
+    features at once from the sufficient statistics X^T A and E[A^T A]."""
     noise_mean = float(state.noise.shape / state.noise.rate)
     rho = mom.rho
     proj = data.X.T @ mom.a  # (D, R)
-    gram = mom.a.T @ mom.a
+    gram = mom.aa
     mean = mom.v_mean.copy()
     var = np.empty_like(mean)
     w = rho * mean
@@ -227,67 +219,53 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
     return x, stalled
 
 
-class _ClusterStats:
-    """Sufficient statistics of the cluster block: everything its objective
-    needs that does not depend on the logits, so that an evaluation costs
-    O(NKR + NR^2) and forms no N x D residual."""
-
-    def __init__(self, state, data, rh):
-        mom = factor_moments(state, data, rh)
-        self.noise_mean = float(state.noise.shape / state.noise.rate)
-        self.s_mean = mom.s_mean
-        self.var_load = mom.s_var @ mom.w2_sum  # per-cluster variance load
-        self.xw = data.X @ mom.w  # (N, R)
-        # E[W^T W] under the factorized posterior: second moments on the
-        # diagonal, products of first moments across distinct sets
-        self.gram_w = mom.w.T @ mom.w
-        np.fill_diagonal(self.gram_w, mom.w2_sum)
-        self.x_sq = float(np.sum(data.X * data.X))
-
-
-def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, stats=None):
+def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=None):
     """Likelihood part of the objective as a function of the cluster logits.
 
     Every other objective term is constant in theta, so ascent on this
-    restriction is ascent on the full objective. ``stats`` holds the
-    theta-independent statistics; they are built from the state when absent.
+    restriction is ascent on the full objective. ``mom`` holds the state's
+    moments and is computed when absent; only those that do not depend on
+    theta are read, so an evaluation costs O(NKR + NR^2) and forms no N x D
+    residual.
     """
     rh = hyper.resolve(data)
-    st = stats or _ClusterStats(state, data, rh)
+    mom = mom or factor_moments(state, data, rh)
+    noise_mean = float(state.noise.shape / state.noise.rate)
+    var_load = mom.s_var @ mom.w2_sum  # per-cluster variance load
     tilde = softmax_rows(theta)
     u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
-    a = u @ st.s_mean
-    a_gram = a @ st.gram_w
+    a = u @ mom.s_mean
+    a_gram = a @ mom.ww
     total = (
-        st.x_sq
-        - float(np.sum(a * (2.0 * st.xw - a_gram)))
-        + float((u * u).sum(axis=0) @ st.var_load)
+        data.x_sq
+        - float(np.sum(a * (2.0 * mom.xw - a_gram)))
+        + float((u * u).sum(axis=0) @ var_load)
     )
-    value = -0.5 * st.noise_mean * total
+    value = -0.5 * noise_mean * total
     if not with_grad:
         return value, None
-    d_value_du = st.noise_mean * ((st.xw - a_gram) @ st.s_mean.T - u * st.var_load)
+    d_value_du = noise_mean * ((mom.xw - a_gram) @ mom.s_mean.T - u * var_load)
     inner = (tilde * d_value_du).sum(axis=1, keepdims=True)
     grad = (1.0 - rh.zeta) * tilde * (d_value_du - inner)
     return value, grad
 
 
-def update_cluster(state, data, hyper, cfg: GradientBlockConfig = None):
+def update_cluster(state, data, hyper, cfg: GradientBlockConfig = None, mom=None):
     """Line-search ascent on the cluster logits. Returns (logits, stalled)."""
     cfg = cfg or GradientBlockConfig()
     rh = hyper.resolve(data)
     if rh.zeta == 1.0:
         return state.cluster_logits.copy(), False
 
-    stats = _ClusterStats(state, data, rh)
+    mom = mom or factor_moments(state, data, rh)
 
     def value(theta):
         return cluster_objective_and_grad(
-            theta, state, data, rh, with_grad=False, stats=stats
+            theta, state, data, rh, with_grad=False, mom=mom
         )[0]
 
     def value_and_grad(theta):
-        return cluster_objective_and_grad(theta, state, data, rh, stats=stats)
+        return cluster_objective_and_grad(theta, state, data, rh, mom=mom)
 
     theta, stalled = _backtracking_ascent(
         state.cluster_logits, value, value_and_grad, cfg
@@ -303,20 +281,18 @@ class _CouplingProblem:
     """
 
     def __init__(self, state, data, rh, lap, mom):
-        self.data = data
         self.rh = rh
         self.lap = lap
         self.noise_mean = float(state.noise.shape / state.noise.rate)
         self.v_mean = mom.v_mean
         self.v_second = mom.v_second
         self.a2_sum = mom.a2_sum
-        self.gram_a = mom.a.T @ mom.a
+        self.gram_a = mom.aa
         self.proj = data.X.T @ mom.a  # (D, R)
-        self.a_sq = np.diag(self.gram_a).copy()
         self.mask = data.mask_indices()
         self.shape = mom.v_mean.shape
         self.a_beta = rh.beta_a / data.n_sets
-        self.x_sq = float(np.sum(data.X * data.X))
+        self.x_sq = data.x_sq
 
     def pack(self, coupling: NormalParams, sparsity: NormalParams):
         return np.concatenate(
@@ -336,78 +312,60 @@ class _CouplingProblem:
         sig_pi = np.exp(x[2 * d * r + r :])
         return mu_g, sig_g, mu_pi, sig_pi
 
-    def _common(self, x):
-        mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
-        total_var = sig_pi[None, :] + sig_g
-        t = (mu_pi[None, :] - mu_g) / np.sqrt(total_var)
-        rho = special.ndtr(t)
-        return mu_g, sig_g, mu_pi, sig_pi, total_var, t, rho
-
     def value(self, x):
-        # candidate steps may underflow a variance to zero; the resulting
-        # -inf/nan objective is rejected by the line search
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            mu_g, sig_g, mu_pi, sig_pi, total_var, t, rho = self._common(x)
-            w = rho * self.v_mean
-            w2 = rho * self.v_second
-            residual = (
-                self.x_sq
-                - 2.0 * float(np.sum(w * self.proj))
-                + float(np.sum((w @ self.gram_a) * w))
-                + float(self.a2_sum @ w2.sum(axis=0))
-                - float(self.a_sq @ np.einsum("jr,jr->r", w, w))
-            )
-            value = -0.5 * self.noise_mean * residual
-            value -= 0.5 * float(np.sum(self.lap.quadratic_form(mu_g)))
-            value -= 0.5 * float(np.sum(self.lap.precision_diag @ sig_g))
-            value += 0.5 * float(np.sum(np.log(sig_g)))
-            value += float(
-                np.sum(
-                    (self.a_beta - 1.0) * expected_log_ndtr(mu_pi, sig_pi)
-                    - 0.5 * (mu_pi**2 + sig_pi)
-                )
-            )
-            value += 0.5 * float(np.sum(np.log(sig_pi)))
-            rows, cols = self.mask
-            if rows.size and self.rh.xi > 0:
-                value += self.rh.xi * float(np.sum(special.log_ndtr(t[rows, cols])))
-        return value
+        return self.evaluate(x, with_grad=False)[0]
 
     def value_and_grad(self, x):
-        mu_g, sig_g, mu_pi, sig_pi, total_var, t, rho = self._common(x)
-        w = rho * self.v_mean
-        w2 = rho * self.v_second
+        return self.evaluate(x)
 
+    # trial steps may underflow a variance to zero; the resulting -inf/nan
+    # objective is rejected by the line search
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def evaluate(self, x, with_grad=True):
+        """The block objective at ``x`` and, ``with_grad``, its gradient: one
+        body for trial steps and gradient points, so the line search compares
+        values summed in one order."""
+        mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
+        total_var = sig_pi[None, :] + sig_g
+        root = np.sqrt(total_var)
+        t = (mu_pi[None, :] - mu_g) / root
+        rho = special.ndtr(t)
+        w = rho * self.v_mean
+        w_gram = w @ self.gram_a
+        # <E[A^T A], E[W^T W]> with E[W^T W] = W^T W off the diagonal and
+        # the second moments on it
         residual = (
             self.x_sq
             - 2.0 * float(np.sum(w * self.proj))
-            + float(np.sum((w @ self.gram_a) * w))
-            + float(self.a2_sum @ w2.sum(axis=0))
-            - float(self.a_sq @ np.einsum("jr,jr->r", w, w))
+            + float(np.sum(w_gram * w))
+            + float(self.a2_sum @ (rho * self.v_second - w * w).sum(axis=0))
         )
         value = -0.5 * self.noise_mean * residual
-
-        d_resid_dw = -2.0 * self.proj + 2.0 * (w @ self.gram_a) - 2.0 * self.a_sq[None, :] * w
-        d_value_drho = -0.5 * self.noise_mean * (
-            self.v_mean * d_resid_dw + self.v_second * self.a2_sum[None, :]
-        )
-
-        phi_t = std_normal_pdf(t)
-        d_value_dt = d_value_drho * phi_t
         rows, cols = self.mask
-        if rows.size and self.rh.xi > 0:
+        penalized = rows.size > 0 and self.rh.xi > 0
+        if penalized:
             value += self.rh.xi * float(np.sum(special.log_ndtr(t[rows, cols])))
-            pen = np.zeros_like(t)
-            pen[rows, cols] = self.rh.xi * pdf_over_cdf(t[rows, cols])
-            d_value_dt = d_value_dt + pen
-
-        root = np.sqrt(total_var)
-        d_t_dvar = -0.5 * t / total_var
-
         prec_mu = self.lap.apply_precision(mu_g)
         value -= 0.5 * float(np.sum(mu_g * prec_mu))
         value -= 0.5 * float(np.sum(self.lap.precision_diag @ sig_g))
         value += 0.5 * float(np.sum(np.log(sig_g)))
+        eln = expected_log_ndtr(mu_pi, sig_pi)
+        value += float(np.sum((self.a_beta - 1.0) * eln - 0.5 * (mu_pi**2 + sig_pi)))
+        value += 0.5 * float(np.sum(np.log(sig_pi)))
+        if not with_grad:
+            return value, None
+
+        d_resid_dw = 2.0 * (w_gram - self.proj - self.a2_sum[None, :] * w)
+        d_value_drho = -0.5 * self.noise_mean * (
+            self.v_mean * d_resid_dw + self.v_second * self.a2_sum[None, :]
+        )
+        d_value_dt = d_value_drho * std_normal_pdf(t)
+        if penalized:
+            pen = np.zeros_like(t)
+            pen[rows, cols] = self.rh.xi * pdf_over_cdf(t[rows, cols])
+            d_value_dt = d_value_dt + pen
+
+        d_t_dvar = -0.5 * t / total_var
 
         grad_mu_g = -d_value_dt / root - prec_mu
         grad_sig_g = (
@@ -415,14 +373,7 @@ class _CouplingProblem:
             - 0.5 * self.lap.precision_diag[:, None]
             + 0.5 / sig_g
         )
-
-        eln = expected_log_ndtr(mu_pi, sig_pi)
         d_eln_mu, d_eln_var = expected_log_ndtr_grad(mu_pi, sig_pi)
-        value += float(
-            np.sum((self.a_beta - 1.0) * eln - 0.5 * (mu_pi**2 + sig_pi))
-        )
-        value += 0.5 * float(np.sum(np.log(sig_pi)))
-
         grad_mu_pi = (
             (d_value_dt / root).sum(axis=0)
             + (self.a_beta - 1.0) * d_eln_mu
@@ -457,7 +408,9 @@ def coupling_objective_and_grad(state, data, hyper, lap=None):
     return problem.value_and_grad(x)
 
 
-def update_coupling(state, data, hyper, cfg: GradientBlockConfig = None, lap=None):
+def update_coupling(
+    state, data, hyper, cfg: GradientBlockConfig = None, lap=None, mom=None
+):
     """Joint line-search ascent over the coupling functions and set levels.
 
     Returns (coupling, sparsity, stalled).
@@ -465,7 +418,7 @@ def update_coupling(state, data, hyper, cfg: GradientBlockConfig = None, lap=Non
     cfg = cfg or GradientBlockConfig()
     rh = hyper.resolve(data)
     lap = lap or normalized_laplacian(data.graph, rh.epsilon)
-    mom = factor_moments(state, data, rh)
+    mom = mom or factor_moments(state, data, rh)
     problem = _CouplingProblem(state, data, rh, lap, mom)
     x0 = problem.pack(state.coupling, state.sparsity)
     x, stalled = _backtracking_ascent(x0, problem.value, problem.value_and_grad, cfg)
@@ -492,23 +445,27 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
     # warm-up: one coupling pass before any factor block, so the curated
     # memberships shape q(Z) before the basis commits to features; pure
     # ascent, so the monotonicity contract is unaffected
+    mom = factor_moments(state, data, rh)
     start = time.perf_counter()
-    coupling0, sparsity0, stuck = update_coupling(state, data, rh, cfg, lap=lap)
+    coupling0, sparsity0, stuck = update_coupling(state, data, rh, cfg, lap=lap, mom=mom)
     stalled["coupling"] += stuck
     state = state.updated(coupling=coupling0, sparsity=sparsity0)
     block_seconds["coupling"] += time.perf_counter() - start
     trace = ElboTrace()
 
-    def objective(current, block):
+    def objective(current, block, mom):
         try:
-            obj, bound, penalty = regularized_objective(current, data, rh, lap=lap)
+            obj, bound, penalty = regularized_objective(current, data, rh, lap=lap, mom=mom)
         except NumericalError as exc:
             raise NumericalError(f"after block '{block}': {exc}") from exc
         if not np.isfinite(obj):
             raise NumericalError(f"non-finite objective after block '{block}'")
         return obj, bound, penalty
 
-    obj, bound, penalty = objective(state, "init")
+    # one moments pass per state: the moments behind each objective check
+    # are the input of the next block
+    mom = factor_moments(state, data, rh)
+    obj, bound, penalty = objective(state, "init", mom)
     trace.append(SweepRecord(sweep=0, elbo=bound, penalty=penalty, objective=obj, block_deltas={}))
     status = "max_sweeps"
     quiet = 0
@@ -518,37 +475,32 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         deltas = {}
 
         def timed(name, action):
-            nonlocal state, obj, bound, penalty
+            nonlocal state, mom, obj, bound, penalty
             start = time.perf_counter()
-            state = action(state)
+            state = action(state, mom)
             block_seconds[name] += time.perf_counter() - start
-            new_obj, new_bound, new_penalty = objective(state, name)
+            if name != "noise":  # no moment depends on q(alpha)
+                mom = factor_moments(state, data, rh)
+            new_obj, new_bound, new_penalty = objective(state, name, mom)
             deltas[name] = new_obj - obj
             obj, bound, penalty = new_obj, new_bound, new_penalty
 
-        timed("noise", lambda s: s.updated(noise=update_noise(s, data, rh)))
+        timed("noise", lambda s, m: s.updated(noise=update_noise(s, data, rh, mom=m)))
         timed(
             "association",
-            lambda s: s.updated(
-                assoc=_association_sweep(s, data, rh, factor_moments(s, data, rh))
-            ),
+            lambda s, m: s.updated(assoc=_association_sweep(s, data, rh, m)),
         )
-        timed(
-            "basis",
-            lambda s: s.updated(
-                basis=_basis_sweep(s, data, rh, factor_moments(s, data, rh))
-            ),
-        )
+        timed("basis", lambda s, m: s.updated(basis=_basis_sweep(s, data, rh, m)))
 
-        def cluster_step(s):
-            theta, stuck = update_cluster(s, data, rh, cfg)
+        def cluster_step(s, m):
+            theta, stuck = update_cluster(s, data, rh, cfg, mom=m)
             stalled["cluster"] += stuck
             return s.updated(cluster_logits=theta)
 
         timed("cluster", cluster_step)
 
-        def coupling_step(s):
-            coupling, sparsity, stuck = update_coupling(s, data, rh, cfg, lap=lap)
+        def coupling_step(s, m):
+            coupling, sparsity, stuck = update_coupling(s, data, rh, cfg, lap=lap, mom=m)
             stalled["coupling"] += stuck
             return s.updated(coupling=coupling, sparsity=sparsity)
 

@@ -9,6 +9,7 @@ All functions here are side-effect free; inference drives them.
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -96,6 +97,11 @@ class ObservationSet:
     def mask_indices(self):
         """Known-membership indices (rows, cols), sorted by (row, col)."""
         return np.nonzero(self.Z0)
+
+    @cached_property
+    def x_sq(self):
+        """Squared Frobenius norm of X, computed once per dataset."""
+        return float(np.sum(self.X * self.X))
 
 
 @dataclass(frozen=True)
@@ -273,43 +279,49 @@ def z_marginal(coupling: NormalParams, sparsity: NormalParams):
 
 
 def factor_moments(state: VariationalState, data: ObservationSet, hyper):
-    """Moments shared by the objective and the coordinate updates."""
+    """Moments shared by the objective and the coordinate updates.
+
+    With A = U S and W = Z o V, ``aa`` is E[A^T A] and ``ww`` is E[W^T W]
+    under the factorized posterior: products of first moments across
+    distinct sets, second moments (``a2_sum``, ``w2_sum``) on the diagonal.
+    ``xw`` is X E[W]. No moment depends on q(alpha).
+    """
     hyper = hyper.resolve(data)
     s_mean, s_var, s_entropy = trunc_norm_moments(
         state.assoc.location, state.assoc.scale_sq
     )
-    s_second = s_var + s_mean**2
-    v_mean = state.basis.mean
-    with np.errstate(over="ignore"):
-        v_second = state.basis.variance + v_mean**2
     t = membership_logit(state.coupling, state.sparsity)
     rho = special.ndtr(t)
-    log_rho = special.log_ndtr(t)
     u = mix_cluster(state.cluster_logits, data.U0, hyper.zeta)
-    u_sq = u * u
     a = u @ s_mean
-    a2_sum = np.einsum("ir,ir->r", a, a) + u_sq.sum(axis=0) @ s_var
-    w = rho * v_mean
-    w2 = rho * v_second
+    a2_sum = np.einsum("ir,ir->r", a, a) + (u * u).sum(axis=0) @ s_var
+    aa = a.T @ a
+    np.fill_diagonal(aa, a2_sum)
+    v_mean = state.basis.mean
+    # an overflowing basis is reported by the objective's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_second = state.basis.variance + v_mean**2
+        w = rho * v_mean
+        w2_sum = (rho * v_second).sum(axis=0)
+        ww = w.T @ w
+        xw = data.X @ w
+    np.fill_diagonal(ww, w2_sum)
     return SimpleNamespace(
         s_mean=s_mean,
         s_var=s_var,
-        s_second=s_second,
         s_entropy=s_entropy,
         v_mean=v_mean,
         v_second=v_second,
-        t=t,
         rho=rho,
-        log_rho=log_rho,
+        log_rho=special.log_ndtr(t),
         u=u,
-        u_sq=u_sq,
         a=a,
-        a_sq_sum=np.einsum("ir,ir->r", a, a),
         a2_sum=a2_sum,
         w=w,
-        w2=w2,
-        w_sq_sum=np.einsum("jr,jr->r", w, w),
-        w2_sum=w2.sum(axis=0),
+        w2_sum=w2_sum,
+        aa=aa,
+        ww=ww,
+        xw=xw,
     )
 
 
@@ -320,15 +332,16 @@ def expected_reconstruction(state, data, hyper, mom=None):
 
 
 def expected_sq_residual(state, data, hyper, mom=None):
-    """E[ sum_ij (X_ij - reconstruction_ij)^2 ] under the factorized posterior.
-
-    Second moments enter only on the diagonal r = r'; cross terms between
-    distinct sets use products of first moments.
+    """E[ sum_ij (X_ij - reconstruction_ij)^2 ] under the factorized posterior,
+    in moment form: ||X||^2 - 2 <E[A], X E[W]> + <E[A^T A], E[W^T W]>. No
+    N x D array is formed.
     """
     mom = mom or factor_moments(state, data, hyper)
-    frob = float(np.sum((data.X - mom.a @ mom.w.T) ** 2))
-    correction = float(mom.a2_sum @ mom.w2_sum - mom.a_sq_sum @ mom.w_sq_sum)
-    return frob + correction
+    return (
+        data.x_sq
+        - 2.0 * float(np.sum(mom.a * mom.xw))
+        + float(np.sum(mom.aa * mom.ww))
+    )
 
 
 def elbo_terms(state: VariationalState, data: ObservationSet, hyper, lap=None, mom=None):

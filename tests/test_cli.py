@@ -202,6 +202,12 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_top_m_below_one_exit_one(self, dataset, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(fit_args(dataset, out, extra=["--top-m", "0"])) == EXIT_DATA
+        assert capsys.readouterr().err == "error: top_m must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_max_sweeps_exit_three(self, dataset, tmp_path):
         out = tmp_path / "short"
         code = main(fit_args(dataset, out, extra=["--max-sweeps", "1"]))
@@ -339,6 +345,26 @@ class TestEvalAndRank:
         assert self.eval_copy(dataset, fitted, tmp_path, top_m=None) == EXIT_DATA
         err = capsys.readouterr().err
         assert "--top-m 5" in err and "association.tsv has 3 sets" in err
+
+    @pytest.mark.parametrize(
+        "meta, message",
+        [
+            ("noise_precision 3\n", "meta:1: expected 'key = value'"),
+            (
+                "noise_precision = abc\n",
+                "meta:1: config key 'noise_precision' has non-numeric value 'abc'",
+            ),
+            ("", "meta: missing key 'noise_precision'"),
+        ],
+        ids=["no_equals", "non_numeric", "empty"],
+    )
+    def test_eval_bad_truth_meta_exit_one(self, dataset, fitted, tmp_path, capsys, meta, message):
+        truth = tmp_path / "truth"
+        shutil.copytree(dataset / "truth", truth)
+        (truth / "meta").write_text(meta)
+        args = ["eval", "--fit-dir", str(fitted), "--truth-dir", str(truth), "--top-m", "2"]
+        assert main(args) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {truth}/{message}\n"
 
     def test_rank_rewrites_with_new_top_m(self, fitted, tmp_path):
         out = tmp_path / "rr.tsv"

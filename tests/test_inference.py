@@ -5,10 +5,12 @@ from scipy import optimize
 from conftest import default_hyper, make_dataset, make_state
 
 from pathfact.dist import GammaParams, NormalParams, TruncatedNormalParams
-from pathfact.graph import InteractionGraph
+from pathfact import inference, model
+from pathfact.graph import InteractionGraph, normalized_laplacian
 from pathfact.inference import (
     GradientBlockConfig,
     _basis_sweep,
+    _CouplingProblem,
     cluster_objective_and_grad,
     coupling_objective_and_grad,
     fit,
@@ -311,7 +313,7 @@ def direct_cluster_objective_and_grad(theta, state, data, hyper):
     rh = hyper.resolve(data)
     mom = factor_moments(state, data, rh)
     noise_mean = float(state.noise.shape / state.noise.rate)
-    col_scale = mom.w2_sum - mom.w_sq_sum
+    col_scale = mom.w2_sum - np.einsum("jr,jr->r", mom.w, mom.w)
     var_load = mom.s_var @ mom.w2_sum
     tilde = softmax_rows(theta)
     u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
@@ -557,7 +559,85 @@ class TestUpdateCoupling:
         assert not stalled
 
 
+class TestTrialValues:
+    """The values the line searches compare: a trial step's value equals the
+    value at a gradient point, and both track the full objective."""
+
+    def points(self, seed, n_points=24):
+        rng = np.random.default_rng(seed)
+        data = make_dataset(rng, n=30, d=20, k=3, r=5, edge_prob=0.2, mask_prob=0.3)
+        assert data.Z0.any()
+        state = make_state(rng, data)
+        return rng, data, state, default_hyper(zeta=0.6, xi=4.0).resolve(data), n_points
+
+    def test_coupling_value_matches_value_and_grad_and_objective(self):
+        rng, data, state, rh, n_points = self.points(41)
+        lap = normalized_laplacian(data.graph, rh.epsilon)
+        problem = _CouplingProblem(state, data, rh, lap, factor_moments(state, data, rh))
+        x0 = problem.pack(state.coupling, state.sparsity)
+        gaps, scale = [], 0.0
+        for _ in range(n_points):
+            x = x0 + 0.5 * rng.standard_normal(x0.size)
+            value = problem.value(x)
+            assert value == problem.value_and_grad(x)[0]
+            mu_g, sig_g, mu_pi, sig_pi = problem.unpack(x)
+            moved = state.updated(
+                coupling=NormalParams(mu_g, sig_g), sparsity=NormalParams(mu_pi, sig_pi)
+            )
+            obj = regularized_objective(moved, data, rh, lap=lap)[0]
+            gaps.append(obj - value)
+            scale = max(scale, abs(obj))
+        np.testing.assert_allclose(gaps, gaps[0], rtol=0, atol=1e-9 * scale)
+
+    def test_cluster_value_matches_value_and_grad_and_objective(self):
+        rng, data, state, rh, n_points = self.points(42)
+        mom = factor_moments(state, data, rh)
+        gaps, scale = [], 0.0
+        for _ in range(n_points):
+            theta = state.cluster_logits + rng.standard_normal(state.cluster_logits.shape)
+            value, none = cluster_objective_and_grad(
+                theta, state, data, rh, with_grad=False, mom=mom
+            )
+            assert none is None
+            assert value == cluster_objective_and_grad(theta, state, data, rh, mom=mom)[0]
+            obj = regularized_objective(state.updated(cluster_logits=theta), data, rh)[0]
+            gaps.append(obj - value)
+            scale = max(scale, abs(obj))
+        np.testing.assert_allclose(gaps, gaps[0], rtol=0, atol=1e-9 * scale)
+
+
 class TestFit:
+    def test_computes_moments_once_per_state(self, monkeypatch):
+        """Moments are computed once for the initial state (read by the
+        warm-up coupling pass), once for the state after it (read by the
+        sweep-0 objective check and the first noise block), and once after
+        each block that changes a moment: association, basis, cluster and
+        coupling. The noise block changes none, so its objective check reuses
+        the moments it read. Three sweeps: 2 + 4 * 3 = 14 calls, beside
+        1 + 5 * 3 = 16 objective checks."""
+        counts = {"factor_moments": 0, "regularized_objective": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        moments = counted("factor_moments", model.factor_moments)
+        monkeypatch.setattr(model, "factor_moments", moments)
+        monkeypatch.setattr(inference, "factor_moments", moments)
+        monkeypatch.setattr(
+            inference,
+            "regularized_objective",
+            counted("regularized_objective", model.regularized_objective),
+        )
+        rng = np.random.default_rng(19)
+        data = make_dataset(rng, n=10, d=8, k=2, r=3)
+        report = fit(data, default_hyper(max_sweeps=3))
+        assert report.sweeps == 3
+        assert counts == {"factor_moments": 2 + 4 * 3, "regularized_objective": 1 + 5 * 3}
+
     def test_small_instance_converges_monotone(self):
         rng = np.random.default_rng(15)
         data = make_dataset(rng, n=20, d=12, k=3, r=4, mask_prob=0.4)
