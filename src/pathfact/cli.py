@@ -12,8 +12,9 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import dataio
+from . import __version__, dataio
 from .dataio import DataError, format_number
 from .inference import fit
 from .model import Hyperparameters, NumericalError, rank_row, summarize
@@ -174,6 +175,9 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
     lines.append(f"# status: {report.status} after {report.sweeps} sweep(s)")
     lines.append(
         "# stalled: " + " ".join(f"{block}={n}" for block, n in report.stalled.items())
+    )
+    lines.append(
+        f"# versions: pathfact={__version__} numpy={np.__version__} scipy={scipy.__version__}"
     )
     # scalar settings as resolved; the broadcast prior arrays keep the
     # config's scalar

@@ -114,14 +114,16 @@ def parse_gmt(lines) -> GeneSetCollection:
         set_id = fields[0].strip()
         description = fields[1].strip()
         members = []
+        listed = set()
         dupes = 0
         for token in fields[2:]:
             member = token.strip()
             if not member:
                 continue
-            if member in members:
+            if member in listed:
                 dupes += 1
                 continue
+            listed.add(member)
             members.append(member)
         if not members:
             raise FormatError(f"set {set_id!r} has no members", line=lineno)
@@ -210,6 +212,7 @@ def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
     """
     rows = []
     sample_ids = []
+    seen_ids = set()
     feature_ids = None
     for lineno, raw in enumerate(matrix_lines, start=1):
         line = raw.rstrip("\r\n")
@@ -226,7 +229,7 @@ def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
         sample_id = fields[0].strip()
         if not sample_id:
             raise FormatError("missing sample id", line=lineno)
-        if sample_id in sample_ids:
+        if sample_id in seen_ids:
             raise FormatError(f"duplicate expression row for sample {sample_id!r}", line=lineno)
         values = fields[1:]
         if len(values) != len(feature_ids):
@@ -238,6 +241,7 @@ def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
             [_parse_cell(tok, lineno, feature_ids[c]) for c, tok in enumerate(values)]
         )
         sample_ids.append(sample_id)
+        seen_ids.add(sample_id)
     if feature_ids is None:
         raise FormatError("expression matrix is empty")
 

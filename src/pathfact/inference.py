@@ -293,6 +293,7 @@ class _CouplingProblem:
         self.shape = mom.v_mean.shape
         self.a_beta = rh.beta_a / data.n_sets
         self.x_sq = data.x_sq
+        self._kept = None  # (point, value, gradient) of the last value() call
 
     def pack(self, coupling: NormalParams, sparsity: NormalParams):
         return np.concatenate(
@@ -313,18 +314,31 @@ class _CouplingProblem:
         return mu_g, sig_g, mu_pi, sig_pi
 
     def value(self, x):
-        return self.evaluate(x, with_grad=False)[0]
+        # the line search asks for a gradient only at the trial point it just
+        # accepted, so the last trial's pass is kept for it; the old pass is
+        # dropped first, so memory holds one pass
+        self._kept = None
+        x = np.array(x, dtype=float)  # a private copy, which the pass may view
+        self._kept = (x, *self._forward(x))
+        return self._kept[1]
 
     def value_and_grad(self, x):
-        return self.evaluate(x)
+        kept, self._kept = self._kept, None
+        # compared by content: an array mutated in place is recomputed
+        if kept is not None and np.array_equal(kept[0], x):
+            _, value, gradient = kept
+        else:
+            value, gradient = self._forward(x)
+        return value, gradient()
 
     # trial steps may underflow a variance to zero; the resulting -inf/nan
     # objective is rejected by the line search
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def evaluate(self, x, with_grad=True):
-        """The block objective at ``x`` and, ``with_grad``, its gradient: one
-        body for trial steps and gradient points, so the line search compares
-        values summed in one order."""
+    def _forward(self, x):
+        """The block objective at ``x``, and a function that computes its
+        gradient from this pass's intermediates. Trial steps and gradient
+        points share this body, so the line search compares values summed
+        in one order."""
         mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
         total_var = sig_pi[None, :] + sig_g
         root = np.sqrt(total_var)
@@ -352,49 +366,50 @@ class _CouplingProblem:
         eln = expected_log_ndtr(mu_pi, sig_pi)
         value += float(np.sum((self.a_beta - 1.0) * eln - 0.5 * (mu_pi**2 + sig_pi)))
         value += 0.5 * float(np.sum(np.log(sig_pi)))
-        if not with_grad:
-            return value, None
 
-        d_resid_dw = 2.0 * (w_gram - self.proj - self.a2_sum[None, :] * w)
-        d_value_drho = -0.5 * self.noise_mean * (
-            self.v_mean * d_resid_dw + self.v_second * self.a2_sum[None, :]
-        )
-        d_value_dt = d_value_drho * std_normal_pdf(t)
-        if penalized:
-            pen = np.zeros_like(t)
-            pen[rows, cols] = self.rh.xi * pdf_over_cdf(t[rows, cols])
-            d_value_dt = d_value_dt + pen
+        @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+        def gradient():
+            d_resid_dw = 2.0 * (w_gram - self.proj - self.a2_sum[None, :] * w)
+            d_value_drho = -0.5 * self.noise_mean * (
+                self.v_mean * d_resid_dw + self.v_second * self.a2_sum[None, :]
+            )
+            d_value_dt = d_value_drho * std_normal_pdf(t)
+            if penalized:
+                pen = np.zeros_like(t)
+                pen[rows, cols] = self.rh.xi * pdf_over_cdf(t[rows, cols])
+                d_value_dt = d_value_dt + pen
 
-        d_t_dvar = -0.5 * t / total_var
+            d_t_dvar = -0.5 * t / total_var
 
-        grad_mu_g = -d_value_dt / root - prec_mu
-        grad_sig_g = (
-            d_value_dt * d_t_dvar
-            - 0.5 * self.lap.precision_diag[:, None]
-            + 0.5 / sig_g
-        )
-        d_eln_mu, d_eln_var = expected_log_ndtr_grad(mu_pi, sig_pi)
-        grad_mu_pi = (
-            (d_value_dt / root).sum(axis=0)
-            + (self.a_beta - 1.0) * d_eln_mu
-            - mu_pi
-        )
-        grad_sig_pi = (
-            (d_value_dt * d_t_dvar).sum(axis=0)
-            + (self.a_beta - 1.0) * d_eln_var
-            - 0.5
-            + 0.5 / sig_pi
-        )
+            grad_mu_g = -d_value_dt / root - prec_mu
+            grad_sig_g = (
+                d_value_dt * d_t_dvar
+                - 0.5 * self.lap.precision_diag[:, None]
+                + 0.5 / sig_g
+            )
+            d_eln_mu, d_eln_var = expected_log_ndtr_grad(mu_pi, sig_pi)
+            grad_mu_pi = (
+                (d_value_dt / root).sum(axis=0)
+                + (self.a_beta - 1.0) * d_eln_mu
+                - mu_pi
+            )
+            grad_sig_pi = (
+                (d_value_dt * d_t_dvar).sum(axis=0)
+                + (self.a_beta - 1.0) * d_eln_var
+                - 0.5
+                + 0.5 / sig_pi
+            )
 
-        grad = np.concatenate(
-            [
-                grad_mu_g.ravel(),
-                (grad_sig_g * sig_g).ravel(),
-                grad_mu_pi,
-                grad_sig_pi * sig_pi,
-            ]
-        )
-        return value, grad
+            return np.concatenate(
+                [
+                    grad_mu_g.ravel(),
+                    (grad_sig_g * sig_g).ravel(),
+                    grad_mu_pi,
+                    grad_sig_pi * sig_pi,
+                ]
+            )
+
+        return value, gradient
 
 
 def coupling_objective_and_grad(state, data, hyper, lap=None):
@@ -516,6 +531,9 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
             status = "converged"
             break
 
+    if any(stalled.values()):
+        counts = " ".join(f"{block}={n}" for block, n in stalled.items())
+        warnings.warn(f"line searches accepted no step: {counts}")
     return FitReport(
         state=state,
         trace=trace,

@@ -3,7 +3,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 
+import pathfact
 from pathfact import dataio
 from pathfact.cli import (
     EXIT_DATA,
@@ -154,7 +156,14 @@ class TestFit:
     def test_run_meta_reproduces_run(self, dataset, tmp_path):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         main(fit_args(dataset, out1))
-        assert "# stalled: cluster=0 coupling=0" in (out1 / "run_meta").read_text()
+        meta = (out1 / "run_meta").read_text().splitlines()
+        stalled = meta.index("# stalled: cluster=0 coupling=0")
+        assert meta[stalled + 1] == (
+            f"# versions: pathfact={pathfact.__version__} numpy={np.__version__}"
+            f" scipy={scipy.__version__}"
+        )
+        # comment lines only: the file still reads as a config
+        assert set(parse_config_file(out1 / "run_meta")) == {f.name for f in fields(RunConfig)}
         code = main(["fit", "--config", str(out1 / "run_meta"), "--out", str(out2)])
         assert code in (EXIT_OK, EXIT_MAX_SWEEPS)
         for name in FIT_OUTPUTS:

@@ -30,6 +30,22 @@ class TestParseGmt:
             out = parse_gmt(["PWAY_A\tdesc\tG1\tG1\n"])
         assert out.sets[0].members == ("G1",)
 
+    def test_large_set_dedups_in_first_appearance_order(self):
+        rng = np.random.default_rng(0)
+        unique = [f"G{i}" for i in rng.permutation(5000)]
+        repeats = [unique[i] for i in rng.integers(0, 5000, size=300)]
+        tokens = list(unique)
+        for position, member in zip(sorted(rng.integers(0, 5000, size=300)), repeats):
+            tokens.insert(position, member)
+        first = list(dict.fromkeys(tokens))
+        with pytest.warns(UserWarning) as caught:
+            out = parse_gmt(["", "BIG\tdesc\t" + "\t".join(tokens) + "\n"])
+        assert out.sets[0].members == tuple(first)
+        assert [str(w.message) for w in caught] == [
+            f"line 2: set 'BIG' lists {len(tokens) - len(first)} duplicate member(s); "
+            "deduplicated"
+        ]
+
     def test_two_lines_preserve_order(self):
         out = parse_gmt(["B\td\tG1\n", "A\td\tG2\n"])
         assert out.set_ids == ("B", "A")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from pathfact.graph import (
     InteractionGraph,
@@ -114,6 +115,26 @@ class TestNormalizedLaplacian:
             sign, dense = np.linalg.slogdet(lap.precision.toarray())
             assert sign == 1.0
             assert lap.log_det_precision == pytest.approx(dense, rel=1e-8)
+
+    def test_log_det_matches_dense_on_weighted_communities(self):
+        """Three weighted communities with no edges between them, and 20
+        isolated nodes: the factorization's ordering must not change the
+        log-determinant beyond rounding."""
+        rng = np.random.default_rng(6)
+        labels = tuple(f"g{i:03d}" for i in range(300))
+        community = np.repeat([0, 1, 2, -1], [120, 100, 60, 20])
+        edges = {}
+        for i in range(300):
+            for j in range(i + 1, 300):
+                if community[i] >= 0 and community[i] == community[j] and rng.random() < 0.05:
+                    edges[(labels[i], labels[j])] = float(rng.uniform(0.1, 5.0))
+        lap = normalized_laplacian(InteractionGraph(node_labels=labels, edges=edges), 0.05)
+        sizes = np.bincount(connected_components(lap.laplacian, directed=False)[1])
+        assert np.count_nonzero(sizes > 1) >= 2
+        assert np.count_nonzero(sizes == 1) >= 20
+        sign, dense = np.linalg.slogdet(lap.precision.toarray())
+        assert sign == 1.0
+        assert lap.log_det_precision == pytest.approx(dense, rel=1e-12)
 
     def test_jitter_required_with_edges(self):
         g = InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): 1.0})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import optimize
@@ -561,7 +563,9 @@ class TestUpdateCoupling:
 
 class TestTrialValues:
     """The values the line searches compare: a trial step's value equals the
-    value at a gradient point, and both track the full objective."""
+    value at a gradient point, and both track the full objective. The
+    coupling block keeps the forward pass of its last trial step, so its
+    values and gradients are compared bit for bit with a fresh problem's."""
 
     def points(self, seed, n_points=24):
         rng = np.random.default_rng(seed)
@@ -570,16 +574,42 @@ class TestTrialValues:
         state = make_state(rng, data)
         return rng, data, state, default_hyper(zeta=0.6, xi=4.0).resolve(data), n_points
 
-    def test_coupling_value_matches_value_and_grad_and_objective(self):
-        rng, data, state, rh, n_points = self.points(41)
+    def coupling_setup(self, seed):
+        """A problem whose forward passes are counted, and a reference that
+        evaluates each point on a fresh problem, which has no kept pass."""
+        rng, data, state, rh, n_points = self.points(seed)
         lap = normalized_laplacian(data.graph, rh.epsilon)
-        problem = _CouplingProblem(state, data, rh, lap, factor_moments(state, data, rh))
+        mom = factor_moments(state, data, rh)
+        problem = _CouplingProblem(state, data, rh, lap, mom)
+        passes = []
+        forward = problem._forward
+
+        def counted(x):
+            passes.append(x)
+            return forward(x)
+
+        problem._forward = counted
+
+        def fresh(x):
+            return _CouplingProblem(state, data, rh, lap, mom).value_and_grad(x)
+
         x0 = problem.pack(state.coupling, state.sparsity)
+        points = [x0 + 0.5 * rng.standard_normal(x0.size) for _ in range(n_points)]
+        return data, state, rh, lap, problem, passes, fresh, points
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_coupling_value_matches_value_and_grad_and_objective(self):
+        data, state, rh, lap, problem, passes, fresh, points = self.coupling_setup(41)
         gaps, scale = [], 0.0
-        for _ in range(n_points):
-            x = x0 + 0.5 * rng.standard_normal(x0.size)
+        for x in points:
             value = problem.value(x)
-            assert value == problem.value_and_grad(x)[0]
+            want = fresh(x)
+            assert value == want[0]
+            self.assert_same(problem.value_and_grad(x), want)
             mu_g, sig_g, mu_pi, sig_pi = problem.unpack(x)
             moved = state.updated(
                 coupling=NormalParams(mu_g, sig_g), sparsity=NormalParams(mu_pi, sig_pi)
@@ -588,6 +618,23 @@ class TestTrialValues:
             gaps.append(obj - value)
             scale = max(scale, abs(obj))
         np.testing.assert_allclose(gaps, gaps[0], rtol=0, atol=1e-9 * scale)
+        # the gradient at an evaluated point reuses that point's pass
+        assert len(passes) == len(points)
+
+    def test_coupling_gradient_at_another_point_is_fresh(self):
+        _, _, _, _, problem, passes, fresh, points = self.coupling_setup(43)
+        for x1, x2 in zip(points[::2], points[1::2]):
+            problem.value(x1)
+            self.assert_same(problem.value_and_grad(x2), fresh(x2))
+        assert len(passes) == len(points)
+
+    def test_coupling_point_mutated_in_place_is_fresh(self):
+        _, _, _, _, problem, passes, fresh, points = self.coupling_setup(44)
+        for i, x in enumerate(points):
+            problem.value(x)
+            x[i] += 0.25
+            self.assert_same(problem.value_and_grad(x), fresh(x))
+        assert len(passes) == 2 * len(points)
 
     def test_cluster_value_matches_value_and_grad_and_objective(self):
         rng, data, state, rh, n_points = self.points(42)
@@ -701,10 +748,27 @@ class TestFit:
         rng = np.random.default_rng(23)
         data = make_dataset(rng, n=10, d=8, k=2, r=3)
         hyper = default_hyper(max_sweeps=3)
-        report = fit(data, hyper, GradientBlockConfig(init_step=1e-30))
+        with pytest.warns(UserWarning, match="accepted no step"):
+            report = fit(data, hyper, GradientBlockConfig(init_step=1e-30))
         # every call stalls; the coupling warm-up counts under coupling
         assert report.stalled == {"cluster": 3, "coupling": 4}
         assert fit(data, hyper).stalled == {"cluster": 0, "coupling": 0}
+
+    def test_stalled_fit_warns_once_with_counts(self):
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=10, d=8, k=2, r=3)
+        with pytest.warns(UserWarning) as caught:
+            fit(data, default_hyper(max_sweeps=3), GradientBlockConfig(init_step=1e-30))
+        assert [str(w.message) for w in caught] == [
+            "line searches accepted no step: cluster=3 coupling=4"
+        ]
+
+    def test_default_fit_does_not_warn(self):
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=10, d=8, k=2, r=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(data, default_hyper(max_sweeps=3))
 
 
 class TestInitState:
