@@ -7,6 +7,7 @@ problems, 2 numerical aborts, 3 fit stopped at the sweep limit.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -178,6 +179,15 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
     )
     lines.append(
         f"# versions: pathfact={__version__} numpy={np.__version__} scipy={scipy.__version__}"
+    )
+    # outputs are byte-identical only at a fixed BLAS thread count
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    lines.append(
+        f"# blas: {blas['name']} {blas['version']} "
+        + " ".join(
+            f"{var}={os.environ.get(var, 'unset')}"
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        )
     )
     # scalar settings as resolved; the broadcast prior arrays keep the
     # config's scalar

@@ -35,9 +35,21 @@ class AlignmentError(DataError):
     """The three data sources share no usable features."""
 
 
+_NUMBER = "%.17g"
+
+
 def format_number(x) -> str:
     """Canonical 17-significant-digit rendering used by every writer."""
-    return format(float(x), ".17g")
+    return _NUMBER % float(x)
+
+
+def _format_rows(row_ids, matrix) -> str:
+    """One TSV line per row: its id, then each value as :func:`format_number`
+    renders it, through one ``%`` template per matrix."""
+    template = "\t".join([_NUMBER] * matrix.shape[1])
+    return "".join(
+        f"{rid}\t{template % tuple(row)}\n" for rid, row in zip(row_ids, matrix.tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -204,6 +216,28 @@ def _parse_cell(token, lineno, column_name):
     return value
 
 
+def _parse_row(tokens, lineno, column_names):
+    """The row's cells as a float array, converted in one numpy call.
+
+    numpy converts each string as ``float()`` does, so :func:`_parse_cell`
+    accepts every row numpy accepts, with the same values. Any other row,
+    or one holding a non-finite value, is read again cell by cell: that
+    gives the values :func:`_parse_cell` gives, or its error naming the
+    first bad cell's line and column.
+    """
+    try:
+        row = np.array(tokens, dtype=float)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(row).all():
+            return row
+    return np.array(
+        [_parse_cell(tok, lineno, column_names[c]) for c, tok in enumerate(tokens)],
+        dtype=float,
+    )
+
+
 def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
     """Parse the expression TSV and the sample-label TSV together.
 
@@ -237,9 +271,7 @@ def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
                 f"row for {sample_id!r} has {len(values)} values, expected {len(feature_ids)}",
                 line=lineno,
             )
-        rows.append(
-            [_parse_cell(tok, lineno, feature_ids[c]) for c, tok in enumerate(values)]
-        )
+        rows.append(_parse_row(values, lineno, feature_ids))
         sample_ids.append(sample_id)
         seen_ids.add(sample_id)
     if feature_ids is None:
@@ -278,10 +310,7 @@ def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
 def write_expression(expr: LabeledExpression):
     """Canonical matrix and label TSVs; returns (matrix_text, label_text)."""
     header = "sample_id\t" + "\t".join(expr.feature_ids) + "\n"
-    body = "".join(
-        sid + "\t" + "\t".join(format_number(v) for v in row) + "\n"
-        for sid, row in zip(expr.sample_ids, expr.matrix)
-    )
+    body = _format_rows(expr.sample_ids, expr.matrix)
     labels = "".join(f"{sid}\t{lab}\n" for sid, lab in zip(expr.sample_ids, expr.labels))
     return header + body, labels
 
@@ -346,11 +375,7 @@ def write_labeled_matrix(row_ids, col_ids, matrix, corner="row_id") -> str:
     if matrix.shape != (len(row_ids), len(col_ids)):
         raise ValueError("matrix shape does not match label lists")
     header = corner + "\t" + "\t".join(col_ids) + "\n"
-    body = "".join(
-        rid + "\t" + "\t".join(format_number(v) for v in row) + "\n"
-        for rid, row in zip(row_ids, matrix)
-    )
-    return header + body
+    return header + _format_rows(row_ids, matrix)
 
 
 def parse_labeled_matrix(lines):
@@ -371,7 +396,7 @@ def parse_labeled_matrix(lines):
                 f"expected {len(col_ids) + 1} fields, got {len(fields)}", line=lineno
             )
         row_ids.append(fields[0].strip())
-        rows.append([_parse_cell(tok, lineno, col_ids[c]) for c, tok in enumerate(fields[1:])])
+        rows.append(_parse_row(fields[1:], lineno, col_ids))
     if col_ids is None:
         raise FormatError("empty matrix file")
     return tuple(row_ids), col_ids, np.asarray(rows, dtype=float)

@@ -197,7 +197,7 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
     accepted_any = False
     step = cfg.init_step
     for _ in range(cfg.max_iters):
-        gnorm_sq = float(np.sum(g * g))
+        gnorm_sq = float((g * g).sum())
         if np.sqrt(gnorm_sq) <= cfg.grad_tol:
             break
         s = step
@@ -215,7 +215,7 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
             s *= cfg.shrink
         if not accepted:
             break
-    stalled = not accepted_any and bool(np.sqrt(float(np.sum(g * g))) > cfg.grad_tol)
+    stalled = not accepted_any and bool(np.sqrt(float((g * g).sum())) > cfg.grad_tol)
     return x, stalled
 
 
@@ -238,7 +238,7 @@ def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=No
     a_gram = a @ mom.ww
     total = (
         data.x_sq
-        - float(np.sum(a * (2.0 * mom.xw - a_gram)))
+        - float((a * (2.0 * mom.xw - a_gram)).sum())
         + float((u * u).sum(axis=0) @ var_load)
     )
     value = -0.5 * noise_mean * total
@@ -350,22 +350,22 @@ class _CouplingProblem:
         # the second moments on it
         residual = (
             self.x_sq
-            - 2.0 * float(np.sum(w * self.proj))
-            + float(np.sum(w_gram * w))
+            - 2.0 * float((w * self.proj).sum())
+            + float((w_gram * w).sum())
             + float(self.a2_sum @ (rho * self.v_second - w * w).sum(axis=0))
         )
         value = -0.5 * self.noise_mean * residual
         rows, cols = self.mask
         penalized = rows.size > 0 and self.rh.xi > 0
         if penalized:
-            value += self.rh.xi * float(np.sum(special.log_ndtr(t[rows, cols])))
+            value += self.rh.xi * float(special.log_ndtr(t[rows, cols]).sum())
         prec_mu = self.lap.apply_precision(mu_g)
-        value -= 0.5 * float(np.sum(mu_g * prec_mu))
-        value -= 0.5 * float(np.sum(self.lap.precision_diag @ sig_g))
-        value += 0.5 * float(np.sum(np.log(sig_g)))
+        value -= 0.5 * float((mu_g * prec_mu).sum())
+        value -= 0.5 * float((self.lap.precision_diag @ sig_g).sum())
+        value += 0.5 * float(np.log(sig_g).sum())
         eln = expected_log_ndtr(mu_pi, sig_pi)
-        value += float(np.sum((self.a_beta - 1.0) * eln - 0.5 * (mu_pi**2 + sig_pi)))
-        value += 0.5 * float(np.sum(np.log(sig_pi)))
+        value += float(((self.a_beta - 1.0) * eln - 0.5 * (mu_pi**2 + sig_pi)).sum())
+        value += 0.5 * float(np.log(sig_pi).sum())
 
         @np.errstate(over="ignore", invalid="ignore", divide="ignore")
         def gradient():

@@ -1,3 +1,4 @@
+import re
 import shutil
 from dataclasses import fields
 
@@ -153,14 +154,24 @@ class TestFit:
         data = dataio.align(expr, sets, graph)
         np.testing.assert_array_equal(u_mixed, data.U0)
 
-    def test_run_meta_reproduces_run(self, dataset, tmp_path):
+    def test_run_meta_reproduces_run(self, dataset, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         main(fit_args(dataset, out1))
         meta = (out1 / "run_meta").read_text().splitlines()
         stalled = meta.index("# stalled: cluster=0 coupling=0")
         assert meta[stalled + 1] == (
             f"# versions: pathfact={pathfact.__version__} numpy={np.__version__}"
             f" scipy={scipy.__version__}"
+        )
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert meta[stalled + 2] == (
+            f"# blas: {blas['name']} {blas['version']}"
+            " OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset"
+        )
+        assert re.fullmatch(
+            r"# blas: \S+ \S+ OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset", meta[stalled + 2]
         )
         # comment lines only: the file still reads as a config
         assert set(parse_config_file(out1 / "run_meta")) == {f.name for f in fields(RunConfig)}

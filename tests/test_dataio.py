@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,15 @@ from pathfact.dataio import (
     GeneSetCollection,
     LabeledExpression,
     align,
+    format_number,
     parse_edge_list,
     parse_expression,
     parse_gmt,
+    parse_labeled_matrix,
     write_edge_list,
     write_expression,
     write_gmt,
+    write_labeled_matrix,
 )
 from pathfact.graph import InteractionGraph
 
@@ -140,6 +145,102 @@ class TestParseExpression:
     def test_unknown_labels_ignored(self):
         out = parse_expression(self.MATRIX, self.LABELS + ["S9\tx\n"])
         assert out.sample_ids == ("S1", "S2")
+
+
+def _conversion(convert, token):
+    """The float's bytes, or "ValueError" when the conversion rejects the token."""
+    try:
+        return np.float64(convert(token)).tobytes()
+    except ValueError:
+        return "ValueError"
+
+
+def _parse_row_with(parser, row):
+    """Parse a header, one good row (line 2) and ``row`` (line 3)."""
+    lines = ["id\tG1\tG2\tG3\n", "S0\t1\t2\t3\n", f"S1\t{row}\n"]
+    if parser == "expression":
+        return parse_expression(lines, ["S0\tk\n", "S1\tk\n"]).matrix
+    return parse_labeled_matrix(lines)[2]
+
+
+class TestNumericRows:
+    """Rows are converted by one numpy call; a row it cannot take is read
+    again cell by cell, which gives the values or the error."""
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "1_000", "infinity", "nan", "1e400", "-1e400", "1e-400", "-0", "+.5",
+            "0x10", "1d3", "", " 2 ", "\xa01.5", "\u0661\u0662", "\uff11\uff12",
+        ],
+    )
+    def test_numpy_conversion_agrees_with_float(self, token):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            by_numpy = _conversion(lambda t: np.array([t], dtype=float)[0], token)
+        assert by_numpy == _conversion(float, token)
+
+    PARSERS = ["expression", "labeled_matrix"]
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1\t\t3", "empty cell in column 'G2'"),
+            ("1\t \t3", "empty cell in column 'G2'"),
+            ("1\tabc\t3", "non-numeric value 'abc' in column 'G2'"),
+            ("1\t x y \t3", "non-numeric value 'x y' in column 'G2'"),
+            ("1\t2\tnan", "non-finite value 'nan' in column 'G3'"),
+            ("1\t2\tinf", "non-finite value 'inf' in column 'G3'"),
+            ("1\t2\t-1e400", "non-finite value '-1e400' in column 'G3'"),
+            ("1e400\t2\t3", "non-finite value '1e400' in column 'G1'"),
+            ("nan\tabc\t3", "non-finite value 'nan' in column 'G1'"),
+            ("1\tinf\t", "non-finite value 'inf' in column 'G2'"),
+            ("abc\tnan\t3", "non-numeric value 'abc' in column 'G1'"),
+            ("1\tx\ty", "non-numeric value 'x' in column 'G2'"),
+        ],
+    )
+    def test_bad_cell_message(self, parser, row, message):
+        with pytest.raises(FormatError) as caught:
+            _parse_row_with(parser, row)
+        assert str(caught.value) == "line 3: " + message
+        assert caught.value.line == 3
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_float_spellings_parse_as_before(self, parser):
+        # str.strip() removes the \x1c separator and float() does not, so
+        # only the cell-by-cell reading accepts the third cell
+        with pytest.raises(ValueError):
+            float("\x1c-0")
+        matrix = _parse_row_with(parser, "1_000\t\u0661\u0662\t\x1c-0")
+        expected = np.array([[1.0, 2.0, 3.0], [1000.0, 12.0, -0.0]])
+        assert matrix.tobytes() == expected.tobytes()
+
+
+class TestMatrixWriters:
+    def test_rows_render_as_format_number(self):
+        rng = np.random.default_rng(0)
+        specials = [-0.0, 5e-324, 1e308, 2.0, 0.1, 0.0, -1e-310, 1.0 / 3.0]
+        matrix = np.concatenate(
+            [np.array([specials]), rng.standard_normal((40, len(specials)))]
+        )
+        row_ids = [f"S{i}" for i in range(matrix.shape[0])]
+        col_ids = tuple(f"G{j}" for j in range(matrix.shape[1]))
+        # the rendering every writer has used: format() at 17 digits
+        body = "".join(
+            rid + "\t" + "\t".join(format(float(v), ".17g") for v in row) + "\n"
+            for rid, row in zip(row_ids, matrix)
+        )
+        assert all(format_number(v) == format(float(v), ".17g") for v in matrix.ravel())
+        header = "\t" + "\t".join(col_ids) + "\n"
+        assert write_labeled_matrix(row_ids, col_ids, matrix) == "row_id" + header + body
+        expr = LabeledExpression(tuple(row_ids), col_ids, matrix, ("k",) * len(row_ids))
+        assert write_expression(expr)[0] == "sample_id" + header + body
+
+    def test_single_column_and_non_finite(self):
+        assert write_labeled_matrix(["a", "b"], ["c"], [[np.nan], [-np.inf]]) == (
+            "row_id\tc\na\tnan\nb\t-inf\n"
+        )
 
 
 class TestRoundTrips:
