@@ -26,15 +26,24 @@ EXIT_DATA = 1
 EXIT_NUMERIC = 2
 EXIT_MAX_SWEEPS = 3
 
-FIT_OUTPUTS = (
-    "association.tsv",
-    "z_posterior.tsv",
-    "u_mixed.tsv",
-    "basis_mean.tsv",
-    "ranked_sets.tsv",
-    "elbo_trace.tsv",
-    "run_meta",
-)
+# the labeled matrices fit writes and eval reads back, in the order of
+# fit's values, with the kinds of id that label their rows and columns
+_FIT_MATRICES = {
+    "association.tsv": ("cluster", "set"),
+    "z_posterior.tsv": ("feature", "set"),
+    "u_mixed.tsv": ("sample", "cluster"),
+    "basis_mean.tsv": ("feature", "set"),
+}
+FIT_OUTPUTS = (*_FIT_MATRICES, "ranked_sets.tsv", "elbo_trace.tsv", "run_meta")
+# the planted-truth matrices simulate writes and eval reads back: each
+# PlantedTruth field goes to <field>.tsv
+_TRUTH_MATRICES = {
+    "associations": ("cluster", "set"),
+    "basis": ("feature", "set"),
+    "membership": ("feature", "set"),
+    "shown_mask": ("feature", "set"),
+    "noiseless_mean": ("sample", "feature"),
+}
 
 
 class UsageError(Exception):
@@ -157,6 +166,18 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8")
 
 
+def _write_matrix(path: Path, data, kinds, matrix):
+    """Write ``matrix`` labeled with the ids of ``data`` of the (row,
+    column) ``kinds``; the corner cell names the row kind."""
+    rows, cols = kinds
+    _write(
+        path,
+        dataio.write_labeled_matrix(
+            getattr(data, f"{rows}_ids"), getattr(data, f"{cols}_ids"), matrix, corner=rows
+        ),
+    )
+
+
 def _render_ranked(cluster_ids, ranked) -> str:
     lines = ["cluster\trank\tset_id\tscore"]
     for cluster, pairs in zip(cluster_ids, ranked):
@@ -241,30 +262,11 @@ def cmd_fit(argv) -> int:
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write(
-        out / "association.tsv",
-        dataio.write_labeled_matrix(
-            data.cluster_ids, data.set_ids, result.assoc_mean, corner="cluster"
-        ),
+    matrices = (
+        result.assoc_mean, result.z_marginal, result.u_mixed, report.state.basis.mean
     )
-    _write(
-        out / "z_posterior.tsv",
-        dataio.write_labeled_matrix(
-            data.feature_ids, data.set_ids, result.z_marginal, corner="feature"
-        ),
-    )
-    _write(
-        out / "u_mixed.tsv",
-        dataio.write_labeled_matrix(
-            data.sample_ids, data.cluster_ids, result.u_mixed, corner="sample"
-        ),
-    )
-    _write(
-        out / "basis_mean.tsv",
-        dataio.write_labeled_matrix(
-            data.feature_ids, data.set_ids, report.state.basis.mean, corner="feature"
-        ),
-    )
+    for (name, kinds), matrix in zip(_FIT_MATRICES.items(), matrices):
+        _write_matrix(out / name, data, kinds, matrix)
     _write(out / "ranked_sets.tsv", _render_ranked(data.cluster_ids, result.ranked))
     trace_lines = ["sweep\telbo\tpenalty\tobjective"]
     for rec in report.trace.records:
@@ -341,36 +343,8 @@ def cmd_simulate(argv) -> int:
     _write(out / "sets.gmt", dataio.write_gmt(sets))
     _write(out / "edges.tsv", dataio.write_edge_list(data.graph))
 
-    _write(
-        truth_dir / "associations.tsv",
-        dataio.write_labeled_matrix(
-            data.cluster_ids, data.set_ids, truth.associations, corner="cluster"
-        ),
-    )
-    _write(
-        truth_dir / "basis.tsv",
-        dataio.write_labeled_matrix(
-            data.feature_ids, data.set_ids, truth.basis, corner="feature"
-        ),
-    )
-    _write(
-        truth_dir / "membership.tsv",
-        dataio.write_labeled_matrix(
-            data.feature_ids, data.set_ids, truth.membership, corner="feature"
-        ),
-    )
-    _write(
-        truth_dir / "shown_mask.tsv",
-        dataio.write_labeled_matrix(
-            data.feature_ids, data.set_ids, truth.shown_mask, corner="feature"
-        ),
-    )
-    _write(
-        truth_dir / "noiseless_mean.tsv",
-        dataio.write_labeled_matrix(
-            data.sample_ids, data.feature_ids, truth.noiseless_mean, corner="sample"
-        ),
-    )
+    for name, kinds in _TRUTH_MATRICES.items():
+        _write_matrix(truth_dir / f"{name}.tsv", data, kinds, getattr(truth, name))
     _write(
         truth_dir / "meta",
         f"noise_precision = {format_number(truth.noise_precision)}\n",
@@ -379,47 +353,14 @@ def cmd_simulate(argv) -> int:
     return EXIT_OK
 
 
-# the fit outputs eval reads, with the ids that label their rows and columns
-_EVAL_INPUTS = {
-    "association.tsv": ("cluster", "set"),
-    "z_posterior.tsv": ("feature", "set"),
-    "u_mixed.tsv": ("sample", "cluster"),
-    "basis_mean.tsv": ("feature", "set"),
-}
-
-
-def _load_truth(truth_dir: Path):
-    """The planted truth, and its ids by kind (cluster, set, feature, sample)."""
-    cluster_ids, set_ids, associations = dataio.load_labeled_matrix(
-        truth_dir / "associations.tsv"
-    )
-    feature_ids, _, basis = dataio.load_labeled_matrix(truth_dir / "basis.tsv")
-    _, _, membership = dataio.load_labeled_matrix(truth_dir / "membership.tsv")
-    _, _, shown = dataio.load_labeled_matrix(truth_dir / "shown_mask.tsv")
-    sample_ids, _, mean = dataio.load_labeled_matrix(truth_dir / "noiseless_mean.tsv")
-    meta_path = truth_dir / "meta"
-    meta = parse_config_file(meta_path, types={"noise_precision": float})
-    if "noise_precision" not in meta:
-        raise UsageError(f"{meta_path}: missing key 'noise_precision'")
-    n, k = len(sample_ids), len(cluster_ids)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), np.arange(n) % k] = 1.0
-    truth = PlantedTruth(
-        associations=associations,
-        basis=basis,
-        membership=membership.astype(int),
-        shown_mask=shown.astype(int),
-        cluster_onehot=onehot,
-        noise_precision=meta["noise_precision"],
-        noiseless_mean=mean,
-    )
-    ids = {
-        "cluster": cluster_ids,
-        "set": set_ids,
-        "feature": feature_ids,
-        "sample": sample_ids,
-    }
-    return truth, ids
+def _load_matrix(path: Path, kinds, ids):
+    """Load a labeled matrix and check its ids against ``ids``, which maps
+    each kind of id to the ids first read for it; a kind seen for the first
+    time is taken from this file."""
+    row_ids, col_ids, matrix = dataio.load_labeled_matrix(path)
+    for kind, found in zip(kinds, (row_ids, col_ids)):
+        _check_ids(path, kind, found, ids.setdefault(kind, found))
+    return matrix
 
 
 def _check_ids(path, kind, found, expected):
@@ -430,6 +371,21 @@ def _check_ids(path, kind, found, expected):
         raise UsageError(f"{path}: {len(found)} {kind} ids, truth has {len(expected)}")
 
 
+def _load_truth(truth_dir: Path):
+    """The planted truth, and its ids by kind (cluster, set, feature,
+    sample). Each truth file's ids must match the first file of that kind."""
+    ids = {}
+    matrices = {
+        name: _load_matrix(truth_dir / f"{name}.tsv", kinds, ids)
+        for name, kinds in _TRUTH_MATRICES.items()
+    }
+    meta_path = truth_dir / "meta"
+    meta = parse_config_file(meta_path, types={"noise_precision": float})
+    if "noise_precision" not in meta:
+        raise UsageError(f"{meta_path}: missing key 'noise_precision'")
+    return PlantedTruth(**matrices, noise_precision=meta["noise_precision"]), ids
+
+
 def cmd_eval(argv) -> int:
     parser = _Parser(prog="pathfact eval", description="score a fit against truth")
     parser.add_argument("--fit-dir", required=True)
@@ -438,19 +394,15 @@ def cmd_eval(argv) -> int:
     args = parser.parse_args(argv)
     fit_dir = Path(args.fit_dir)
     truth_dir = Path(args.truth_dir)
-    for name in _EVAL_INPUTS:
+    for name in _FIT_MATRICES:
         if not (fit_dir / name).exists():
             raise UsageError(f"missing fit output {name!r} in {fit_dir}")
 
     truth, truth_ids = _load_truth(truth_dir)
-    matrices = []
-    for name, kinds in _EVAL_INPUTS.items():
-        path = fit_dir / name
-        row_ids, col_ids, matrix = dataio.load_labeled_matrix(path)
-        for kind, found in zip(kinds, (row_ids, col_ids)):
-            _check_ids(path, kind, found, truth_ids[kind])
-        matrices.append(matrix)
-    assoc, z_post, u_mixed, basis_mean = matrices
+    assoc, z_post, u_mixed, basis_mean = (
+        _load_matrix(fit_dir / name, kinds, truth_ids)
+        for name, kinds in _FIT_MATRICES.items()
+    )
     n_sets = assoc.shape[1]
     if not 1 <= args.top_m <= n_sets:
         raise UsageError(

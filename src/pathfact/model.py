@@ -284,7 +284,8 @@ def factor_moments(state: VariationalState, data: ObservationSet, hyper):
     With A = U S and W = Z o V, ``aa`` is E[A^T A] and ``ww`` is E[W^T W]
     under the factorized posterior: products of first moments across
     distinct sets, second moments (``a2_sum``, ``w2_sum``) on the diagonal.
-    ``xw`` is X E[W]. No moment depends on q(alpha).
+    ``xw`` is X E[W]. ``t`` is the membership margin with ``rho`` = Phi(t).
+    No moment depends on q(alpha).
     """
     hyper = hyper.resolve(data)
     s_mean, s_var, s_entropy = trunc_norm_moments(
@@ -313,7 +314,7 @@ def factor_moments(state: VariationalState, data: ObservationSet, hyper):
         v_mean=v_mean,
         v_second=v_second,
         rho=rho,
-        log_rho=special.log_ndtr(t),
+        t=t,
         u=u,
         a=a,
         a2_sum=a2_sum,
@@ -416,7 +417,7 @@ def mask_penalty(state, data, hyper, mom=None) -> float:
     if rows.size == 0 or hyper.xi == 0.0:
         return 0.0
     mom = mom or factor_moments(state, data, hyper)
-    return float(hyper.xi * np.sum(mom.log_rho[rows, cols]))
+    return float(hyper.xi * special.log_ndtr(mom.t[rows, cols]).sum())
 
 
 def regularized_objective(state, data, hyper, lap=None, mom=None):

@@ -29,15 +29,8 @@ class PlantedTruth:
     basis: np.ndarray  # D x R
     membership: np.ndarray  # D x R binary
     shown_mask: np.ndarray  # D x R binary, subset of membership
-    cluster_onehot: np.ndarray  # N x K
     noise_precision: float
     noiseless_mean: np.ndarray  # N x D
-
-    def top_sets(self, cluster_index: int, top_m: int):
-        """Indices of the strongest true associations for one cluster."""
-        row = self.associations[cluster_index]
-        order = sorted(range(row.size), key=lambda r: (-row[r], r))
-        return order[:top_m]
 
 
 @dataclass(frozen=True)
@@ -64,24 +57,57 @@ def _draw_edges(feature_ids, rng, edge_prob):
     }
 
 
+def _join_isolated(feature_ids, edges, partner):
+    """Join each node the edges leave isolated, in node order, to the node
+    ``partner(i)`` so the edge-list serialization stays lossless. A single
+    node has no partner and stays alone."""
+    if len(feature_ids) < 2:
+        return
+    degree = {f: 0 for f in feature_ids}
+    for a, b in edges:
+        degree[a] += 1
+        degree[b] += 1
+    for i, f in enumerate(feature_ids):
+        if degree[f] == 0:
+            g = feature_ids[partner(i)]
+            key = (f, g) if f <= g else (g, f)
+            edges[key] = 1.0
+            degree[f] += 1
+            degree[g] += 1
+
+
 def random_graph(feature_ids, edge_prob, rng, min_degree=1) -> InteractionGraph:
-    """Erdos-Renyi graph over the features; isolated nodes are patched to a
-    ring neighbor so the edge-list serialization stays lossless."""
+    """Erdos-Renyi graph over the features; with ``min_degree`` >= 1 isolated
+    nodes are joined to their ring neighbor."""
     feature_ids = tuple(feature_ids)
     d = len(feature_ids)
     edges = _draw_edges(feature_ids, rng, lambda rows, cols: edge_prob)
-    if min_degree >= 1 and d >= 2:
-        degree = {f: 0 for f in feature_ids}
-        for a, b in edges:
-            degree[a] += 1
-            degree[b] += 1
-        for i, f in enumerate(feature_ids):
-            if degree[f] == 0:
-                g = feature_ids[(i + 1) % d]
-                key = (f, g) if f <= g else (g, f)
-                edges[key] = 1.0
-                degree[f] += 1
-                degree[g] += 1
+    if min_degree >= 1:
+        _join_isolated(feature_ids, edges, lambda i: (i + 1) % d)
+    return InteractionGraph(node_labels=feature_ids, edges=edges)
+
+
+def community_graph(feature_ids, assignment, p_in, p_out, rng) -> InteractionGraph:
+    """Planted-partition graph: dense within communities, sparse across.
+
+    Isolated nodes are joined to their first community mate, or to their
+    ring neighbor when they have none.
+    """
+    feature_ids = tuple(feature_ids)
+    assignment = np.asarray(assignment)
+    d = len(feature_ids)
+    edges = _draw_edges(
+        feature_ids,
+        rng,
+        lambda rows, cols: np.where(assignment[rows] == assignment[cols], p_in, p_out),
+    )
+
+    def mate(i):
+        mates = np.flatnonzero(assignment == assignment[i])
+        mates = mates[mates != i]
+        return mates[0] if mates.size else (i + 1) % d
+
+    _join_isolated(feature_ids, edges, mate)
     return InteractionGraph(node_labels=feature_ids, edges=edges)
 
 
@@ -112,82 +138,57 @@ def _patch_coverage(z, g, pi_bar, min_members=1):
     return z
 
 
-def _corrupt_mask(z, rho, rng, preserve_coverage):
-    """Delete about a rho-fraction of the ones, never inserting any."""
+def _corrupt_mask(z, rho, rng, keep_features):
+    """Delete about a rho-fraction of the ones, never inserting any.
+
+    Every set keeps one shown member; with ``keep_features`` every feature
+    also keeps one shown set.
+    """
     shown = z.copy()
     ones = np.argwhere(shown == 1)
     n_delete = int(round(rho * len(ones)))
     if n_delete == 0:
         return shown
-    order = rng.permutation(len(ones))
     deleted = 0
-    for idx in order:
+    for idx in rng.permutation(len(ones)):
         if deleted == n_delete:
             break
         j, r = ones[idx]
-        if preserve_coverage and (
-            shown[j].sum() <= 1 or shown[:, r].sum() <= 1
-        ):
+        if shown[:, r].sum() <= 1 or (keep_features and shown[j].sum() <= 1):
             continue
         shown[j, r] = 0
         deleted += 1
     return shown
 
 
-def generate(
-    dims,
-    *,
-    graph: InteractionGraph = None,
-    edge_prob: float = 0.15,
-    beta_a: float = None,
-    lambda_s: float = 1.0,
-    mu_v: float = 0.0,
-    sigma_v: float = 1.0,
-    noise_precision: float = None,
-    snr: float = None,
-    corruption: float = 0.0,
-    epsilon: float = 0.05,
-    seed: int = 0,
-    ensure_coverage: bool = True,
-    min_members: int = 1,
-):
-    """Sample a dataset with planted ground truth.
-
-    ``dims`` is (n_samples, n_clusters, n_features, n_sets). Exactly one of
-    ``noise_precision`` or ``snr`` picks the noise level (default precision
-    1.0). ``corruption`` in [0, 0.5) is the fraction of true memberships
-    hidden from the model. ``min_members`` pads undersized sets with their
-    nearest-to-threshold features so every planted association has enough
-    data behind it to be estimable. Deterministic given ``seed``.
-    """
+def _ids(dims):
+    """Sample, cluster, feature and set ids, zero-padded to one width."""
     n, k, d, r = dims
-    if min(n, k, d, r) < 1 or k > n:
-        raise ValueError("degenerate dimensions")
+    pad = max(2, len(str(max(n, d, r, k) - 1)))
+    return (
+        tuple(f"S{i:0{pad}d}" for i in range(n)),
+        tuple(f"C{c:0{pad}d}" for c in range(k)),
+        tuple(f"G{j:0{pad}d}" for j in range(d)),
+        tuple(f"SET{s:0{pad}d}" for s in range(r)),
+    )
+
+
+def _plant(
+    rng, ids, z, graph, *, lambda_s, mu_v, sigma_v, noise_precision, snr, corruption,
+    keep_features,
+):
+    """The dataset and truth around memberships ``z`` and ``graph``.
+
+    Draws the associations S, the basis V and the noise, with one-hot
+    round-robin clusters, then hides a ``corruption`` share of ``z`` from
+    the model (see :func:`_corrupt_mask` for ``keep_features``).
+    """
     if not 0.0 <= corruption < 0.5:
         raise ValueError("corruption must lie in [0, 0.5)")
     if noise_precision is not None and snr is not None:
         raise ValueError("give either noise_precision or snr, not both")
-    rng = np.random.default_rng(seed)
-    pad = max(2, len(str(max(n, d, r, k) - 1)))
-    feature_ids = tuple(f"G{j:0{pad}d}" for j in range(d))
-    sample_ids = tuple(f"S{i:0{pad}d}" for i in range(n))
-    cluster_ids = tuple(f"C{c:0{pad}d}" for c in range(k))
-    set_ids = tuple(f"SET{s:0{pad}d}" for s in range(r))
-
-    if graph is None:
-        graph = random_graph(feature_ids, edge_prob, rng, min_degree=1)
-    elif tuple(graph.node_labels) != feature_ids:
-        raise ValueError("provided graph must be defined on the generated feature ids")
-    lap = normalized_laplacian(graph, epsilon)
-
-    if beta_a is None:
-        beta_a = r / 10.0
-    z, g, pi_bar = sample_membership(d, r, beta_a, lap, rng)
-    if ensure_coverage:
-        if min_members > d:
-            raise ValueError("min_members cannot exceed the feature count")
-        z = _patch_coverage(z, g, pi_bar, min_members=min_members)
-
+    sample_ids, cluster_ids, feature_ids, set_ids = ids
+    n, k, d, r = len(sample_ids), len(cluster_ids), len(feature_ids), len(set_ids)
     s = rng.exponential(1.0 / lambda_s, size=(k, r))
     v = rng.normal(mu_v, np.sqrt(sigma_v), size=(d, r))
     u0 = np.zeros((n, k))
@@ -201,11 +202,11 @@ def generate(
         gamma = snr / signal_var
     else:
         gamma = 1.0 if noise_precision is None else float(noise_precision)
-    if gamma <= 0:
+    if not gamma > 0:  # also rejects nan
         raise ValueError("noise precision must be positive")
     x = mean + rng.normal(0.0, 1.0 / np.sqrt(gamma), size=(n, d))
 
-    shown = _corrupt_mask(z, corruption, rng, preserve_coverage=ensure_coverage)
+    shown = _corrupt_mask(z, corruption, rng, keep_features)
 
     data = ObservationSet(
         X=x,
@@ -222,40 +223,62 @@ def generate(
         basis=v,
         membership=z,
         shown_mask=shown,
-        cluster_onehot=u0,
         noise_precision=gamma,
         noiseless_mean=mean,
     )
     return data, truth
 
 
-def community_graph(feature_ids, assignment, p_in, p_out, rng) -> InteractionGraph:
-    """Planted-partition graph: dense within communities, sparse across.
+def generate(
+    dims,
+    *,
+    graph: InteractionGraph = None,
+    edge_prob: float = 0.15,
+    beta_a: float = None,
+    lambda_s: float = 1.0,
+    mu_v: float = 0.0,
+    sigma_v: float = 1.0,
+    noise_precision: float = None,
+    snr: float = None,
+    corruption: float = 0.0,
+    epsilon: float = 0.05,
+    seed: int = 0,
+    min_members: int = 1,
+):
+    """Sample a dataset with planted ground truth.
 
-    Isolated nodes are patched to a community mate so the edge-list
-    serialization stays lossless.
+    ``dims`` is (n_samples, n_clusters, n_features, n_sets). Exactly one of
+    ``noise_precision`` or ``snr`` picks the noise level (default precision
+    1.0). ``corruption`` in [0, 0.5) is the fraction of true memberships
+    hidden from the model; every set and every feature keeps one shown
+    membership. ``min_members`` pads undersized sets with their
+    nearest-to-threshold features so every planted association has enough
+    data behind it to be estimable. Deterministic given ``seed``.
     """
-    feature_ids = tuple(feature_ids)
-    assignment = np.asarray(assignment)
-    d = len(feature_ids)
-    edges = _draw_edges(
-        feature_ids,
-        rng,
-        lambda rows, cols: np.where(assignment[rows] == assignment[cols], p_in, p_out),
+    n, k, d, r = dims
+    if min(n, k, d, r) < 1 or k > n:
+        raise ValueError("degenerate dimensions")
+    rng = np.random.default_rng(seed)
+    ids = _ids(dims)
+
+    if graph is None:
+        graph = random_graph(ids[2], edge_prob, rng, min_degree=1)
+    elif tuple(graph.node_labels) != ids[2]:
+        raise ValueError("provided graph must be defined on the generated feature ids")
+    lap = normalized_laplacian(graph, epsilon)
+
+    if beta_a is None:
+        beta_a = r / 10.0
+    z, g, pi_bar = sample_membership(d, r, beta_a, lap, rng)
+    if min_members > d:
+        raise ValueError("min_members cannot exceed the feature count")
+    z = _patch_coverage(z, g, pi_bar, min_members=min_members)
+
+    return _plant(
+        rng, ids, z, graph, lambda_s=lambda_s, mu_v=mu_v, sigma_v=sigma_v,
+        noise_precision=noise_precision, snr=snr, corruption=corruption,
+        keep_features=True,
     )
-    degree = {f: 0 for f in feature_ids}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    for i, f in enumerate(feature_ids):
-        if degree[f] == 0:
-            mates = [m for m in np.flatnonzero(assignment == assignment[i]) if m != i]
-            other = feature_ids[mates[0]] if mates else feature_ids[(i + 1) % d]
-            key = (f, other) if f <= other else (other, f)
-            edges[key] = 1.0
-            degree[f] += 1
-            degree[other] += 1
-    return InteractionGraph(node_labels=feature_ids, edges=edges)
 
 
 def generate_planted(
@@ -275,72 +298,26 @@ def generate_planted(
     Features are partitioned into equally sized disjoint sets and the
     interaction graph is built as communities over that partition, so a
     member deleted from the shown mask keeps in-set neighbors whose graph
-    coupling can pull it back in. This is the recovery benchmark; use
-    :func:`generate` to sample the model's own prior.
+    coupling can pull it back in. Hiding keeps every set nonempty, but a
+    feature may lose all its shown memberships. This is the recovery
+    benchmark; use :func:`generate` to sample the model's own prior.
     """
     n, k, d, r = dims
     if min(n, k, d, r) < 1 or k > n or r > d:
         raise ValueError("degenerate dimensions")
-    if not 0.0 <= corruption < 0.5:
-        raise ValueError("corruption must lie in [0, 0.5)")
     rng = np.random.default_rng(seed)
-    pad = max(2, len(str(max(n, d, r, k) - 1)))
-    feature_ids = tuple(f"G{j:0{pad}d}" for j in range(d))
-    sample_ids = tuple(f"S{i:0{pad}d}" for i in range(n))
-    cluster_ids = tuple(f"C{c:0{pad}d}" for c in range(k))
-    set_ids = tuple(f"SET{s:0{pad}d}" for s in range(r))
+    ids = _ids(dims)
 
     assignment = rng.permutation(np.arange(d) % r)
     z = np.zeros((d, r), dtype=int)
     z[np.arange(d), assignment] = 1
-    graph = community_graph(feature_ids, assignment, p_in, p_out, rng)
+    graph = community_graph(ids[2], assignment, p_in, p_out, rng)
 
-    s = rng.exponential(1.0 / lambda_s, size=(k, r))
-    v = rng.normal(0.0, np.sqrt(sigma_v), size=(d, r))
-    u0 = np.zeros((n, k))
-    u0[np.arange(n), np.arange(n) % k] = 1.0
-    mean = u0 @ s @ (z * v).T
-    if noise_precision is not None and snr is not None:
-        raise ValueError("give either noise_precision or snr, not both")
-    if snr is not None:
-        gamma = snr / float(mean.var())
-    else:
-        gamma = 1.0 if noise_precision is None else float(noise_precision)
-    x = mean + rng.normal(0.0, 1.0 / np.sqrt(gamma), size=(n, d))
-
-    shown = z.copy()
-    ones = np.argwhere(shown == 1)
-    n_delete = int(round(corruption * len(ones)))
-    deleted = 0
-    for idx in rng.permutation(len(ones)):
-        if deleted == n_delete:
-            break
-        j, rr = ones[idx]
-        if shown[:, rr].sum() <= 1:
-            continue  # sets stay nonempty; features may lose all annotations
-        shown[j, rr] = 0
-        deleted += 1
-
-    data = ObservationSet(
-        X=x,
-        U0=u0,
-        Z0=shown,
-        graph=graph,
-        sample_ids=sample_ids,
-        feature_ids=feature_ids,
-        cluster_ids=cluster_ids,
-        set_ids=set_ids,
+    return _plant(
+        rng, ids, z, graph, lambda_s=lambda_s, mu_v=0.0, sigma_v=sigma_v,
+        noise_precision=noise_precision, snr=snr, corruption=corruption,
+        keep_features=False,
     )
-    truth = PlantedTruth(
-        associations=s,
-        basis=v,
-        membership=z,
-        shown_mask=shown,
-        cluster_onehot=u0,
-        noise_precision=gamma,
-        noiseless_mean=mean,
-    )
-    return data, truth
 
 
 def ranking_auc(scores, labels):
@@ -377,12 +354,11 @@ def score_arrays(
     if not 1 <= top_m <= r:
         raise ValueError(f"top_m must lie in [1, {r}]")
 
-    hits = 0
-    for cluster in range(k):
-        row = assoc_mean[cluster]
-        fitted = set(sorted(range(r), key=lambda j: (-row[j], j))[:top_m])
-        planted = set(truth.top_sets(cluster, top_m))
-        hits += len(fitted & planted)
+    def top(matrix, cluster):
+        row = matrix[cluster]
+        return set(sorted(range(r), key=lambda j: (-row[j], j))[:top_m])
+
+    hits = sum(len(top(assoc_mean, c) & top(truth.associations, c)) for c in range(k))
     precision = hits / (k * top_m)
 
     rmse = float(np.sqrt(np.mean((np.asarray(recon) - truth.noiseless_mean) ** 2)))

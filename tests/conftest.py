@@ -62,7 +62,7 @@ def oracle_state(truth, data):
     """State whose moments reproduce the planted truth almost exactly."""
     k, r = truth.associations.shape
     d = truth.basis.shape[0]
-    n = truth.cluster_onehot.shape[0]
+    n = truth.noiseless_mean.shape[0]
     return VariationalState(
         noise=GammaParams(1e6 * truth.noise_precision, 1e6),
         assoc=TruncatedNormalParams(truth.associations, np.full((k, r), 1e-18)),

@@ -360,6 +360,39 @@ class TestEvalAndRank:
         err = capsys.readouterr().err
         assert "z_posterior.tsv" in err and "feature ids, truth has" in err
 
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            (
+                "membership.tsv",
+                lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+                "membership.tsv: feature id 1 is",
+            ),
+            (
+                "shown_mask.tsv",
+                lambda lines: [line.rsplit("\t", 1)[0] + "\n" for line in lines],
+                "shown_mask.tsv: 2 set ids, truth has 3",
+            ),
+            (
+                "noiseless_mean.tsv",
+                lambda lines: [line.rsplit("\t", 1)[0] + "\n" for line in lines],
+                "noiseless_mean.tsv: 15 feature ids, truth has 16",
+            ),
+        ],
+        ids=["swapped_membership_rows", "dropped_mask_column", "dropped_mean_column"],
+    )
+    def test_eval_checks_truth_ids(
+        self, dataset, fitted, tmp_path, capsys, name, edit, message
+    ):
+        truth = tmp_path / "truth"
+        shutil.copytree(dataset / "truth", truth)
+        path = truth / name
+        path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+        args = ["eval", "--fit-dir", str(fitted), "--truth-dir", str(truth), "--top-m", "2"]
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and message in err
+
     def test_eval_top_m_beyond_sets_exit_one(self, dataset, fitted, tmp_path, capsys):
         # the default --top-m 5 on a three-set fit
         assert self.eval_copy(dataset, fitted, tmp_path, top_m=None) == EXIT_DATA

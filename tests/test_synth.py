@@ -73,11 +73,9 @@ class TestGenerate:
         assert abs(resid.std() - 0.5) < 0.05
 
     def test_round_robin_cluster_assignment(self):
-        data, truth = generate((9, 3, 6, 2), seed=1)
-        np.testing.assert_array_equal(
-            np.argmax(truth.cluster_onehot, axis=1), np.arange(9) % 3
-        )
-        np.testing.assert_array_equal(data.U0, truth.cluster_onehot)
+        data, _ = generate((9, 3, 6, 2), seed=1)
+        np.testing.assert_array_equal(data.U0.sum(axis=1), 1.0)
+        np.testing.assert_array_equal(np.argmax(data.U0, axis=1), np.arange(9) % 3)
 
     def test_rejects_bad_dims_and_rho(self):
         with pytest.raises(ValueError):
@@ -156,6 +154,27 @@ class TestGeneratePlanted:
         np.testing.assert_array_equal(a[1].shown_mask, b[1].shown_mask)
         assert a[0].graph.edges == b[0].graph.edges
 
+    def test_single_feature(self):
+        data, truth = generate_planted((6, 2, 1, 1), seed=2)
+        assert data.graph.edges == {}
+        np.testing.assert_array_equal(truth.membership, [[1]])
+
+
+@pytest.mark.parametrize("generator", [generate, generate_planted])
+@pytest.mark.parametrize(
+    "noise",
+    [
+        {"noise_precision": -1.0},
+        {"noise_precision": 0.0},
+        {"noise_precision": float("nan")},
+        {"snr": -2.0},
+        {"snr": float("nan")},
+    ],
+)
+def test_rejects_nonpositive_noise_precision(generator, noise):
+    with pytest.raises(ValueError, match="noise precision must be positive"):
+        generator((10, 2, 12, 3), seed=9, **noise)
+
 
 def loop_edges(feature_ids, rng, edge_prob):
     """Reference draw: one ``rng.random()`` call per pair i < j."""
@@ -191,6 +210,15 @@ class TestEdgeDraws:
         # patched edges for isolated nodes come after the drawn ones
         assert list(got.edges.items())[: len(want)] == list(want.items())
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_community_graph_joins_isolated_nodes(self):
+        # no edges are drawn, so every node is joined in node order: to its
+        # first community mate, or to its ring neighbor when it has none
+        ids = ("G0", "G1", "G2", "G3")
+        rng = np.random.default_rng(0)
+        g = community_graph(ids, [0, 1, 0, 2], 0.0, 0.0, rng)
+        assert list(g.edges) == [("G0", "G2"), ("G1", "G2"), ("G0", "G3")]
+        assert community_graph(("G0",), [0], 0.5, 0.5, rng).edges == {}
 
     def test_single_feature_draws_nothing(self):
         rng = np.random.default_rng(5)
