@@ -186,6 +186,10 @@ def _render_ranked(cluster_ids, ranked) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render_counts(counts) -> str:
+    return " ".join(f"{block}={n}" for block, n in counts.items())
+
+
 def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
     lines = ["# pathfact run metadata; reusable as a --config file"]
     lines.append(
@@ -195,9 +199,7 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
     lines.append("# cluster_order: " + ",".join(data.cluster_ids))
     lines.append("# set_order: " + ",".join(data.set_ids))
     lines.append(f"# status: {report.status} after {report.sweeps} sweep(s)")
-    lines.append(
-        "# stalled: " + " ".join(f"{block}={n}" for block, n in report.stalled.items())
-    )
+    lines.append("# stalled: " + _render_counts(report.stalled))
     lines.append(
         f"# versions: pathfact={__version__} numpy={np.__version__} scipy={scipy.__version__}"
     )
@@ -210,6 +212,7 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         )
     )
+    lines.append("# evaluations: " + _render_counts(report.evaluations))
     # scalar settings as resolved; the broadcast prior arrays keep the
     # config's scalar
     resolved = replace(
@@ -297,6 +300,10 @@ def cmd_simulate(argv) -> int:
     parser.add_argument("--snr", type=float, default=None)
     parser.add_argument("--min-members", type=int, default=1)
     args = parser.parse_args(argv)
+    if not (args.beta_a is None or args.beta_a > 0):
+        raise UsageError(f"--beta-a must be positive, got {args.beta_a}")
+    if not 0 <= args.edge_prob <= 1:
+        raise UsageError(f"--edge-prob must lie in [0, 1], got {args.edge_prob}")
 
     try:
         data, truth = generate(

@@ -66,7 +66,8 @@ class GradientBlockConfig:
 @dataclass(frozen=True)
 class FitReport:
     """Outcome of a fit: final state, trace, stop reason, block timings, and
-    per gradient block the number of line searches that stalled."""
+    per gradient block the number of line searches that stalled and of
+    objective evaluations they made."""
 
     state: VariationalState
     trace: ElboTrace
@@ -74,6 +75,7 @@ class FitReport:
     sweeps: int
     block_seconds: dict = field(default_factory=dict)
     stalled: dict = field(default_factory=dict)
+    evaluations: dict = field(default_factory=dict)
 
     @property
     def converged(self):
@@ -184,18 +186,42 @@ def _basis_sweep(state, data, rh, mom) -> NormalParams:
     return NormalParams(mean, var)
 
 
+def _next_step(s, g_old, g_new, max_step):
+    """Start of the search after the accepted step ``s * g_old`` (the rule
+    is in :func:`_backtracking_ascent`). A function of its own, so that
+    ``y`` is freed before the next search runs."""
+    y = g_new - g_old
+    curvature = -s * float(np.vdot(g_old, y))
+    y_sq = float(np.vdot(y, y))
+    if curvature > 0 and y_sq > 0:
+        return min(curvature / y_sq, max_step)
+    return min(s * 2.0, max_step)
+
+
 def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
     """Maximize by steepest ascent with Armijo backtracking.
 
-    Returns (x, stalled); stalled means not a single step was accepted even
-    at machine-precision step sizes.
+    The first search starts at ``init_step``. After a step ``s * g_old`` is
+    accepted, the next search starts at the Barzilai-Borwein short step
+    ``-s * g_old.y / y.y`` with ``y = g_new - g_old``, the inverse of a
+    scalar fit to the curvature along the step; when that curvature or
+    ``y.y`` is not positive (a linear objective, say) it starts at twice
+    the accepted step instead. Either start is capped at
+    ``init_step * 1024`` and then shrunk until the Armijo test passes, so
+    every accepted step is a sufficient ascent.
+
+    Returns (x, stalled, evaluations): stalled means not a single step was
+    accepted even at machine-precision step sizes; evaluations counts the
+    calls of ``value`` and ``value_and_grad``.
     """
     x = x0
     f, g = value_and_grad(x)
+    evaluations = 1
     if not np.isfinite(f):
         raise NumericalError("gradient block started from a non-finite objective")
     accepted_any = False
     step = cfg.init_step
+    max_step = cfg.init_step * 1024.0
     for _ in range(cfg.max_iters):
         gnorm_sq = float((g * g).sum())
         if np.sqrt(gnorm_sq) <= cfg.grad_tol:
@@ -205,10 +231,13 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
         while s > 1e-20:
             cand = x + s * g
             fc = value(cand)
+            evaluations += 1
             if np.isfinite(fc) and fc >= f + cfg.armijo_c * s * gnorm_sq:
                 x = cand
-                f, g = value_and_grad(cand)
-                step = min(s * 2.0, cfg.init_step * 1024.0)
+                f, g_new = value_and_grad(cand)
+                evaluations += 1
+                step = _next_step(s, g, g_new, max_step)
+                g = g_new
                 accepted = True
                 accepted_any = True
                 break
@@ -216,7 +245,7 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
         if not accepted:
             break
     stalled = not accepted_any and bool(np.sqrt(float((g * g).sum())) > cfg.grad_tol)
-    return x, stalled
+    return x, stalled, evaluations
 
 
 def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=None):
@@ -251,11 +280,14 @@ def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=No
 
 
 def update_cluster(state, data, hyper, cfg: GradientBlockConfig = None, mom=None):
-    """Line-search ascent on the cluster logits. Returns (logits, stalled)."""
+    """Line-search ascent on the cluster logits.
+
+    Returns (logits, stalled, evaluations) as :func:`_backtracking_ascent`.
+    """
     cfg = cfg or GradientBlockConfig()
     rh = hyper.resolve(data)
     if rh.zeta == 1.0:
-        return state.cluster_logits.copy(), False
+        return state.cluster_logits.copy(), False, 0
 
     mom = mom or factor_moments(state, data, rh)
 
@@ -267,10 +299,7 @@ def update_cluster(state, data, hyper, cfg: GradientBlockConfig = None, mom=None
     def value_and_grad(theta):
         return cluster_objective_and_grad(theta, state, data, rh, mom=mom)
 
-    theta, stalled = _backtracking_ascent(
-        state.cluster_logits, value, value_and_grad, cfg
-    )
-    return theta, stalled
+    return _backtracking_ascent(state.cluster_logits, value, value_and_grad, cfg)
 
 
 class _CouplingProblem:
@@ -340,6 +369,7 @@ class _CouplingProblem:
         points share this body, so the line search compares values summed
         in one order."""
         mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
+        n_g = sig_g.size
         total_var = sig_pi[None, :] + sig_g
         root = np.sqrt(total_var)
         t = (mu_pi[None, :] - mu_g) / root
@@ -362,10 +392,12 @@ class _CouplingProblem:
         prec_mu = self.lap.apply_precision(mu_g)
         value -= 0.5 * float((mu_g * prec_mu).sum())
         value -= 0.5 * float((self.lap.precision_diag @ sig_g).sum())
-        value += 0.5 * float(np.log(sig_g).sum())
+        # the entropies read the log-variances from x; a variance that
+        # underflowed to zero has entropy -inf, as its log would give
+        value += 0.5 * float(x[n_g : 2 * n_g].sum()) if sig_g.all() else -np.inf
         eln = expected_log_ndtr(mu_pi, sig_pi)
         value += float(((self.a_beta - 1.0) * eln - 0.5 * (mu_pi**2 + sig_pi)).sum())
-        value += 0.5 * float(np.log(sig_pi).sum())
+        value += 0.5 * float(x[2 * n_g + mu_pi.size :].sum()) if sig_pi.all() else -np.inf
 
         @np.errstate(over="ignore", invalid="ignore", divide="ignore")
         def gradient():
@@ -428,7 +460,7 @@ def update_coupling(
 ):
     """Joint line-search ascent over the coupling functions and set levels.
 
-    Returns (coupling, sparsity, stalled).
+    Returns (coupling, sparsity, stalled, evaluations).
     """
     cfg = cfg or GradientBlockConfig()
     rh = hyper.resolve(data)
@@ -436,9 +468,11 @@ def update_coupling(
     mom = mom or factor_moments(state, data, rh)
     problem = _CouplingProblem(state, data, rh, lap, mom)
     x0 = problem.pack(state.coupling, state.sparsity)
-    x, stalled = _backtracking_ascent(x0, problem.value, problem.value_and_grad, cfg)
+    x, stalled, evaluations = _backtracking_ascent(
+        x0, problem.value, problem.value_and_grad, cfg
+    )
     mu_g, sig_g, mu_pi, sig_pi = problem.unpack(x)
-    return NormalParams(mu_g, sig_g), NormalParams(mu_pi, sig_pi), stalled
+    return NormalParams(mu_g, sig_g), NormalParams(mu_pi, sig_pi), stalled, evaluations
 
 
 def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitReport:
@@ -456,14 +490,18 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
     state = init_state(data, rh)
     block_seconds = {name: 0.0 for name in ("noise", "association", "basis", "cluster", "coupling")}
     stalled = {"cluster": 0, "coupling": 0}
+    evaluations = {"cluster": 0, "coupling": 0}
 
     # warm-up: one coupling pass before any factor block, so the curated
     # memberships shape q(Z) before the basis commits to features; pure
     # ascent, so the monotonicity contract is unaffected
     mom = factor_moments(state, data, rh)
     start = time.perf_counter()
-    coupling0, sparsity0, stuck = update_coupling(state, data, rh, cfg, lap=lap, mom=mom)
+    coupling0, sparsity0, stuck, evals = update_coupling(
+        state, data, rh, cfg, lap=lap, mom=mom
+    )
     stalled["coupling"] += stuck
+    evaluations["coupling"] += evals
     state = state.updated(coupling=coupling0, sparsity=sparsity0)
     block_seconds["coupling"] += time.perf_counter() - start
     trace = ElboTrace()
@@ -508,15 +546,19 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         timed("basis", lambda s, m: s.updated(basis=_basis_sweep(s, data, rh, m)))
 
         def cluster_step(s, m):
-            theta, stuck = update_cluster(s, data, rh, cfg, mom=m)
+            theta, stuck, evals = update_cluster(s, data, rh, cfg, mom=m)
             stalled["cluster"] += stuck
+            evaluations["cluster"] += evals
             return s.updated(cluster_logits=theta)
 
         timed("cluster", cluster_step)
 
         def coupling_step(s, m):
-            coupling, sparsity, stuck = update_coupling(s, data, rh, cfg, lap=lap, mom=m)
+            coupling, sparsity, stuck, evals = update_coupling(
+                s, data, rh, cfg, lap=lap, mom=m
+            )
             stalled["coupling"] += stuck
+            evaluations["coupling"] += evals
             return s.updated(coupling=coupling, sparsity=sparsity)
 
         timed("coupling", coupling_step)
@@ -541,4 +583,5 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         sweeps=sweeps_done,
         block_seconds=block_seconds,
         stalled=stalled,
+        evaluations=evaluations,
     )

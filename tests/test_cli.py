@@ -120,6 +120,23 @@ class TestSimulate:
     def test_invalid_dims_exit_one(self, tmp_path):
         assert main(simulate_args(tmp_path / "x", n=0)) == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--beta-a", "-1", "--beta-a must be positive, got -1.0"),
+            ("--beta-a", "0", "--beta-a must be positive, got 0.0"),
+            ("--beta-a", "nan", "--beta-a must be positive, got nan"),
+            ("--edge-prob", "-1", "--edge-prob must lie in [0, 1], got -1.0"),
+            ("--edge-prob", "2", "--edge-prob must lie in [0, 1], got 2.0"),
+            ("--edge-prob", "nan", "--edge-prob must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_out_of_range_flag_exit_one(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert main(simulate_args(out, extra=[flag, value])) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestFit:
     def test_outputs_exist_and_trace_monotone(self, dataset, tmp_path):
@@ -173,6 +190,8 @@ class TestFit:
         assert re.fullmatch(
             r"# blas: \S+ \S+ OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset", meta[stalled + 2]
         )
+        counts = re.fullmatch(r"# evaluations: cluster=(\d+) coupling=(\d+)", meta[stalled + 3])
+        assert counts and min(map(int, counts.groups())) > 0
         # comment lines only: the file still reads as a config
         assert set(parse_config_file(out1 / "run_meta")) == {f.name for f in fields(RunConfig)}
         code = main(["fit", "--config", str(out1 / "run_meta"), "--out", str(out2)])
@@ -181,6 +200,7 @@ class TestFit:
             if name == "run_meta":
                 continue
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert meta[stalled + 3] in (out2 / "run_meta").read_text().splitlines()
 
     def test_outputs_parse_back(self, dataset, tmp_path):
         out = tmp_path / "parse"

@@ -337,6 +337,108 @@ def direct_cluster_objective_and_grad(theta, state, data, hyper):
     return value, (1.0 - rh.zeta) * tilde * (d_value_du - inner)
 
 
+def doubling_ascent(x0, value, value_and_grad, cfg):
+    """Reference: the same Armijo ascent, but each search starts at twice the
+    last accepted step."""
+    x = x0
+    f, g = value_and_grad(x)
+    step = cfg.init_step
+    for _ in range(cfg.max_iters):
+        gnorm_sq = float((g * g).sum())
+        if np.sqrt(gnorm_sq) <= cfg.grad_tol:
+            break
+        s = step
+        while s > 1e-20:
+            cand = x + s * g
+            if value(cand) >= f + cfg.armijo_c * s * gnorm_sq:
+                x = cand
+                f, g = value_and_grad(cand)
+                step = min(s * 2.0, cfg.init_step * 1024.0)
+                break
+            s *= cfg.shrink
+        else:
+            break
+    return x
+
+
+class RecordedObjective:
+    """f(x) = -x.H.x / 2 + b.x (H = 0: linear), recording each trial point
+    passed to ``value`` and each (x, f, g) of ``value_and_grad``."""
+
+    def __init__(self, h, b):
+        self.h, self.b = np.asarray(h, dtype=float), np.asarray(b, dtype=float)
+        self.trials, self.points = [], []
+
+    def f(self, x):
+        return float(-0.5 * x @ self.h @ x + self.b @ x)
+
+    def value(self, x):
+        self.trials.append(x.copy())
+        return self.f(x)
+
+    def value_and_grad(self, x):
+        out = (self.f(x), self.b - self.h @ x)
+        self.points.append((x.copy(), *out))
+        return out
+
+
+def step_of(x_from, x_to, g):
+    return float((x_to - x_from) @ g / (g @ g))
+
+
+class TestBacktrackingAscent:
+    """The step rule of the shared line search: a Barzilai-Borwein start
+    after each accepted step, doubling where the curvature is not positive,
+    the init_step * 1024 cap, and the Armijo test on every accepted step."""
+
+    def test_second_trial_is_barzilai_borwein_step(self):
+        h = np.array([[2.0, 0.5], [0.5, 1.0]])
+        obj = RecordedObjective(h, [1.0, -1.0])
+        cfg = GradientBlockConfig(max_iters=2, init_step=0.1)
+        inference._backtracking_ascent(np.zeros(2), obj.value, obj.value_and_grad, cfg)
+        (x0, _, g0), (x1, _, g1) = obj.points[:2]
+        np.testing.assert_array_equal(obj.trials[0], x1)  # the first trial was accepted
+        s, y = x1 - x0, g1 - g0
+        # ascent form of s.y / y.y; on a quadratic y = -H s, so it is g.H.g / g.H^2.g
+        expected = -(s @ y) / (y @ y)
+        np.testing.assert_allclose(expected, (g0 @ h @ g0) / (g0 @ h @ h @ g0), rtol=1e-12)
+        assert expected != pytest.approx(0.2)  # not the doubled step
+        np.testing.assert_allclose(step_of(x1, obj.trials[1], g1), expected, rtol=1e-12)
+
+    def test_linear_objective_doubles_up_to_cap(self):
+        obj = RecordedObjective(np.zeros((2, 2)), [3.0, -4.0])
+        cfg = GradientBlockConfig(max_iters=14, init_step=0.5)
+        x, stalled, evaluations = inference._backtracking_ascent(
+            np.zeros(2), obj.value, obj.value_and_grad, cfg
+        )
+        starts = [np.zeros(2)] + obj.trials[:-1]
+        steps = [step_of(a, b, obj.b) for a, b in zip(starts, obj.trials)]
+        np.testing.assert_allclose(steps, [0.5 * min(2.0**k, 1024.0) for k in range(14)])
+        np.testing.assert_array_equal(x, obj.trials[-1])
+        assert not stalled
+        assert evaluations == 1 + 2 * 14
+
+    def test_ill_conditioned_quadratic_ascends_with_fewer_evaluations(self):
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        h = (q * np.logspace(0, 3, 10)) @ q.T
+        b = rng.standard_normal(10)
+        cfg = GradientBlockConfig()
+        obj = RecordedObjective(h, b)
+        x, _, evaluations = inference._backtracking_ascent(
+            np.zeros(10), obj.value, obj.value_and_grad, cfg
+        )
+        assert evaluations == len(obj.trials) + len(obj.points)
+        assert len(obj.points) == cfg.max_iters + 1
+        for (xa, fa, ga), (xb, fb, _) in zip(obj.points, obj.points[1:]):
+            margin = cfg.armijo_c * step_of(xa, xb, ga) * (ga @ ga)
+            assert fb - fa >= margin * (1.0 - 1e-9)
+        ref = RecordedObjective(h, b)
+        x_ref = doubling_ascent(np.zeros(10), ref.value, ref.value_and_grad, cfg)
+        assert len(obj.trials) < len(ref.trials)
+        assert obj.f(x) > ref.f(x_ref)
+
+
 class TestUpdateCluster:
     @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.9])
     def test_matches_direct_residual_formula(self, zeta):
@@ -361,7 +463,7 @@ class TestUpdateCluster:
         data = make_dataset(rng)
         state = make_state(rng, data)
         hyper = default_hyper(zeta=1.0)
-        theta, stalled = update_cluster(state, data, hyper)
+        theta, stalled, _ = update_cluster(state, data, hyper)
         np.testing.assert_array_equal(theta, state.cluster_logits)
         assert not stalled
 
@@ -404,7 +506,7 @@ class TestUpdateCluster:
         state = make_state(rng, data)
         hyper = default_hyper(zeta=0.5)
         before = regularized_objective(state, data, hyper)[0]
-        theta, stalled = update_cluster(state, data, hyper)
+        theta, stalled, _ = update_cluster(state, data, hyper)
         after = regularized_objective(state.updated(cluster_logits=theta), data, hyper)[0]
         assert after >= before - 1e-10
         assert not stalled
@@ -434,7 +536,7 @@ class TestUpdateCoupling:
         )
         rho_path = [float(factor_moments(state, data, hyper).rho[0, 0])]
         for _ in range(10):
-            coupling, sparsity, _ = update_coupling(state, data, hyper)
+            coupling, sparsity, _, _ = update_coupling(state, data, hyper)
             state = state.updated(coupling=coupling, sparsity=sparsity)
             rho_path.append(float(factor_moments(state, data, hyper).rho[0, 0]))
         assert rho_path[0] < 0.5
@@ -470,7 +572,7 @@ class TestUpdateCoupling:
         def run(data):
             state = init_state(data, hyper)
             for _ in range(8):
-                coupling, sparsity, _ = update_coupling(state, data, hyper)
+                coupling, sparsity, _, _ = update_coupling(state, data, hyper)
                 state = state.updated(coupling=coupling, sparsity=sparsity)
             return state
 
@@ -499,7 +601,7 @@ class TestUpdateCoupling:
             sparsity=NormalParams(np.zeros(2), np.ones(2)),
         )
         before = regularized_objective(state, data, hyper)[0]
-        coupling, sparsity, _ = update_coupling(
+        coupling, sparsity, _, _ = update_coupling(
             state, data, hyper, GradientBlockConfig(grad_tol=1e-5)
         )
         after = regularized_objective(
@@ -553,7 +655,7 @@ class TestUpdateCoupling:
         state = make_state(rng, data)
         hyper = default_hyper(xi=5.0)
         before = regularized_objective(state, data, hyper)[0]
-        coupling, sparsity, stalled = update_coupling(state, data, hyper)
+        coupling, sparsity, stalled, _ = update_coupling(state, data, hyper)
         after = regularized_objective(
             state.updated(coupling=coupling, sparsity=sparsity), data, hyper
         )[0]
@@ -635,6 +737,17 @@ class TestTrialValues:
             x[i] += 0.25
             self.assert_same(problem.value_and_grad(x), fresh(x))
         assert len(passes) == 2 * len(points)
+
+    def test_coupling_underflowed_variance_is_rejected(self):
+        """A trial variance that underflows to zero makes the value -inf,
+        as the objective's entropy would, so the line search rejects it."""
+        data, _, _, _, problem, _, _, points = self.coupling_setup(45)
+        n_g = data.n_features * data.n_sets
+        for index in (n_g, 2 * n_g - 1, 2 * n_g + data.n_sets, points[0].size - 1):
+            x = points[0].copy()
+            assert np.isfinite(problem.value(x))
+            x[index] = -800.0  # exp(-800) is 0.0 in float64
+            assert problem.value(x) == -np.inf
 
     def test_cluster_value_matches_value_and_grad_and_objective(self):
         rng, data, state, rh, n_points = self.points(42)
@@ -752,7 +865,35 @@ class TestFit:
             report = fit(data, hyper, GradientBlockConfig(init_step=1e-30))
         # every call stalls; the coupling warm-up counts under coupling
         assert report.stalled == {"cluster": 3, "coupling": 4}
+        # a stalled search evaluates its start and tries no step below 1e-20
+        assert report.evaluations == {"cluster": 3, "coupling": 4}
         assert fit(data, hyper).stalled == {"cluster": 0, "coupling": 0}
+
+    def test_counts_line_search_evaluations(self, monkeypatch):
+        calls = {"cluster": 0, "coupling": 0}
+
+        def counted(block, original):
+            def wrapper(*args, **kwargs):
+                calls[block] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            inference,
+            "cluster_objective_and_grad",
+            counted("cluster", inference.cluster_objective_and_grad),
+        )
+        for name in ("value", "value_and_grad"):
+            monkeypatch.setattr(
+                _CouplingProblem, name, counted("coupling", getattr(_CouplingProblem, name))
+            )
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=10, d=8, k=2, r=3)
+        report = fit(data, default_hyper(max_sweeps=3))
+        assert report.evaluations == calls
+        # the coupling count includes the warm-up's evaluations
+        assert calls["cluster"] > 3 and calls["coupling"] > 4
 
     def test_stalled_fit_warns_once_with_counts(self):
         rng = np.random.default_rng(23)
