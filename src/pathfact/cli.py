@@ -9,7 +9,7 @@ problems, 2 numerical aborts, 3 fit stopped at the sweep limit.
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,36 +54,34 @@ def _path(help_text):
     return field(default=None, metadata={"help": help_text})
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a fit run needs. Each field is a config key and a
-    command-line flag; the fields after the paths are the ones of
-    :class:`Hyperparameters`, plus the reporting settings."""
+def _hyperparameter(f):
+    # the broadcast priors are set as one number
+    return f.name, float if f.type is object else f.type, field(default=f.default)
 
-    expression: str = _path("expression matrix TSV")
-    labels: str = _path("sample cluster-label TSV")
-    gmt: str = _path("gene-set GMT file")
-    edges: str = _path("interaction edge list")
-    out: str = _path("output directory")
-    alpha_a0: float = 1.0
-    alpha_b0: float = 1.0
-    lambda_s0: float = 1.0
-    mu_v0: float = 0.0
-    sigma_v0: float = 1.0
-    beta_a: float = None
-    zeta: float = 0.9
-    xi: float = 100.0
-    epsilon: float = 0.05
-    max_sweeps: int = 1000
-    elbo_rel_tol: float = 1e-6
-    seed: int = 0
-    top_m: int = 5
-    clamp_known: bool = False
 
-    def hyperparameters(self) -> Hyperparameters:
-        return Hyperparameters(
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        ("expression", str, _path("expression matrix TSV")),
+        ("labels", str, _path("sample cluster-label TSV")),
+        ("gmt", str, _path("gene-set GMT file")),
+        ("edges", str, _path("interaction edge list")),
+        ("out", str, _path("output directory")),
+        *map(_hyperparameter, fields(Hyperparameters)),
+        ("top_m", int, field(default=5)),
+        ("clamp_known", bool, field(default=False)),
+    ],
+    frozen=True,
+    namespace={
+        "__module__": __name__,
+        "__doc__": """Everything a fit run needs: the paths, the fields of
+        :class:`Hyperparameters` and the reporting settings. Each field is a
+        config key and a command-line flag.""",
+        "hyperparameters": lambda self: Hyperparameters(
             **{f.name: getattr(self, f.name) for f in fields(Hyperparameters)}
-        )
+        ),
+    },
+)
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -256,7 +254,10 @@ def cmd_fit(argv) -> int:
     sets = dataio.load_gmt(config.gmt)
     graph = dataio.load_edge_list(config.edges)
     data = dataio.align(expr, sets, graph)
-    hyper = hyper.resolve(data)
+    try:
+        hyper = hyper.resolve(data)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     report = fit(data, hyper)
     result = summarize(

@@ -203,8 +203,15 @@ def write_edge_list(graph: InteractionGraph) -> str:
     return "".join(lines)
 
 
+# what float() strips around a number: every str.isspace() character (all
+# lie below U+3001) but the separators \x1c-\x1f
+_FLOAT_SPACE = "".join(
+    c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\x1c\x1d\x1e\x1f"
+)
+
+
 def _parse_cell(token, lineno, column_name):
-    text = token.strip()
+    text = token.strip(_FLOAT_SPACE)
     if not text:
         raise FormatError(f"empty cell in column {column_name!r}", line=lineno)
     try:

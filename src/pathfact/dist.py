@@ -160,27 +160,6 @@ def normal_entropy(variance):
     return 0.5 * (LOG_2PI + 1.0) + 0.5 * np.log(_as_float_array(variance))
 
 
-def normal_log_pdf(x, mean, variance):
-    x = _as_float_array(x)
-    return -0.5 * (LOG_2PI + np.log(variance) + (x - mean) ** 2 / variance)
-
-
-def pi_bar_log_prior(pi_bar, beta_a, n_sets):
-    """Log prior density of the probit-transformed set activation level.
-
-    Density: Beta(Phi(pi_bar) | beta_a/n_sets, 1) * N(pi_bar | 0, 1), so the
-    log is (a - 1) log Phi(pi_bar) + log a + log N(pi_bar | 0, 1) with
-    a = beta_a / n_sets.
-    """
-    if beta_a <= 0:
-        raise ValueError("beta_a must be positive")
-    if n_sets < 1:
-        raise ValueError("n_sets must be >= 1")
-    pi_bar = _as_float_array(pi_bar)
-    a = beta_a / n_sets
-    return (a - 1.0) * special.log_ndtr(pi_bar) + np.log(a) + normal_log_pdf(pi_bar, 0.0, 1.0)
-
-
 def expected_log_ndtr(mean, variance):
     """Gauss-Hermite estimate of E[log Phi(x)] for x ~ N(mean, variance)."""
     mean = _as_float_array(mean)

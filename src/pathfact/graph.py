@@ -12,8 +12,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .dist import LOG_2PI
-
 
 @dataclass(frozen=True)
 class InteractionGraph:
@@ -94,15 +92,6 @@ class LaplacianOperator:
     def dimension(self):
         return self.laplacian.shape[0]
 
-    def quadratic_form(self, columns):
-        """Column-wise g^T P g for a (D,) vector or (D, R) matrix."""
-        cols = np.asarray(columns, dtype=float)
-        if cols.shape[0] != self.dimension:
-            raise ValueError(
-                f"expected leading dimension {self.dimension}, got {cols.shape[0]}"
-            )
-        return np.sum(cols * (self.precision @ cols), axis=0)
-
     def apply_precision(self, columns):
         cols = np.asarray(columns, dtype=float)
         if cols.shape[0] != self.dimension:
@@ -164,21 +153,3 @@ def _sparse_log_det(matrix) -> float:
         raise ValueError("precision matrix is singular")
     return float(np.sum(np.log(np.abs(diag))))
 
-
-def gp_log_prior(g_col, lap: LaplacianOperator) -> float:
-    """Log density of one coupling column under the GMRF prior."""
-    g = np.asarray(g_col, dtype=float)
-    if g.ndim != 1 or g.shape[0] != lap.dimension:
-        raise ValueError(f"expected vector of length {lap.dimension}")
-    quad = float(lap.quadratic_form(g))
-    return 0.5 * (lap.log_det_precision - lap.dimension * LOG_2PI) - 0.5 * quad
-
-
-def gp_cross_terms(mu, var, lap: LaplacianOperator):
-    """Per-column E[g^T P g] for independent Gaussians with means ``mu``
-    and variances ``var``: mu_r^T P mu_r + sum_j P_jj var_jr."""
-    mu = np.asarray(mu, dtype=float)
-    var = np.asarray(var, dtype=float)
-    if mu.shape != var.shape or mu.shape[0] != lap.dimension:
-        raise ValueError("mu and var must be (D, R) with D matching the operator")
-    return lap.quadratic_form(mu) + lap.precision_diag @ var

@@ -18,7 +18,6 @@ from .dist import (
     GammaParams,
     NormalParams,
     TruncatedNormalParams,
-    expected_log_ndtr,
     expected_log_ndtr_grad,
     pdf_over_cdf,
     std_normal_pdf,
@@ -34,6 +33,7 @@ from .model import (
     VariationalState,
     expected_sq_residual,
     factor_moments,
+    membership_terms,
     regularized_objective,
     softmax_rows,
 )
@@ -319,6 +319,7 @@ class _CouplingProblem:
         self.gram_a = mom.aa
         self.proj = data.X.T @ mom.a  # (D, R)
         self.mask = data.mask_indices()
+        self.penalized = self.mask[0].size > 0 and rh.xi > 0
         self.shape = mom.v_mean.shape
         self.a_beta = rh.beta_a / data.n_sets
         self.x_sq = data.x_sq
@@ -385,19 +386,17 @@ class _CouplingProblem:
             + float(self.a2_sum @ (rho * self.v_second - w * w).sum(axis=0))
         )
         value = -0.5 * self.noise_mean * residual
-        rows, cols = self.mask
-        penalized = rows.size > 0 and self.rh.xi > 0
-        if penalized:
-            value += self.rh.xi * float(special.log_ndtr(t[rows, cols]).sum())
-        prec_mu = self.lap.apply_precision(mu_g)
-        value -= 0.5 * float((mu_g * prec_mu).sum())
-        value -= 0.5 * float((self.lap.precision_diag @ sig_g).sum())
-        # the entropies read the log-variances from x; a variance that
-        # underflowed to zero has entropy -inf, as its log would give
-        value += 0.5 * float(x[n_g : 2 * n_g].sum()) if sig_g.all() else -np.inf
-        eln = expected_log_ndtr(mu_pi, sig_pi)
-        value += float(((self.a_beta - 1.0) * eln - 0.5 * (mu_pi**2 + sig_pi)).sum())
-        value += 0.5 * float(x[2 * n_g + mu_pi.size :].sum()) if sig_pi.all() else -np.inf
+        # the entropies read the log-variances from x
+        terms, prec_mu = membership_terms(
+            (mu_g, sig_g, x[n_g : 2 * n_g]),
+            (mu_pi, sig_pi, x[2 * n_g + mu_pi.size :]),
+            t,
+            self.mask,
+            self.rh,
+            self.lap,
+        )
+        for term in terms.values():
+            value += term
 
         @np.errstate(over="ignore", invalid="ignore", divide="ignore")
         def gradient():
@@ -406,7 +405,8 @@ class _CouplingProblem:
                 self.v_mean * d_resid_dw + self.v_second * self.a2_sum[None, :]
             )
             d_value_dt = d_value_drho * std_normal_pdf(t)
-            if penalized:
+            if self.penalized:
+                rows, cols = self.mask
                 pen = np.zeros_like(t)
                 pen[rows, cols] = self.rh.xi * pdf_over_cdf(t[rows, cols])
                 d_value_dt = d_value_dt + pen
@@ -488,23 +488,42 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         warnings.warn("penalty weight xi > 0 but the known-membership set is empty")
     lap = normalized_laplacian(data.graph, rh.epsilon)
     state = init_state(data, rh)
-    block_seconds = {name: 0.0 for name in ("noise", "association", "basis", "cluster", "coupling")}
     stalled = {"cluster": 0, "coupling": 0}
     evaluations = {"cluster": 0, "coupling": 0}
 
-    # warm-up: one coupling pass before any factor block, so the curated
-    # memberships shape q(Z) before the basis commits to features; pure
-    # ascent, so the monotonicity contract is unaffected
-    mom = factor_moments(state, data, rh)
-    start = time.perf_counter()
-    coupling0, sparsity0, stuck, evals = update_coupling(
-        state, data, rh, cfg, lap=lap, mom=mom
-    )
-    stalled["coupling"] += stuck
-    evaluations["coupling"] += evals
-    state = state.updated(coupling=coupling0, sparsity=sparsity0)
-    block_seconds["coupling"] += time.perf_counter() - start
-    trace = ElboTrace()
+    def cluster_step(s, m):
+        theta, stuck, evals = update_cluster(s, data, rh, cfg, mom=m)
+        stalled["cluster"] += stuck
+        evaluations["cluster"] += evals
+        return s.updated(cluster_logits=theta)
+
+    def coupling_step(s, m):
+        coupling, sparsity, stuck, evals = update_coupling(s, data, rh, cfg, lap=lap, mom=m)
+        stalled["coupling"] += stuck
+        evaluations["coupling"] += evals
+        return s.updated(coupling=coupling, sparsity=sparsity)
+
+    # the blocks in sweep order, each with the side of the moments it
+    # changes (see factor_moments); no moment depends on q(alpha)
+    blocks = {
+        "noise": (lambda s, m: s.updated(noise=update_noise(s, data, rh, mom=m)), None),
+        "association": (lambda s, m: s.updated(assoc=_association_sweep(s, data, rh, m)), "a"),
+        "basis": (lambda s, m: s.updated(basis=_basis_sweep(s, data, rh, m)), "w"),
+        "cluster": (cluster_step, "a"),
+        "coupling": (coupling_step, "w"),
+    }
+    block_seconds = {name: 0.0 for name in blocks}
+
+    def run(name, state, mom):
+        """Run one block on ``state`` and its moments ``mom``; return the new
+        state and its moments, with only the side the block changed
+        recomputed. One moments pass per state: the moments behind each
+        objective check are the input of the next block."""
+        step, side = blocks[name]
+        start = time.perf_counter()
+        state = step(state, mom)
+        block_seconds[name] += time.perf_counter() - start
+        return state, factor_moments(state, data, rh, side, mom) if side else mom
 
     def objective(current, block, mom):
         try:
@@ -515,9 +534,11 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
             raise NumericalError(f"non-finite objective after block '{block}'")
         return obj, bound, penalty
 
-    # one moments pass per state: the moments behind each objective check
-    # are the input of the next block
-    mom = factor_moments(state, data, rh)
+    # warm-up: one coupling pass before any factor block, so the curated
+    # memberships shape q(Z) before the basis commits to features; pure
+    # ascent, so the monotonicity contract is unaffected
+    state, mom = run("coupling", state, factor_moments(state, data, rh))
+    trace = ElboTrace()
     obj, bound, penalty = objective(state, "init", mom)
     trace.append(SweepRecord(sweep=0, elbo=bound, penalty=penalty, objective=obj, block_deltas={}))
     status = "max_sweeps"
@@ -526,42 +547,11 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
     for sweep in range(1, rh.max_sweeps + 1):
         prev_obj = obj
         deltas = {}
-
-        def timed(name, action):
-            nonlocal state, mom, obj, bound, penalty
-            start = time.perf_counter()
-            state = action(state, mom)
-            block_seconds[name] += time.perf_counter() - start
-            if name != "noise":  # no moment depends on q(alpha)
-                mom = factor_moments(state, data, rh)
+        for name in blocks:
+            state, mom = run(name, state, mom)
             new_obj, new_bound, new_penalty = objective(state, name, mom)
             deltas[name] = new_obj - obj
             obj, bound, penalty = new_obj, new_bound, new_penalty
-
-        timed("noise", lambda s, m: s.updated(noise=update_noise(s, data, rh, mom=m)))
-        timed(
-            "association",
-            lambda s, m: s.updated(assoc=_association_sweep(s, data, rh, m)),
-        )
-        timed("basis", lambda s, m: s.updated(basis=_basis_sweep(s, data, rh, m)))
-
-        def cluster_step(s, m):
-            theta, stuck, evals = update_cluster(s, data, rh, cfg, mom=m)
-            stalled["cluster"] += stuck
-            evaluations["cluster"] += evals
-            return s.updated(cluster_logits=theta)
-
-        timed("cluster", cluster_step)
-
-        def coupling_step(s, m):
-            coupling, sparsity, stuck, evals = update_coupling(
-                s, data, rh, cfg, lap=lap, mom=m
-            )
-            stalled["coupling"] += stuck
-            evaluations["coupling"] += evals
-            return s.updated(coupling=coupling, sparsity=sparsity)
-
-        timed("coupling", coupling_step)
 
         trace.append(
             SweepRecord(sweep=sweep, elbo=bound, penalty=penalty, objective=obj, block_deltas=deltas)

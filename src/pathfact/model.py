@@ -25,7 +25,7 @@ from .dist import (
     normal_entropy,
     trunc_norm_moments,
 )
-from .graph import InteractionGraph, gp_cross_terms, normalized_laplacian
+from .graph import InteractionGraph, normalized_laplacian
 
 
 class NumericalError(RuntimeError):
@@ -126,6 +126,13 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # an int is finite, and may be too large for a float
+            if value is None or f.type is int:
+                continue
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ValueError(f"{f.name} must be finite")
         if self.alpha_a0 <= 0 or self.alpha_b0 <= 0:
             raise ValueError("noise prior shape/rate must be positive")
         if not np.all(np.asarray(self.lambda_s0, dtype=float) > 0):
@@ -148,6 +155,8 @@ class Hyperparameters:
     def resolve(self, data: ObservationSet) -> "ResolvedHyperparameters":
         """Prior arrays broadcast to the data's shapes, ``beta_a`` filled in
         and every scalar cast to its declared type."""
+        if self.epsilon == 0 and data.graph.n_edges:
+            raise ValueError("epsilon must be positive for a graph with edges")
         k, r, d = data.n_clusters, data.n_sets, data.n_features
         shapes = {"lambda_s0": (k, r), "mu_v0": (d, r), "sigma_v0": (d, r)}
         values = {}
@@ -278,52 +287,45 @@ def z_marginal(coupling: NormalParams, sparsity: NormalParams):
     return special.ndtr(membership_logit(coupling, sparsity))
 
 
-def factor_moments(state: VariationalState, data: ObservationSet, hyper):
+def factor_moments(state: VariationalState, data: ObservationSet, hyper, side=None, prev=None):
     """Moments shared by the objective and the coordinate updates.
 
     With A = U S and W = Z o V, ``aa`` is E[A^T A] and ``ww`` is E[W^T W]
     under the factorized posterior: products of first moments across
     distinct sets, second moments (``a2_sum``, ``w2_sum``) on the diagonal.
     ``xw`` is X E[W]. ``t`` is the membership margin with ``rho`` = Phi(t).
-    No moment depends on q(alpha).
+
+    The moments fall in two sides. The A side (``s_*``, ``u``, ``a``,
+    ``a2_sum``, ``aa``) reads q(S) and the cluster logits; the W side
+    (``t``, ``rho``, ``v_*``, ``w``, ``w2_sum``, ``ww``, ``xw``) reads q(V),
+    q(g) and q(pi). No moment depends on q(alpha). With ``side`` ("a" or
+    "w"), only that side is computed and the other is taken from ``prev``,
+    the moments of a state that differs from ``state`` on that side only.
     """
     hyper = hyper.resolve(data)
-    s_mean, s_var, s_entropy = trunc_norm_moments(
-        state.assoc.location, state.assoc.scale_sq
-    )
-    t = membership_logit(state.coupling, state.sparsity)
-    rho = special.ndtr(t)
-    u = mix_cluster(state.cluster_logits, data.U0, hyper.zeta)
-    a = u @ s_mean
-    a2_sum = np.einsum("ir,ir->r", a, a) + (u * u).sum(axis=0) @ s_var
-    aa = a.T @ a
-    np.fill_diagonal(aa, a2_sum)
-    v_mean = state.basis.mean
-    # an overflowing basis is reported by the objective's finiteness check
-    with np.errstate(over="ignore", invalid="ignore"):
-        v_second = state.basis.variance + v_mean**2
-        w = rho * v_mean
-        w2_sum = (rho * v_second).sum(axis=0)
-        ww = w.T @ w
-        xw = data.X @ w
-    np.fill_diagonal(ww, w2_sum)
-    return SimpleNamespace(
-        s_mean=s_mean,
-        s_var=s_var,
-        s_entropy=s_entropy,
-        v_mean=v_mean,
-        v_second=v_second,
-        rho=rho,
-        t=t,
-        u=u,
-        a=a,
-        a2_sum=a2_sum,
-        w=w,
-        w2_sum=w2_sum,
-        aa=aa,
-        ww=ww,
-        xw=xw,
-    )
+    mom = SimpleNamespace(**vars(prev)) if side else SimpleNamespace()
+    if side in (None, "a"):
+        mom.s_mean, mom.s_var, mom.s_entropy = trunc_norm_moments(
+            state.assoc.location, state.assoc.scale_sq
+        )
+        mom.u = u = mix_cluster(state.cluster_logits, data.U0, hyper.zeta)
+        mom.a = a = u @ mom.s_mean
+        mom.a2_sum = np.einsum("ir,ir->r", a, a) + (u * u).sum(axis=0) @ mom.s_var
+        mom.aa = a.T @ a
+        np.fill_diagonal(mom.aa, mom.a2_sum)
+    if side in (None, "w"):
+        mom.t = membership_logit(state.coupling, state.sparsity)
+        mom.rho = rho = special.ndtr(mom.t)
+        mom.v_mean = v_mean = state.basis.mean
+        # an overflowing basis is reported by the objective's finiteness check
+        with np.errstate(over="ignore", invalid="ignore"):
+            mom.v_second = state.basis.variance + v_mean**2
+            mom.w = w = rho * v_mean
+            mom.w2_sum = (rho * mom.v_second).sum(axis=0)
+            mom.ww = w.T @ w
+            mom.xw = data.X @ w
+        np.fill_diagonal(mom.ww, mom.w2_sum)
+    return mom
 
 
 def expected_reconstruction(state, data, hyper, mom=None):
@@ -345,8 +347,38 @@ def expected_sq_residual(state, data, hyper, mom=None):
     )
 
 
+def membership_terms(g, pi, t, mask, hyper, lap):
+    """The objective terms that depend on q(g) and q(pi), each without its
+    constant, in the order the membership line search adds them: the
+    penalty ``xi * sum log q(Z=1)`` over the known entries ``mask``, the
+    GMRF prior's ``-mu^T P mu / 2`` and ``-diag(P) . var / 2``, the coupling
+    entropy, the sparsity prior and the sparsity entropy.
+
+    ``g`` and ``pi`` are (mean, variance, log variance) triples and ``t`` is
+    the membership margin. Returns the terms by name and ``P mu``. An
+    entropy whose variance underflowed to zero is -inf, as its log gives.
+    """
+    mu_g, var_g, log_var_g = g
+    mu_pi, var_pi, log_var_pi = pi
+    rows, cols = mask
+    terms = {"penalty": 0.0}
+    if rows.size > 0 and hyper.xi > 0:
+        terms["penalty"] = hyper.xi * float(special.log_ndtr(t[rows, cols]).sum())
+    prec_mu = lap.apply_precision(mu_g)
+    terms["coupling_prior_mean"] = -0.5 * float((mu_g * prec_mu).sum())
+    terms["coupling_prior_var"] = -0.5 * float((lap.precision_diag @ var_g).sum())
+    terms["coupling_entropy"] = 0.5 * float(log_var_g.sum()) if var_g.all() else -np.inf
+    a = hyper.beta_a / mu_pi.size
+    eln = expected_log_ndtr(mu_pi, var_pi)
+    terms["sparsity_prior"] = float(((a - 1.0) * eln - 0.5 * (mu_pi**2 + var_pi)).sum())
+    terms["sparsity_entropy"] = 0.5 * float(log_var_pi.sum()) if var_pi.all() else -np.inf
+    return terms, prec_mu
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def elbo_terms(state: VariationalState, data: ObservationSet, hyper, lap=None, mom=None):
-    """The evidence lower bound, split by named block.
+    """The evidence lower bound split by named block, followed by the
+    ``penalty`` on the known memberships, which the bound leaves out.
 
     Raises :class:`NumericalError` naming the first non-finite block.
     """
@@ -355,13 +387,6 @@ def elbo_terms(state: VariationalState, data: ObservationSet, hyper, lap=None, m
     mom = mom or factor_moments(state, data, hyper)
     n, d = data.X.shape
     r = data.n_sets
-    a = hyper.beta_a / r
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _elbo_terms_inner(state, data, hyper, lap, mom, n, d, r, a)
-
-
-def _elbo_terms_inner(state, data, hyper, lap, mom, n, d, r, a):
     noise_mean, noise_mean_log, noise_entropy = gamma_expectations(state.noise)
     residual = expected_sq_residual(state, data, hyper, mom=mom)
 
@@ -386,19 +411,29 @@ def _elbo_terms_inner(state, data, hyper, lap, mom, n, d, r, a):
         )
     )
     terms["basis_entropy"] = float(np.sum(normal_entropy(state.basis.variance)))
-    cross = gp_cross_terms(state.coupling.mean, state.coupling.variance, lap)
+    coupling, sparsity = state.coupling, state.sparsity
+    member, _ = membership_terms(
+        (coupling.mean, coupling.variance, np.log(coupling.variance)),
+        (sparsity.mean, sparsity.variance, np.log(sparsity.variance)),
+        mom.t,
+        data.mask_indices(),
+        hyper,
+        lap,
+    )
+    # the constants: log|P| and 2 pi of each GMRF column, the Gaussian
+    # entropies' 2 pi e per entry, and the sparsity prior's log a and 2 pi
+    # per set
     terms["coupling_prior"] = float(
-        0.5 * r * (lap.log_det_precision - d * LOG_2PI) - 0.5 * np.sum(cross)
+        0.5 * r * (lap.log_det_precision - d * LOG_2PI)
+        + member["coupling_prior_mean"]
+        + member["coupling_prior_var"]
     )
-    terms["coupling_entropy"] = float(np.sum(normal_entropy(state.coupling.variance)))
+    terms["coupling_entropy"] = float(0.5 * (LOG_2PI + 1.0) * d * r + member["coupling_entropy"])
     terms["sparsity_prior"] = float(
-        np.sum(
-            (a - 1.0) * expected_log_ndtr(state.sparsity.mean, state.sparsity.variance)
-            + math.log(a)
-            - 0.5 * (LOG_2PI + state.sparsity.mean**2 + state.sparsity.variance)
-        )
+        r * (math.log(hyper.beta_a / r) - 0.5 * LOG_2PI) + member["sparsity_prior"]
     )
-    terms["sparsity_entropy"] = float(np.sum(normal_entropy(state.sparsity.variance)))
+    terms["sparsity_entropy"] = float(0.5 * (LOG_2PI + 1.0) * r + member["sparsity_entropy"])
+    terms["penalty"] = member["penalty"]
 
     for name, value in terms.items():
         if not np.isfinite(value):
@@ -407,17 +442,7 @@ def _elbo_terms_inner(state, data, hyper, lap, mom, n, d, r, a):
 
 
 def elbo(state, data, hyper, lap=None, mom=None) -> float:
-    return float(sum(elbo_terms(state, data, hyper, lap=lap, mom=mom).values()))
-
-
-def mask_penalty(state, data, hyper, mom=None) -> float:
-    """xi-weighted sum of log q(Z=1) over the known memberships."""
-    hyper = hyper.resolve(data)
-    rows, cols = data.mask_indices()
-    if rows.size == 0 or hyper.xi == 0.0:
-        return 0.0
-    mom = mom or factor_moments(state, data, hyper)
-    return float(hyper.xi * special.log_ndtr(mom.t[rows, cols]).sum())
+    return regularized_objective(state, data, hyper, lap=lap, mom=mom)[1]
 
 
 def regularized_objective(state, data, hyper, lap=None, mom=None):
@@ -425,10 +450,9 @@ def regularized_objective(state, data, hyper, lap=None, mom=None):
 
     Returns (objective, elbo, penalty) with objective = elbo + penalty.
     """
-    hyper = hyper.resolve(data)
-    mom = mom or factor_moments(state, data, hyper)
-    bound = elbo(state, data, hyper, lap=lap, mom=mom)
-    penalty = mask_penalty(state, data, hyper, mom=mom)
+    terms = elbo_terms(state, data, hyper, lap=lap, mom=mom)
+    penalty = terms.pop("penalty")
+    bound = float(sum(terms.values()))
     return bound + penalty, bound, penalty
 
 

@@ -232,7 +232,19 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--zeta", "2", "zeta must lie in [0, 1]"), ("--xi", "-1", "xi must be nonnegative")],
+        [
+            ("--zeta", "2", "zeta must lie in [0, 1]"),
+            ("--xi", "-1", "xi must be nonnegative"),
+            ("--epsilon", "nan", "epsilon must be finite"),
+            ("--epsilon", "0", "epsilon must be positive for a graph with edges"),
+            ("--alpha-a0", "nan", "alpha_a0 must be finite"),
+            ("--alpha-b0", "nan", "alpha_b0 must be finite"),
+            ("--beta-a", "nan", "beta_a must be finite"),
+            ("--mu-v0", "nan", "mu_v0 must be finite"),
+            ("--xi", "nan", "xi must be finite"),
+            ("--xi", "inf", "xi must be finite"),
+            ("--elbo-rel-tol", "nan", "elbo_rel_tol must be finite"),
+        ],
     )
     def test_out_of_range_hyperparameter_exit_one(
         self, dataset, tmp_path, capsys, flag, value, message
@@ -495,6 +507,15 @@ class TestConfigFile:
         defaults = {f.name: f.default for f in fields(RunConfig)}
         for f in fields(Hyperparameters):
             assert defaults[f.name] == f.default, f.name
+        assert RunConfig().hyperparameters() == Hyperparameters()
+        # the broadcast priors are given as one number
+        types = {f.name: f.type for f in fields(RunConfig)}
+        assert [types[name] for name in ("lambda_s0", "mu_v0", "sigma_v0")] == [float] * 3
+        assert list(types) == [
+            "expression", "labels", "gmt", "edges", "out",
+            *(f.name for f in fields(Hyperparameters)),
+            "top_m", "clamp_known",
+        ]
 
     def test_removed_threads_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "old_run_meta"

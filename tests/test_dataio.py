@@ -208,13 +208,18 @@ class TestNumericRows:
 
     @pytest.mark.parametrize("parser", PARSERS)
     def test_float_spellings_parse_as_before(self, parser):
-        # str.strip() removes the \x1c separator and float() does not, so
-        # only the cell-by-cell reading accepts the third cell
-        with pytest.raises(ValueError):
-            float("\x1c-0")
-        matrix = _parse_row_with(parser, "1_000\t\u0661\u0662\t\x1c-0")
+        matrix = _parse_row_with(parser, "1_000\t\u0661\u0662\t\u3000-0 ")
         expected = np.array([[1.0, 2.0, 3.0], [1000.0, 12.0, -0.0]])
         assert matrix.tobytes() == expected.tobytes()
+        # str.strip() removes the \x1c-\x1f separators and float() does
+        # not, so a cell is a number only where float() accepts it
+        for sep in "\x1c\x1d\x1e\x1f":
+            with pytest.raises(ValueError):
+                float(sep + "-0")
+            with pytest.raises(FormatError) as caught:
+                _parse_row_with(parser, f"1_000\t{sep}-0\t3")
+            assert str(caught.value) == f"line 3: non-numeric value {sep + '-0'!r} in column 'G2'"
+            assert caught.value.line == 3
 
 
 class TestMatrixWriters:

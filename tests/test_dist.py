@@ -11,7 +11,6 @@ from pathfact.dist import (
     gamma_expectations,
     log_std_normal_cdf,
     normal_entropy,
-    pi_bar_log_prior,
     std_normal_cdf,
     std_normal_quantile,
     trunc_norm_moments,
@@ -183,41 +182,6 @@ class TestEntropies:
         logq = stats.norm(0.0, np.sqrt(variance)).logpdf(draws)
         se = logq.std() / np.sqrt(logq.size)
         assert abs(entropy - (-logq.mean())) < 3 * se
-
-
-class TestPiBarLogPrior:
-    def test_uniform_beta_leaves_gaussian(self):
-        # beta_a / n_sets = 1 makes the Beta factor uniform
-        val = pi_bar_log_prior(0.0, beta_a=8.0, n_sets=8)
-        assert val == pytest.approx(-0.9189385332046727, abs=1e-9)
-
-    def test_direct_substitution(self):
-        val = pi_bar_log_prior(0.0, beta_a=16.0, n_sets=8)
-        expected = -0.9189385332046727 + np.log(2.0) + np.log(0.5)
-        assert val == pytest.approx(expected, abs=1e-9)
-
-    def test_far_tail_against_log_quadrature(self):
-        a = 0.1
-        tail_mass, _ = integrate.quad(
-            lambda u: np.exp(-0.5 * (8.0 + u) ** 2) / np.sqrt(2 * np.pi), 0, np.inf
-        )
-        oracle = (a - 1.0) * np.log(tail_mass) + np.log(a) + stats.norm.logpdf(-8.0)
-        val = pi_bar_log_prior(-8.0, beta_a=a * 10, n_sets=10)
-        assert np.isfinite(val)
-        assert val == pytest.approx(oracle, abs=1e-6)
-
-    def test_finite_deep_into_tail(self):
-        assert np.isfinite(pi_bar_log_prior(-38.0, beta_a=0.5, n_sets=10))
-
-    @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 2.0])
-    def test_normalizes(self, a):
-        total, _ = integrate.quad(
-            lambda t: np.exp(pi_bar_log_prior(t, beta_a=a * 10, n_sets=10)),
-            -np.inf,
-            np.inf,
-            limit=200,
-        )
-        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestExpectedLogNdtr:

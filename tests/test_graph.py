@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from pathfact.graph import (
-    InteractionGraph,
-    gp_cross_terms,
-    gp_log_prior,
-    normalized_laplacian,
-)
+from pathfact.graph import InteractionGraph, normalized_laplacian
 
 
 def random_graph(n_nodes, edge_prob, rng):
@@ -140,74 +135,3 @@ class TestNormalizedLaplacian:
         g = InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): 1.0})
         with pytest.raises(ValueError):
             normalized_laplacian(g, jitter=0.0)
-
-
-class TestGpLogPrior:
-    def small_operator(self):
-        g = InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): 1.0})
-        return normalized_laplacian(g, jitter=0.1)
-
-    def test_zero_vector_is_mode(self):
-        lap = self.small_operator()
-        at_zero = gp_log_prior(np.zeros(2), lap)
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            assert gp_log_prior(rng.normal(size=2), lap) <= at_zero
-
-    def test_hand_quadratic_form(self):
-        lap = self.small_operator()
-        # precision [[1.1, -1], [-1, 1.1]]
-        at_zero = gp_log_prior(np.zeros(2), lap)
-        rough = 2.0 * (at_zero - gp_log_prior(np.array([1.0, -1.0]), lap))
-        smooth = 2.0 * (at_zero - gp_log_prior(np.array([1.0, 1.0]), lap))
-        assert rough == pytest.approx(4.2, abs=1e-12)
-        assert smooth == pytest.approx(0.2, abs=1e-12)
-        assert smooth < rough
-
-    def test_smooth_beats_alternating_on_connected_graph(self):
-        labels = tuple(f"n{i}" for i in range(6))
-        edges = {(labels[i], labels[i + 1]): 1.0 for i in range(5)}
-        lap = normalized_laplacian(InteractionGraph(node_labels=labels, edges=edges), 0.05)
-        const = np.ones(6)
-        alternating = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-        alternating *= np.linalg.norm(const) / np.linalg.norm(alternating)
-        assert gp_log_prior(const, lap) > gp_log_prior(alternating, lap)
-
-    def test_dimension_mismatch(self):
-        lap = self.small_operator()
-        with pytest.raises(ValueError):
-            gp_log_prior(np.zeros(3), lap)
-
-
-class TestGpCrossTerms:
-    def test_zero_mean_gives_trace(self):
-        g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0})
-        lap = normalized_laplacian(g, jitter=0.2)
-        c = 0.7
-        out = gp_cross_terms(np.zeros((3, 4)), np.full((3, 4), c), lap)
-        expected = c * lap.precision.diagonal().sum()
-        np.testing.assert_allclose(out, expected)
-
-    def test_vanishing_variance_reduces_to_quadratic_form(self):
-        g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0})
-        lap = normalized_laplacian(g, jitter=0.2)
-        rng = np.random.default_rng(4)
-        mu = rng.normal(size=(3, 2))
-        out = gp_cross_terms(mu, np.full((3, 2), 1e-300), lap)
-        for r in range(2):
-            quad = 2.0 * (gp_log_prior(np.zeros(3), lap) - gp_log_prior(mu[:, r], lap))
-            assert out[r] == pytest.approx(quad, rel=1e-12)
-
-    def test_monte_carlo_oracle(self):
-        rng = np.random.default_rng(5)
-        g = InteractionGraph(
-            node_labels=("a", "b", "c", "d"),
-            edges={("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0},
-        )
-        lap = normalized_laplacian(g, jitter=0.1)
-        mu = rng.normal(size=(4, 1))
-        var = rng.uniform(0.2, 2.0, size=(4, 1))
-        samples = mu[:, 0] + np.sqrt(var[:, 0]) * rng.standard_normal((1_000_000, 4))
-        quads = np.einsum("ij,ij->i", samples @ lap.precision.toarray(), samples)
-        se = quads.std() / np.sqrt(quads.size)
-        assert abs(gp_cross_terms(mu, var, lap)[0] - quads.mean()) < 3 * se

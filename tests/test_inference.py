@@ -768,14 +768,16 @@ class TestTrialValues:
 
 class TestFit:
     def test_computes_moments_once_per_state(self, monkeypatch):
-        """Moments are computed once for the initial state (read by the
-        warm-up coupling pass), once for the state after it (read by the
-        sweep-0 objective check and the first noise block), and once after
-        each block that changes a moment: association, basis, cluster and
-        coupling. The noise block changes none, so its objective check reuses
-        the moments it read. Three sweeps: 2 + 4 * 3 = 14 calls, beside
-        1 + 5 * 3 = 16 objective checks."""
-        counts = {"factor_moments": 0, "regularized_objective": 0}
+        """Moments are computed in full once, for the initial state read by
+        the warm-up coupling pass. After that, each block that changes a
+        moment recomputes the side it changed: the W side after the warm-up,
+        the basis and the coupling blocks, the A side after the association
+        and the cluster blocks. The noise block changes none, so its
+        objective check reuses the moments it read. Three sweeps: 2 + 4 * 3
+        = 14 calls, beside 1 + 5 * 3 = 16 objective checks. X E[W] is formed
+        by the full pass and each W side, 2 + 2 * 3 = 8 times, where
+        recomputing both sides formed it 14 times."""
+        counts = {"factor_moments": 0, "regularized_objective": 0, "x_ew": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -794,9 +796,47 @@ class TestFit:
         )
         rng = np.random.default_rng(19)
         data = make_dataset(rng, n=10, d=8, k=2, r=3)
+
+        class CountedX(np.ndarray):
+            """X that counts its products X @ (D x R); X^T @ A is not one."""
+
+            def __matmul__(self, other):
+                if self.shape == data.X.shape:
+                    counts["x_ew"] += 1
+                return np.asarray(self) @ other
+
+        object.__setattr__(data, "X", data.X.view(CountedX))
         report = fit(data, default_hyper(max_sweeps=3))
         assert report.sweeps == 3
-        assert counts == {"factor_moments": 2 + 4 * 3, "regularized_objective": 1 + 5 * 3}
+        assert counts == {
+            "factor_moments": 2 + 4 * 3,
+            "regularized_objective": 1 + 5 * 3,
+            "x_ew": 2 + 2 * 3,
+        }
+
+    def test_refreshed_moments_equal_fresh_moments(self, monkeypatch):
+        """After every block, the moments the fit holds, each side either
+        recomputed or kept, equal a fresh pass over the state byte for
+        byte in every field."""
+        checks = []
+
+        def objective(state, data, rh, lap=None, mom=None):
+            fresh = vars(model.factor_moments(state, data, rh))
+            held = vars(mom)
+            assert held.keys() == fresh.keys()
+            for name, value in fresh.items():
+                kept = np.asarray(held[name])
+                assert kept.dtype == value.dtype and kept.shape == value.shape, name
+                assert kept.tobytes() == value.tobytes(), name
+            checks.append(state)
+            return model.regularized_objective(state, data, rh, lap=lap, mom=mom)
+
+        monkeypatch.setattr(inference, "regularized_objective", objective)
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=12, d=9, k=3, r=4, mask_prob=0.4)
+        report = fit(data, default_hyper(max_sweeps=3, xi=5.0))
+        assert report.sweeps == 3
+        assert len(checks) == 1 + 5 * 3
 
     def test_small_instance_converges_monotone(self):
         rng = np.random.default_rng(15)

@@ -21,6 +21,7 @@ from pathfact.model import (
     elbo_terms,
     expected_reconstruction,
     expected_sq_residual,
+    membership_terms,
     mix_cluster,
     rank_sets,
     regularized_objective,
@@ -440,6 +441,132 @@ class TestElbo:
             elbo(huge, data2, default_hyper())
 
 
+def gmrf_expectation(mu, var, lap):
+    """E[g^T P g], summed over the columns of q(g) = N(mu, var), from the
+    GMRF prior's two parts in the shared membership terms."""
+    r = mu.shape[1]
+    terms, _ = membership_terms(
+        (mu, var, np.log(var)),
+        (np.zeros(r), np.ones(r), np.zeros(r)),
+        np.zeros_like(mu),
+        (np.array([], dtype=int), np.array([], dtype=int)),
+        default_hyper(),
+        lap,
+    )
+    return -2.0 * (terms["coupling_prior_mean"] + terms["coupling_prior_var"])
+
+
+def quadratic_form(g, lap):
+    """g^T P g of one column, as the variance of q(g) vanishes."""
+    return gmrf_expectation(g[:, None], np.full((g.size, 1), 1e-300), lap)
+
+
+class TestGmrfPrior:
+    def small_operator(self):
+        g = InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): 1.0})
+        return normalized_laplacian(g, jitter=0.1)
+
+    def test_zero_vector_is_mode(self):
+        lap = self.small_operator()
+        at_zero = quadratic_form(np.zeros(2), lap)
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            assert quadratic_form(rng.normal(size=2), lap) >= at_zero
+
+    def test_hand_quadratic_form(self):
+        lap = self.small_operator()
+        # precision [[1.1, -1], [-1, 1.1]]
+        rough = quadratic_form(np.array([1.0, -1.0]), lap)
+        smooth = quadratic_form(np.array([1.0, 1.0]), lap)
+        assert rough == pytest.approx(4.2, abs=1e-12)
+        assert smooth == pytest.approx(0.2, abs=1e-12)
+
+    def test_smooth_beats_alternating_on_connected_graph(self):
+        labels = tuple(f"n{i}" for i in range(6))
+        edges = {(labels[i], labels[i + 1]): 1.0 for i in range(5)}
+        lap = normalized_laplacian(InteractionGraph(node_labels=labels, edges=edges), 0.05)
+        const = np.ones(6)
+        alternating = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        alternating *= np.linalg.norm(const) / np.linalg.norm(alternating)
+        assert quadratic_form(const, lap) < quadratic_form(alternating, lap)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            self.small_operator().apply_precision(np.zeros(3))
+
+    def test_zero_mean_gives_trace(self):
+        g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0})
+        lap = normalized_laplacian(g, jitter=0.2)
+        c = 0.7
+        out = gmrf_expectation(np.zeros((3, 4)), np.full((3, 4), c), lap)
+        assert out == pytest.approx(4 * c * lap.precision.diagonal().sum(), rel=1e-14)
+
+    def test_vanishing_variance_reduces_to_quadratic_form(self):
+        g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0})
+        lap = normalized_laplacian(g, jitter=0.2)
+        dense = lap.precision.toarray()
+        mu = np.random.default_rng(4).normal(size=(3, 2))
+        for r in range(2):
+            assert quadratic_form(mu[:, r], lap) == pytest.approx(
+                mu[:, r] @ dense @ mu[:, r], rel=1e-12
+            )
+
+    def test_monte_carlo_oracle(self):
+        rng = np.random.default_rng(5)
+        g = InteractionGraph(
+            node_labels=("a", "b", "c", "d"),
+            edges={("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0},
+        )
+        lap = normalized_laplacian(g, jitter=0.1)
+        mu = rng.normal(size=(4, 1))
+        var = rng.uniform(0.2, 2.0, size=(4, 1))
+        samples = mu[:, 0] + np.sqrt(var[:, 0]) * rng.standard_normal((1_000_000, 4))
+        quads = np.einsum("ij,ij->i", samples @ lap.precision.toarray(), samples)
+        se = quads.std() / np.sqrt(quads.size)
+        assert abs(gmrf_expectation(mu, var, lap) - quads.mean()) < 3 * se
+
+
+ONE_NODE_LAP = normalized_laplacian(InteractionGraph(node_labels=("G0",)), 0.05)
+
+
+def sparsity_log_prior(pi_bar, a):
+    """log p(pi_bar) for one set with a = beta_a / R: the ELBO's sparsity
+    prior term when q(pi_bar) puts its mass on ``pi_bar``."""
+    data, state, _ = one_by_one_instance()
+    state = state.updated(sparsity=NormalParams([pi_bar], [1e-300]))
+    return elbo_terms(state, data, default_hyper(beta_a=a), lap=ONE_NODE_LAP)["sparsity_prior"]
+
+
+class TestSparsityPrior:
+    """The probit Beta-Bernoulli prior: Beta(Phi(pi_bar) | a, 1) N(pi_bar | 0, 1)."""
+
+    def test_uniform_beta_leaves_gaussian(self):
+        # a = 1 makes the Beta factor uniform
+        assert sparsity_log_prior(0.0, 1.0) == pytest.approx(-0.9189385332046727, abs=1e-9)
+
+    def test_direct_substitution(self):
+        expected = -0.9189385332046727 + np.log(2.0) + np.log(0.5)
+        assert sparsity_log_prior(0.0, 2.0) == pytest.approx(expected, abs=1e-9)
+
+    def test_far_tail_against_log_quadrature(self):
+        a = 0.1
+        tail_mass, _ = integrate.quad(
+            lambda u: np.exp(-0.5 * (8.0 + u) ** 2) / np.sqrt(2 * np.pi), 0, np.inf
+        )
+        oracle = (a - 1.0) * np.log(tail_mass) + np.log(a) + stats.norm.logpdf(-8.0)
+        assert sparsity_log_prior(-8.0, a) == pytest.approx(oracle, abs=1e-6)
+
+    def test_finite_deep_into_tail(self):
+        assert np.isfinite(sparsity_log_prior(-38.0, 0.05))
+
+    @pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 2.0])
+    def test_normalizes(self, a):
+        total, _ = integrate.quad(
+            lambda t: np.exp(sparsity_log_prior(t, a)), -np.inf, np.inf, limit=200
+        )
+        assert total == pytest.approx(1.0, abs=1e-6)
+
+
 class TestRegularizedObjective:
     def test_zero_xi(self):
         rng = np.random.default_rng(12)
@@ -543,6 +670,18 @@ class TestSummarize:
         res = summarize(state, data, default_hyper(), clamp_known=True)
         rows, cols = data.mask_indices()
         assert np.all(res.z_marginal[rows, cols] == 1.0)
+
+
+class TestHyperparameters:
+    @pytest.mark.parametrize(
+        "name, value", [("lambda_s0", [1.0, np.inf]), ("sigma_v0", np.nan), ("zeta", np.nan)]
+    )
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            default_hyper(**{name: value})
+
+    def test_int_beyond_float_range_accepted(self):
+        assert default_hyper(seed=10**400).seed == 10**400
 
 
 class TestObservationSetValidation:
