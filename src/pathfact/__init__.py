@@ -19,7 +19,6 @@ from .model import (
     expected_reconstruction,
     expected_sq_residual,
     mix_cluster,
-    rank_sets,
     regularized_objective,
     summarize,
     z_marginal,
@@ -65,7 +64,6 @@ __all__ = [
     "load_gmt",
     "mix_cluster",
     "normalized_laplacian",
-    "rank_sets",
     "regularized_objective",
     "score",
     "summarize",

@@ -261,7 +261,12 @@ def cmd_fit(argv) -> int:
 
     report = fit(data, hyper)
     result = summarize(
-        report.state, data, hyper, top_m=config.top_m, clamp_known=config.clamp_known
+        report.state,
+        data,
+        hyper,
+        top_m=config.top_m,
+        clamp_known=config.clamp_known,
+        mom=report.moments,
     )
 
     out = Path(config.out)

@@ -3,7 +3,10 @@
 Formats:
   - gene sets: GMT, tab separated: set_id, description, member labels
   - interactions: edge list, whitespace separated, optional weight, '#' comments
-  - expression: TSV matrix with a feature-id header row and sample-id row keys
+  - labeled matrix: TSV with a header row of a corner cell and the column ids,
+    then one row id and one value per column on each row; used by the
+    expression matrix (sample rows, feature columns) and every fit and truth
+    matrix
   - labels: two-column TSV of sample_id, cluster_label
 
 Feature identity is exact string match after trimming surrounding
@@ -41,15 +44,6 @@ _NUMBER = "%.17g"
 def format_number(x) -> str:
     """Canonical 17-significant-digit rendering used by every writer."""
     return _NUMBER % float(x)
-
-
-def _format_rows(row_ids, matrix) -> str:
-    """One TSV line per row: its id, then each value as :func:`format_number`
-    renders it, through one ``%`` template per matrix."""
-    template = "\t".join([_NUMBER] * matrix.shape[1])
-    return "".join(
-        f"{rid}\t{template % tuple(row)}\n" for rid, row in zip(row_ids, matrix.tolist())
-    )
 
 
 @dataclass(frozen=True)
@@ -246,43 +240,10 @@ def _parse_row(tokens, lineno, column_names):
 
 
 def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
-    """Parse the expression TSV and the sample-label TSV together.
-
-    Samples without a label are dropped with a warning; a ragged row or a
-    bad cell is an error naming its coordinates.
-    """
-    rows = []
-    sample_ids = []
-    seen_ids = set()
-    feature_ids = None
-    for lineno, raw in enumerate(matrix_lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if feature_ids is None:
-            feature_ids = tuple(f.strip() for f in fields[1:])
-            if not feature_ids:
-                raise FormatError("header row declares no features", line=lineno)
-            if any(not f for f in feature_ids):
-                raise FormatError("empty feature id in header", line=lineno)
-            continue
-        sample_id = fields[0].strip()
-        if not sample_id:
-            raise FormatError("missing sample id", line=lineno)
-        if sample_id in seen_ids:
-            raise FormatError(f"duplicate expression row for sample {sample_id!r}", line=lineno)
-        values = fields[1:]
-        if len(values) != len(feature_ids):
-            raise FormatError(
-                f"row for {sample_id!r} has {len(values)} values, expected {len(feature_ids)}",
-                line=lineno,
-            )
-        rows.append(_parse_row(values, lineno, feature_ids))
-        sample_ids.append(sample_id)
-        seen_ids.add(sample_id)
-    if feature_ids is None:
-        raise FormatError("expression matrix is empty")
+    """Parse the expression matrix (see :func:`parse_labeled_matrix`) and the
+    sample-label TSV together. Samples without a label are dropped with a
+    warning."""
+    sample_ids, feature_ids, matrix = parse_labeled_matrix(matrix_lines)
 
     label_map = {}
     for lineno, raw in enumerate(label_lines, start=1):
@@ -296,30 +257,28 @@ def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
             raise FormatError(f"duplicate label for sample {fields[0]!r}", line=lineno)
         label_map[fields[0]] = fields[1]
 
-    keep, dropped = [], []
-    for i, sid in enumerate(sample_ids):
-        (keep if sid in label_map else dropped).append(i)
+    dropped = [sid for sid in sample_ids if sid not in label_map]
     if dropped:
-        names = ", ".join(sample_ids[i] for i in dropped[:5])
+        names = ", ".join(dropped[:5])
         warnings.warn(f"{len(dropped)} sample(s) missing cluster labels dropped: {names}")
-    if not keep:
+        keep = [i for i, sid in enumerate(sample_ids) if sid in label_map]
+        sample_ids = tuple(sample_ids[i] for i in keep)
+        matrix = matrix[keep]
+    if not sample_ids:
         raise FormatError("no labelled samples remain")
-    matrix = np.asarray([rows[i] for i in keep], dtype=float)
-    kept_ids = tuple(sample_ids[i] for i in keep)
     return LabeledExpression(
-        sample_ids=kept_ids,
+        sample_ids=sample_ids,
         feature_ids=feature_ids,
         matrix=matrix,
-        labels=tuple(label_map[sid] for sid in kept_ids),
+        labels=tuple(label_map[sid] for sid in sample_ids),
     )
 
 
 def write_expression(expr: LabeledExpression):
     """Canonical matrix and label TSVs; returns (matrix_text, label_text)."""
-    header = "sample_id\t" + "\t".join(expr.feature_ids) + "\n"
-    body = _format_rows(expr.sample_ids, expr.matrix)
+    matrix = write_labeled_matrix(expr.sample_ids, expr.feature_ids, expr.matrix, "sample_id")
     labels = "".join(f"{sid}\t{lab}\n" for sid, lab in zip(expr.sample_ids, expr.labels))
-    return header + body, labels
+    return matrix, labels
 
 
 def align(
@@ -377,19 +336,27 @@ def align(
 
 
 def write_labeled_matrix(row_ids, col_ids, matrix, corner="row_id") -> str:
-    """Labeled TSV with 17-significant-digit values (round-trips exactly)."""
+    """Labeled TSV with 17-significant-digit values (round-trips exactly):
+    each value as :func:`format_number` renders it, through one ``%``
+    template per matrix."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (len(row_ids), len(col_ids)):
         raise ValueError("matrix shape does not match label lists")
-    header = corner + "\t" + "\t".join(col_ids) + "\n"
-    return header + _format_rows(row_ids, matrix)
+    template = "\t".join([_NUMBER] * matrix.shape[1])
+    return f"{corner}\t" + "\t".join(col_ids) + "\n" + "".join(
+        f"{rid}\t{template % tuple(row)}\n" for rid, row in zip(row_ids, matrix.tolist())
+    )
 
 
 def parse_labeled_matrix(lines):
-    """Inverse of :func:`write_labeled_matrix`: (row_ids, col_ids, matrix)."""
+    """Inverse of :func:`write_labeled_matrix`: (row_ids, col_ids, matrix).
+
+    Blank lines are skipped. Ids are trimmed; there must be at least one
+    column, and no id may be empty or repeat among the columns or among
+    the rows. A ragged row or a bad cell is an error naming its line.
+    """
     col_ids = None
-    row_ids = []
-    rows = []
+    rows = {}  # row id -> values, in file order
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -397,16 +364,31 @@ def parse_labeled_matrix(lines):
         fields = line.split("\t")
         if col_ids is None:
             col_ids = tuple(f.strip() for f in fields[1:])
+            if not col_ids:
+                raise FormatError("header row declares no columns", line=lineno)
+            seen = set()
+            for col in col_ids:
+                if not col:
+                    raise FormatError("empty column id in header", line=lineno)
+                if col in seen:
+                    raise FormatError(f"duplicate column id {col!r} in header", line=lineno)
+                seen.add(col)
             continue
+        row_id = fields[0].strip()
+        if not row_id:
+            raise FormatError("missing row id", line=lineno)
+        if row_id in rows:
+            raise FormatError(f"duplicate row id {row_id!r}", line=lineno)
         if len(fields) != len(col_ids) + 1:
             raise FormatError(
-                f"expected {len(col_ids) + 1} fields, got {len(fields)}", line=lineno
+                f"row for {row_id!r} has {len(fields) - 1} values, expected {len(col_ids)}",
+                line=lineno,
             )
-        row_ids.append(fields[0].strip())
-        rows.append(_parse_row(fields[1:], lineno, col_ids))
+        rows[row_id] = _parse_row(fields[1:], lineno, col_ids)
     if col_ids is None:
         raise FormatError("empty matrix file")
-    return tuple(row_ids), col_ids, np.asarray(rows, dtype=float)
+    matrix = np.asarray(list(rows.values()), dtype=float).reshape(len(rows), len(col_ids))
+    return tuple(rows), col_ids, matrix
 
 
 def load_labeled_matrix(path):

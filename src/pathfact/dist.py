@@ -18,11 +18,6 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_GH_ORDER)
 _GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(np.pi)
 
 
-def _as_float_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr
-
-
 @dataclass(frozen=True)
 class GammaParams:
     """Shape/rate parameters of a Gamma distribution (arrays broadcast together)."""
@@ -31,7 +26,9 @@ class GammaParams:
     rate: np.ndarray
 
     def __post_init__(self):
-        a, b = np.broadcast_arrays(_as_float_array(self.shape), _as_float_array(self.rate))
+        a, b = np.broadcast_arrays(
+            np.asarray(self.shape, dtype=float), np.asarray(self.rate, dtype=float)
+        )
         object.__setattr__(self, "shape", a.copy())
         object.__setattr__(self, "rate", b.copy())
         if not np.all(self.shape > 0):
@@ -53,7 +50,7 @@ class TruncatedNormalParams:
 
     def __post_init__(self):
         loc, sc = np.broadcast_arrays(
-            _as_float_array(self.location), _as_float_array(self.scale_sq)
+            np.asarray(self.location, dtype=float), np.asarray(self.scale_sq, dtype=float)
         )
         object.__setattr__(self, "location", loc.copy())
         object.__setattr__(self, "scale_sq", sc.copy())
@@ -72,7 +69,7 @@ class NormalParams:
 
     def __post_init__(self):
         mean, var = np.broadcast_arrays(
-            _as_float_array(self.mean), _as_float_array(self.variance)
+            np.asarray(self.mean, dtype=float), np.asarray(self.variance, dtype=float)
         )
         object.__setattr__(self, "mean", mean.copy())
         object.__setattr__(self, "variance", var.copy())
@@ -82,29 +79,16 @@ class NormalParams:
             raise ValueError("normal variance must be positive")
 
 
-def std_normal_cdf(x):
-    """Standard normal CDF. Rejects non-finite input."""
-    x = _as_float_array(x)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("std_normal_cdf requires finite input")
-    return special.ndtr(x)
-
-
 def std_normal_quantile(p):
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
-    p = _as_float_array(p)
+    p = np.asarray(p, dtype=float)
     if not np.all((p > 0.0) & (p < 1.0)):
         raise ValueError("std_normal_quantile requires 0 < p < 1")
     return special.ndtri(p)
 
 
-def log_std_normal_cdf(x):
-    """log(Phi(x)), stable far into the lower tail."""
-    return special.log_ndtr(_as_float_array(x))
-
-
 def std_normal_pdf(x):
-    x = _as_float_array(x)
+    x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x - 0.5 * LOG_2PI)
 
 
@@ -114,7 +98,7 @@ def pdf_over_cdf(h):
     Uses the scaled complementary error function on the negative branch;
     the plain ratio is fine on the positive one.
     """
-    h = _as_float_array(h)
+    h = np.asarray(h, dtype=float)
     out = np.empty_like(h)
     neg = h < 0.0
     # erfcx(-h/sqrt(2)) stays representable for any negative h
@@ -131,8 +115,8 @@ def trunc_norm_moments(location, scale_sq):
     Stable down to location / sqrt(scale_sq) around -38, where nearly all
     prior mass sits below the truncation point.
     """
-    location = _as_float_array(location)
-    scale_sq = _as_float_array(scale_sq)
+    location = np.asarray(location, dtype=float)
+    scale_sq = np.asarray(scale_sq, dtype=float)
     if not np.all(scale_sq > 0):
         raise ValueError("scale_sq must be positive")
     location, scale_sq = np.broadcast_arrays(location, scale_sq)
@@ -157,13 +141,13 @@ def gamma_expectations(params: GammaParams):
 
 
 def normal_entropy(variance):
-    return 0.5 * (LOG_2PI + 1.0) + 0.5 * np.log(_as_float_array(variance))
+    return 0.5 * (LOG_2PI + 1.0) + 0.5 * np.log(np.asarray(variance, dtype=float))
 
 
 def expected_log_ndtr(mean, variance):
     """Gauss-Hermite estimate of E[log Phi(x)] for x ~ N(mean, variance)."""
-    mean = _as_float_array(mean)
-    variance = _as_float_array(variance)
+    mean = np.asarray(mean, dtype=float)
+    variance = np.asarray(variance, dtype=float)
     z = mean[..., None] + np.sqrt(2.0 * variance)[..., None] * _GH_NODES
     return special.log_ndtr(z) @ _GH_WEIGHTS
 
@@ -174,8 +158,8 @@ def expected_log_ndtr_grad(mean, variance):
     Differentiates the quadrature itself, so finite differences of the
     quadrature value match these gradients to rounding error.
     """
-    mean = _as_float_array(mean)
-    variance = _as_float_array(variance)
+    mean = np.asarray(mean, dtype=float)
+    variance = np.asarray(variance, dtype=float)
     root = np.sqrt(2.0 * variance)[..., None]
     z = mean[..., None] + root * _GH_NODES
     ratio = pdf_over_cdf(z)

@@ -65,9 +65,10 @@ class GradientBlockConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a fit: final state, trace, stop reason, block timings, and
+    """Outcome of a fit: final state, trace, stop reason, block timings,
     per gradient block the number of line searches that stalled and of
-    objective evaluations they made."""
+    objective evaluations they made, and the final state's moments (see
+    :func:`factor_moments`)."""
 
     state: VariationalState
     trace: ElboTrace
@@ -76,6 +77,7 @@ class FitReport:
     block_seconds: dict = field(default_factory=dict)
     stalled: dict = field(default_factory=dict)
     evaluations: dict = field(default_factory=dict)
+    moments: object = None
 
     @property
     def converged(self):
@@ -318,7 +320,7 @@ class _CouplingProblem:
         self.a2_sum = mom.a2_sum
         self.gram_a = mom.aa
         self.proj = data.X.T @ mom.a  # (D, R)
-        self.mask = data.mask_indices()
+        self.mask = data.mask_indices
         self.penalized = self.mask[0].size > 0 and rh.xi > 0
         self.shape = mom.v_mean.shape
         self.a_beta = rh.beta_a / data.n_sets
@@ -574,4 +576,5 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         block_seconds=block_seconds,
         stalled=stalled,
         evaluations=evaluations,
+        moments=mom,
     )

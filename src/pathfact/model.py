@@ -94,9 +94,13 @@ class ObservationSet:
     def n_sets(self):
         return self.Z0.shape[1]
 
+    @cached_property
     def mask_indices(self):
-        """Known-membership indices (rows, cols), sorted by (row, col)."""
-        return np.nonzero(self.Z0)
+        """Known-membership indices (rows, cols), sorted by (row, col),
+        computed once per dataset and read-only."""
+        rows, cols = np.nonzero(self.Z0)
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
 
     @cached_property
     def x_sq(self):
@@ -416,7 +420,7 @@ def elbo_terms(state: VariationalState, data: ObservationSet, hyper, lap=None, m
         (coupling.mean, coupling.variance, np.log(coupling.variance)),
         (sparsity.mean, sparsity.variance, np.log(sparsity.variance)),
         mom.t,
-        data.mask_indices(),
+        data.mask_indices,
         hyper,
         lap,
     )
@@ -468,39 +472,32 @@ def rank_row(row, set_ids, top_m: int):
     return [(set_ids[j], float(row[j])) for j in order[:top_m]]
 
 
-def rank_sets(result: AssociationResult, cluster_index: int, top_m: int):
-    """Top sets for one cluster, scored by posterior association mean."""
-    if not 0 <= cluster_index < result.assoc_mean.shape[0]:
-        raise ValueError(f"cluster index {cluster_index} out of range")
-    return rank_row(result.assoc_mean[cluster_index], result.set_ids, top_m)
-
-
 def summarize(
     state: VariationalState,
     data: ObservationSet,
     hyper,
     top_m: int = 5,
     clamp_known: bool = False,
+    mom=None,
 ) -> AssociationResult:
-    """Posterior summary used for reporting and serialization.
+    """Posterior summary used for reporting and serialization; each
+    cluster's sets are ranked by posterior association mean.
 
     ``clamp_known`` optionally reports q(Z=1) as exactly 1 on the curated
-    mask without altering the fitted state.
+    mask without altering the fitted state. ``mom`` are the moments of
+    ``state`` when the caller holds them, as :class:`FitReport` does.
     """
-    hyper = hyper.resolve(data)
-    mom = factor_moments(state, data, hyper)
+    mom = mom or factor_moments(state, data, hyper)
     z_marg = mom.rho.copy()
     if clamp_known:
-        rows, cols = data.mask_indices()
+        rows, cols = data.mask_indices
         z_marg[rows, cols] = 1.0
-    partial = AssociationResult(
+    top_m = min(top_m, data.n_sets)
+    return AssociationResult(
         assoc_mean=mom.s_mean,
         z_marginal=z_marg,
         u_mixed=mom.u,
-        ranked=(),
+        ranked=tuple(rank_row(row, data.set_ids, top_m) for row in mom.s_mean),
         cluster_ids=data.cluster_ids,
         set_ids=data.set_ids,
     )
-    top_m = min(top_m, data.n_sets)
-    ranked = tuple(rank_sets(partial, k, top_m) for k in range(data.n_clusters))
-    return replace(partial, ranked=ranked)

@@ -321,7 +321,7 @@ def test_criterion_7_constraint_pressure():
         )
         rep = fit(data, hyper)
         mom = factor_moments(rep.state, data, hyper)
-        rows, cols = data.mask_indices()
+        rows, cols = data.mask_indices
         lowest = float(mom.rho[rows, cols].min())
         worst = min(worst, lowest)
         assert lowest >= 0.99, f"seed {seed}: min known-membership marginal {lowest}"

@@ -7,7 +7,7 @@ import pytest
 import scipy
 
 import pathfact
-from pathfact import dataio
+from pathfact import cli, dataio, inference, model
 from pathfact.cli import (
     EXIT_DATA,
     EXIT_MAX_SWEEPS,
@@ -260,6 +260,41 @@ class TestFit:
         assert capsys.readouterr().err == "error: top_m must be at least 1, got 0\n"
         assert not out.exists()
 
+    def test_repeated_gene_in_header_exit_one(self, dataset, tmp_path, capsys):
+        expression = tmp_path / "expression.tsv"
+        lines = (dataset / "expression.tsv").read_text().splitlines(keepends=True)
+        header = lines[0].split("\t")
+        header[2] = header[1]
+        expression.write_text("\t".join(header) + "".join(lines[1:]))
+        args = fit_args(dataset, tmp_path / "out")
+        args[args.index("--expression") + 1] = str(expression)
+        assert main(args) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: line 1: duplicate column id {header[1]!r} in header\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_summary_computes_no_moments(self, dataset, tmp_path, monkeypatch):
+        """The summary reads the final moments fit() returns, so every
+        factor_moments call of a CLI fit is made inside fit()."""
+        calls = {"all": 0, "in_fit": 0}
+        factor_moments, fit = model.factor_moments, cli.fit
+
+        def moments(*args, **kwargs):
+            calls["all"] += 1
+            return factor_moments(*args, **kwargs)
+
+        def counted_fit(*args, **kwargs):
+            before = calls["all"]
+            report = fit(*args, **kwargs)
+            calls["in_fit"] += calls["all"] - before
+            return report
+
+        monkeypatch.setattr(model, "factor_moments", moments)
+        monkeypatch.setattr(inference, "factor_moments", moments)
+        monkeypatch.setattr(cli, "fit", counted_fit)
+        main(fit_args(dataset, tmp_path / "out", extra=["--max-sweeps", "2"]))
+        assert calls["in_fit"] > 0 and calls["all"] == calls["in_fit"]
+
     def test_max_sweeps_exit_three(self, dataset, tmp_path):
         out = tmp_path / "short"
         code = main(fit_args(dataset, out, extra=["--max-sweeps", "1"]))
@@ -483,6 +518,26 @@ class TestEvalAndRank:
             )
             == EXIT_DATA
         )
+
+
+    @pytest.mark.parametrize("repeat", ["set", "cluster"])
+    def test_rank_repeated_id_exit_one(self, fitted, tmp_path, capsys, repeat):
+        lines = (fitted / "association.tsv").read_text().splitlines(keepends=True)
+        if repeat == "set":
+            header = lines[0].split("\t")
+            header[2] = header[1]
+            lines[0] = "\t".join(header)
+            message = f"line 1: duplicate column id {header[1]!r} in header"
+        else:
+            lines.append(lines[1])
+            row_id = lines[1].split("\t")[0]
+            message = f"line {len(lines)}: duplicate row id {row_id!r}"
+        association = tmp_path / "association.tsv"
+        association.write_text("".join(lines))
+        args = ["rank", "--association", str(association), "--top-m", "1"]
+        assert main(args) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "ranked_sets.tsv").exists()
 
 
 class TestConfigFile:

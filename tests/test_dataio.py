@@ -133,10 +133,12 @@ class TestParseExpression:
         assert out.matrix.shape == (1, 2)
 
     def test_duplicate_sample_row(self):
-        with pytest.raises(FormatError, match="duplicate expression row"):
+        with pytest.raises(FormatError) as caught:
             parse_expression(
                 ["s\tG1\n", "S1\t1\n", "S1\t2\n"], ["S1\tx\n"]
             )
+        assert str(caught.value) == "line 3: duplicate row id 'S1'"
+        assert caught.value.line == 3
 
     def test_duplicate_label_line(self):
         with pytest.raises(FormatError, match="duplicate label"):
@@ -155,12 +157,16 @@ def _conversion(convert, token):
         return "ValueError"
 
 
+def _parse_with(parser, lines):
+    """The matrix ``parser`` reads from ``lines``; samples S0-S2 are labelled."""
+    if parser == "expression":
+        return parse_expression(lines, ["S0\tk\n", "S1\tk\n", "S2\tk\n"]).matrix
+    return parse_labeled_matrix(lines)[2]
+
+
 def _parse_row_with(parser, row):
     """Parse a header, one good row (line 2) and ``row`` (line 3)."""
-    lines = ["id\tG1\tG2\tG3\n", "S0\t1\t2\t3\n", f"S1\t{row}\n"]
-    if parser == "expression":
-        return parse_expression(lines, ["S0\tk\n", "S1\tk\n"]).matrix
-    return parse_labeled_matrix(lines)[2]
+    return _parse_with(parser, ["id\tG1\tG2\tG3\n", "S0\t1\t2\t3\n", f"S1\t{row}\n"])
 
 
 class TestNumericRows:
@@ -220,6 +226,54 @@ class TestNumericRows:
                 _parse_row_with(parser, f"1_000\t{sep}-0\t3")
             assert str(caught.value) == f"line 3: non-numeric value {sep + '-0'!r} in column 'G2'"
             assert caught.value.line == 3
+
+
+class TestLabeledMatrixIds:
+    """Every labeled matrix, the expression matrix among them, follows one
+    set of id rules, each broken rule an error naming its line."""
+
+    @pytest.mark.parametrize("parser", TestNumericRows.PARSERS)
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["\n", "id\n", "S0\n"], "line 2: header row declares no columns"),
+            (["id\tG1\t\tG3\n", "S0\t1\t2\t3\n"], "line 1: empty column id in header"),
+            (["id\tG1\t \n", "S0\t1\t2\n"], "line 1: empty column id in header"),
+            (
+                ["id\tG1\tG2\t G1 \n", "S0\t1\t2\t3\n"],
+                "line 1: duplicate column id 'G1' in header",
+            ),
+            (["id\tG1\n", "S0\t1\n", "\t2\n"], "line 3: missing row id"),
+            (["id\tG1\n", "S0\t1\n", "\n", " S0\t2\n"], "line 4: duplicate row id 'S0'"),
+            (
+                ["id\tG1\tG2\n", "S0\t1\t2\t3\n"],
+                "line 2: row for 'S0' has 3 values, expected 2",
+            ),
+            (["id\tG1\tG2\n", "S0\n"], "line 2: row for 'S0' has 0 values, expected 2"),
+            (["\n", " \n"], "empty matrix file"),
+        ],
+        ids=[
+            "no_columns", "empty_column", "blank_column", "duplicate_column",
+            "missing_row_id", "duplicate_row", "long_row", "bare_row_id", "empty_file",
+        ],
+    )
+    def test_id_rule_message(self, parser, lines, message):
+        with pytest.raises(FormatError) as caught:
+            _parse_with(parser, lines)
+        assert str(caught.value) == message
+
+    def test_header_only_matrix_is_two_dimensional(self):
+        row_ids, col_ids, matrix = parse_labeled_matrix(["id\tA\tB\tC\n", "\n"])
+        assert row_ids == () and col_ids == ("A", "B", "C")
+        assert matrix.shape == (0, 3) and matrix.dtype == float
+
+    def test_expression_keeps_parsed_matrix_when_no_sample_dropped(self, monkeypatch):
+        parsed = parse_labeled_matrix(TestParseExpression.MATRIX)
+        monkeypatch.setattr(
+            "pathfact.dataio.parse_labeled_matrix", lambda lines: parsed
+        )
+        out = parse_expression(TestParseExpression.MATRIX, TestParseExpression.LABELS)
+        assert out.matrix is parsed[2]
 
 
 class TestMatrixWriters:

@@ -838,6 +838,18 @@ class TestFit:
         assert report.sweeps == 3
         assert len(checks) == 1 + 5 * 3
 
+    def test_report_holds_final_moments(self):
+        """The moments a fit returns equal a fresh pass over its final
+        state byte for byte, so a summary may read them as they are."""
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=12, d=9, k=3, r=4, mask_prob=0.4)
+        hyper = default_hyper(max_sweeps=2, xi=5.0)
+        report = fit(data, hyper)
+        fresh = vars(factor_moments(report.state, data, hyper))
+        assert vars(report.moments).keys() == fresh.keys()
+        for name, value in fresh.items():
+            assert np.asarray(vars(report.moments)[name]).tobytes() == value.tobytes(), name
+
     def test_small_instance_converges_monotone(self):
         rng = np.random.default_rng(15)
         data = make_dataset(rng, n=20, d=12, k=3, r=4, mask_prob=0.4)

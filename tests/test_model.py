@@ -12,7 +12,6 @@ from pathfact.dist import (
 )
 from pathfact.graph import InteractionGraph, normalized_laplacian
 from pathfact.model import (
-    AssociationResult,
     ElboTrace,
     ObservationSet,
     SweepRecord,
@@ -21,9 +20,10 @@ from pathfact.model import (
     elbo_terms,
     expected_reconstruction,
     expected_sq_residual,
+    factor_moments,
     membership_terms,
     mix_cluster,
-    rank_sets,
+    rank_row,
     regularized_objective,
     summarize,
     z_marginal,
@@ -610,45 +610,24 @@ class TestRegularizedObjective:
         assert objective == pytest.approx(bound + penalty)
 
 
-class TestRankSets:
-    def result_with_row(self, row, ids):
-        k = 1
-        r = len(ids)
-        return AssociationResult(
-            assoc_mean=np.array([row]),
-            z_marginal=np.zeros((1, r)),
-            u_mixed=np.ones((1, 1)),
-            ranked=(),
-            cluster_ids=("C0",),
-            set_ids=tuple(ids),
-        )
+class TestRankRow:
+    def ranked_ids(self, row, ids, top_m):
+        return [s for s, _ in rank_row(np.array(row), tuple(ids), top_m)]
 
     def test_sorts_descending(self):
-        res = self.result_with_row([0.1, 0.9, 0.5], ["set1", "set2", "set3"])
-        assert [s for s, _ in rank_sets(res, 0, 2)] == ["set2", "set3"]
+        assert self.ranked_ids([0.1, 0.9, 0.5], ["set1", "set2", "set3"], 2) == ["set2", "set3"]
 
     def test_full_permutation(self):
-        res = self.result_with_row([0.3, 0.1, 0.2], ["a", "b", "c"])
-        assert [s for s, _ in rank_sets(res, 0, 3)] == ["a", "c", "b"]
+        assert self.ranked_ids([0.3, 0.1, 0.2], ["a", "b", "c"], 3) == ["a", "c", "b"]
 
     def test_tie_breaks_lexicographically(self):
-        res = self.result_with_row([0.5, 0.5], ["BETA", "ALPHA"])
-        assert [s for s, _ in rank_sets(res, 0, 2)] == ["ALPHA", "BETA"]
+        assert self.ranked_ids([0.5, 0.5], ["BETA", "ALPHA"], 2) == ["ALPHA", "BETA"]
 
     def test_invariant_to_monotone_transform(self):
         rng = np.random.default_rng(14)
         row = rng.uniform(0.1, 3.0, size=6)
         ids = [f"P{i}" for i in range(6)]
-        res1 = self.result_with_row(row, ids)
-        res2 = self.result_with_row(np.exp(2 * row), ids)
-        order1 = [s for s, _ in rank_sets(res1, 0, 6)]
-        order2 = [s for s, _ in rank_sets(res2, 0, 6)]
-        assert order1 == order2
-
-    def test_bad_cluster_index(self):
-        res = self.result_with_row([0.5], ["a"])
-        with pytest.raises(ValueError):
-            rank_sets(res, 3, 1)
+        assert self.ranked_ids(row, ids, 6) == self.ranked_ids(np.exp(2 * row), ids, 6)
 
 
 class TestSummarize:
@@ -668,8 +647,22 @@ class TestSummarize:
         data = make_dataset(rng, mask_prob=0.5)
         state = make_state(rng, data)
         res = summarize(state, data, default_hyper(), clamp_known=True)
-        rows, cols = data.mask_indices()
+        rows, cols = data.mask_indices
         assert np.all(res.z_marginal[rows, cols] == 1.0)
+
+    def test_given_moments_are_used_as_is(self):
+        rng = np.random.default_rng(16)
+        data = make_dataset(rng, mask_prob=0.5)
+        state = make_state(rng, data)
+        hyper = default_hyper()
+        mom = factor_moments(state, data, hyper)
+        res = summarize(state, data, hyper, clamp_known=True, mom=mom)
+        assert res.assoc_mean is mom.s_mean and res.u_mixed is mom.u
+        # clamping writes to a copy, not to the moments it was given
+        np.testing.assert_array_equal(mom.rho, factor_moments(state, data, hyper).rho)
+        fresh = summarize(state, data, hyper, clamp_known=True)
+        assert res.z_marginal.tobytes() == fresh.z_marginal.tobytes()
+        assert res.ranked == fresh.ranked
 
 
 class TestHyperparameters:
@@ -717,6 +710,17 @@ class TestObservationSetValidation:
                 cluster_ids=data.cluster_ids,
                 set_ids=data.set_ids,
             )
+
+
+    def test_mask_indices_computed_once_and_read_only(self):
+        data = make_dataset(np.random.default_rng(19), mask_prob=0.5)
+        rows, cols = data.mask_indices
+        again = data.mask_indices
+        assert again[0] is rows and again[1] is cols
+        np.testing.assert_array_equal(np.stack([rows, cols]), np.nonzero(data.Z0))
+        for index in (rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                index[0] = 0
 
 
 class TestElboTrace:
