@@ -476,13 +476,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     try:
         return COMMANDS[command](argv[1:])
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (UsageError, DataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

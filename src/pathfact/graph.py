@@ -125,7 +125,11 @@ def normalized_laplacian(graph: InteractionGraph, jitter: float = 0.05) -> Lapla
     lap = (sparse.identity(n, format="csr") - scaled.tocsr()).tocsr()
     prec = (lap + jitter * sparse.identity(n, format="csr")).tocsr()
     if jitter > 0 or graph.n_edges == 0:
-        log_det = _sparse_log_det(prec)
+        try:
+            log_det = _sparse_log_det(prec)
+        except MemoryError:
+            msg = f"out of memory in the graph precision's sparse LU (D={n}, {graph.n_edges} edges)"
+            raise MemoryError(msg) from None
     else:
         # L itself is singular on any graph with edges; precision needs jitter
         raise ValueError("jitter must be positive for a graph with edges")

@@ -20,7 +20,6 @@ from .dist import (
     TruncatedNormalParams,
     expected_log_ndtr_grad,
     pdf_over_cdf,
-    std_normal_pdf,
     std_normal_quantile,
     trunc_norm_moments,
 )
@@ -36,6 +35,7 @@ from .model import (
     membership_terms,
     regularized_objective,
     softmax_rows,
+    state_membership_terms,
 )
 
 # precision floor / scale cap for sites the likelihood no longer touches;
@@ -225,7 +225,7 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
     step = cfg.init_step
     max_step = cfg.init_step * 1024.0
     for _ in range(cfg.max_iters):
-        gnorm_sq = float((g * g).sum())
+        gnorm_sq = float(np.vdot(g, g))
         if np.sqrt(gnorm_sq) <= cfg.grad_tol:
             break
         s = step
@@ -246,7 +246,7 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
             s *= cfg.shrink
         if not accepted:
             break
-    stalled = not accepted_any and bool(np.sqrt(float((g * g).sum())) > cfg.grad_tol)
+    stalled = not accepted_any and bool(np.sqrt(float(np.vdot(g, g))) > cfg.grad_tol)
     return x, stalled, evaluations
 
 
@@ -315,6 +315,7 @@ class _CouplingProblem:
         self.rh = rh
         self.lap = lap
         self.noise_mean = float(state.noise.shape / state.noise.rate)
+        self.pdf_scale = -self.noise_mean / np.sqrt(2.0 * np.pi)  # -E[gamma] phi(0)
         self.v_mean = mom.v_mean
         self.v_second = mom.v_second
         self.a2_sum = mom.a2_sum
@@ -354,6 +355,9 @@ class _CouplingProblem:
         self._kept = (x, *self._forward(x))
         return self._kept[1]
 
+    # the gradient closures run under this errstate; decorating each closure
+    # would build a wrapper at every trial step
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def value_and_grad(self, x):
         kept, self._kept = self._kept, None
         # compared by content: an array mutated in place is recomputed
@@ -372,26 +376,27 @@ class _CouplingProblem:
         points share this body, so the line search compares values summed
         in one order."""
         mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
-        n_g = sig_g.size
-        total_var = sig_pi[None, :] + sig_g
-        root = np.sqrt(total_var)
+        n_g, r = sig_g.size, mu_pi.size
+        root = sig_pi[None, :] + sig_g
+        np.sqrt(root, out=root)
         t = (mu_pi[None, :] - mu_g) / root
         rho = special.ndtr(t)
         w = rho * self.v_mean
-        w_gram = w @ self.gram_a
-        # <E[A^T A], E[W^T W]> with E[W^T W] = W^T W off the diagonal and
-        # the second moments on it
+        err = w @ self.gram_a - self.proj  # E[W] E[A^T A] - X^T E[A]
+        # ||X||^2 - 2 <W, X^T A> + <E[A^T A], E[W^T W]>, where E[W^T W] is
+        # W^T W off the diagonal and the second moments on it
         residual = (
             self.x_sq
-            - 2.0 * float((w * self.proj).sum())
-            + float((w_gram * w).sum())
-            + float(self.a2_sum @ (rho * self.v_second - w * w).sum(axis=0))
+            + float(np.vdot(w, err))
+            - float(np.vdot(w, self.proj))
+            + float(np.einsum("jr,jr->r", rho, self.v_second) @ self.a2_sum)
+            - float(np.einsum("jr,jr->r", w, w) @ self.a2_sum)
         )
         value = -0.5 * self.noise_mean * residual
         # the entropies read the log-variances from x
         terms, prec_mu = membership_terms(
             (mu_g, sig_g, x[n_g : 2 * n_g]),
-            (mu_pi, sig_pi, x[2 * n_g + mu_pi.size :]),
+            (mu_pi, sig_pi, x[2 * n_g + r :]),
             t,
             self.mask,
             self.rh,
@@ -400,48 +405,31 @@ class _CouplingProblem:
         for term in terms.values():
             value += term
 
-        @np.errstate(over="ignore", invalid="ignore", divide="ignore")
         def gradient():
-            d_resid_dw = 2.0 * (w_gram - self.proj - self.a2_sum[None, :] * w)
-            d_value_drho = -0.5 * self.noise_mean * (
-                self.v_mean * d_resid_dw + self.v_second * self.a2_sum[None, :]
-            )
-            d_value_dt = d_value_drho * std_normal_pdf(t)
+            out = np.empty(x.size)
+            mu_out = out[:n_g].reshape(self.shape)
+            sig_out = out[n_g : 2 * n_g].reshape(self.shape)
+            d_t = (err - self.a2_sum * w) * self.v_mean + (0.5 * self.a2_sum) * self.v_second
+            d_t *= np.exp(-0.5 * t * t)
+            d_t *= self.pdf_scale  # d value / d t
             if self.penalized:
                 rows, cols = self.mask
-                pen = np.zeros_like(t)
-                pen[rows, cols] = self.rh.xi * pdf_over_cdf(t[rows, cols])
-                d_value_dt = d_value_dt + pen
-
-            d_t_dvar = -0.5 * t / total_var
-
-            grad_mu_g = -d_value_dt / root - prec_mu
-            grad_sig_g = (
-                d_value_dt * d_t_dvar
-                - 0.5 * self.lap.precision_diag[:, None]
-                + 0.5 / sig_g
-            )
+                d_t[rows, cols] += self.rh.xi * pdf_over_cdf(t[rows, cols])
+            # d t / d mu_pi = -d t / d mu_g = 1 / root
+            d_mu = np.divide(d_t, root, out=d_t)
+            np.negative(d_mu, out=mu_out)
+            mu_out -= prec_mu
             d_eln_mu, d_eln_var = expected_log_ndtr_grad(mu_pi, sig_pi)
-            grad_mu_pi = (
-                (d_value_dt / root).sum(axis=0)
-                + (self.a_beta - 1.0) * d_eln_mu
-                - mu_pi
-            )
-            grad_sig_pi = (
-                (d_value_dt * d_t_dvar).sum(axis=0)
-                + (self.a_beta - 1.0) * d_eln_var
-                - 0.5
-                + 0.5 / sig_pi
-            )
-
-            return np.concatenate(
-                [
-                    grad_mu_g.ravel(),
-                    (grad_sig_g * sig_g).ravel(),
-                    grad_mu_pi,
-                    grad_sig_pi * sig_pi,
-                ]
-            )
+            out[2 * n_g : -r] = d_mu.sum(axis=0) + (self.a_beta - 1.0) * d_eln_mu - mu_pi
+            # d t / d var = -t / (2 root^2) for either variance
+            d_var = np.multiply(d_mu, t, out=sig_out)
+            d_var /= root
+            d_var *= -0.5
+            out[-r:] = (d_var.sum(axis=0) + (self.a_beta - 1.0) * d_eln_var - 0.5) * sig_pi + 0.5
+            sig_out -= 0.5 * self.lap.precision_diag[:, None]
+            sig_out *= sig_g
+            sig_out += 0.5
+            return out
 
         return value, gradient
 
@@ -527,9 +515,9 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         block_seconds[name] += time.perf_counter() - start
         return state, factor_moments(state, data, rh, side, mom) if side else mom
 
-    def objective(current, block, mom):
+    def objective(current, block, mom, member):
         try:
-            obj, bound, penalty = regularized_objective(current, data, rh, lap=lap, mom=mom)
+            obj, bound, penalty = regularized_objective(current, data, rh, lap, mom, member)
         except NumericalError as exc:
             raise NumericalError(f"after block '{block}': {exc}") from exc
         if not np.isfinite(obj):
@@ -540,8 +528,10 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
     # memberships shape q(Z) before the basis commits to features; pure
     # ascent, so the monotonicity contract is unaffected
     state, mom = run("coupling", state, factor_moments(state, data, rh))
+    # the membership terms read only q(g) and q(pi): recomputed after coupling
+    member = state_membership_terms(state, data, rh, lap, mom)
     trace = ElboTrace()
-    obj, bound, penalty = objective(state, "init", mom)
+    obj, bound, penalty = objective(state, "init", mom, member)
     trace.append(SweepRecord(sweep=0, elbo=bound, penalty=penalty, objective=obj, block_deltas={}))
     status = "max_sweeps"
     quiet = 0
@@ -551,7 +541,9 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
         deltas = {}
         for name in blocks:
             state, mom = run(name, state, mom)
-            new_obj, new_bound, new_penalty = objective(state, name, mom)
+            if name == "coupling":
+                member = state_membership_terms(state, data, rh, lap, mom)
+            new_obj, new_bound, new_penalty = objective(state, name, mom, member)
             deltas[name] = new_obj - obj
             obj, bound, penalty = new_obj, new_bound, new_penalty
 

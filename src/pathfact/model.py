@@ -369,7 +369,7 @@ def membership_terms(g, pi, t, mask, hyper, lap):
     if rows.size > 0 and hyper.xi > 0:
         terms["penalty"] = hyper.xi * float(special.log_ndtr(t[rows, cols]).sum())
     prec_mu = lap.apply_precision(mu_g)
-    terms["coupling_prior_mean"] = -0.5 * float((mu_g * prec_mu).sum())
+    terms["coupling_prior_mean"] = -0.5 * float(np.vdot(mu_g, prec_mu))
     terms["coupling_prior_var"] = -0.5 * float((lap.precision_diag @ var_g).sum())
     terms["coupling_entropy"] = 0.5 * float(log_var_g.sum()) if var_g.all() else -np.inf
     a = hyper.beta_a / mu_pi.size
@@ -379,16 +379,26 @@ def membership_terms(g, pi, t, mask, hyper, lap):
     return terms, prec_mu
 
 
+def state_membership_terms(state: VariationalState, data: ObservationSet, hyper, lap, mom):
+    """:func:`membership_terms` of the state, with the margin read from its
+    moments ``mom``."""
+    g, pi = ((q.mean, q.variance, np.log(q.variance)) for q in (state.coupling, state.sparsity))
+    return membership_terms(g, pi, mom.t, data.mask_indices, hyper, lap)[0]
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def elbo_terms(state: VariationalState, data: ObservationSet, hyper, lap=None, mom=None):
+def elbo_terms(state, data: ObservationSet, hyper, lap=None, mom=None, member=None):
     """The evidence lower bound split by named block, followed by the
     ``penalty`` on the known memberships, which the bound leaves out.
+    ``mom`` and ``member`` are the state's moments and
+    :func:`state_membership_terms`, computed when absent.
 
     Raises :class:`NumericalError` naming the first non-finite block.
     """
     hyper = hyper.resolve(data)
     lap = lap or normalized_laplacian(data.graph, hyper.epsilon)
     mom = mom or factor_moments(state, data, hyper)
+    member = member or state_membership_terms(state, data, hyper, lap, mom)
     n, d = data.X.shape
     r = data.n_sets
     noise_mean, noise_mean_log, noise_entropy = gamma_expectations(state.noise)
@@ -415,15 +425,6 @@ def elbo_terms(state: VariationalState, data: ObservationSet, hyper, lap=None, m
         )
     )
     terms["basis_entropy"] = float(np.sum(normal_entropy(state.basis.variance)))
-    coupling, sparsity = state.coupling, state.sparsity
-    member, _ = membership_terms(
-        (coupling.mean, coupling.variance, np.log(coupling.variance)),
-        (sparsity.mean, sparsity.variance, np.log(sparsity.variance)),
-        mom.t,
-        data.mask_indices,
-        hyper,
-        lap,
-    )
     # the constants: log|P| and 2 pi of each GMRF column, the Gaussian
     # entropies' 2 pi e per entry, and the sparsity prior's log a and 2 pi
     # per set
@@ -449,12 +450,12 @@ def elbo(state, data, hyper, lap=None, mom=None) -> float:
     return regularized_objective(state, data, hyper, lap=lap, mom=mom)[1]
 
 
-def regularized_objective(state, data, hyper, lap=None, mom=None):
+def regularized_objective(state, data, hyper, lap=None, mom=None, member=None):
     """Objective of the penalized variational problem.
 
     Returns (objective, elbo, penalty) with objective = elbo + penalty.
     """
-    terms = elbo_terms(state, data, hyper, lap=lap, mom=mom)
+    terms = elbo_terms(state, data, hyper, lap=lap, mom=mom, member=member)
     penalty = terms.pop("penalty")
     bound = float(sum(terms.values()))
     return bound + penalty, bound, penalty

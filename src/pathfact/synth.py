@@ -16,6 +16,10 @@ from .graph import InteractionGraph, LaplacianOperator, normalized_laplacian
 from .model import ObservationSet, expected_reconstruction, factor_moments
 from .dist import std_normal_quantile
 
+# rows of the pair triangle drawn at once by _draw_edges; at D = 20,000 a
+# block holds at most 1.3 million pairs
+_EDGE_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class PlantedTruth:
@@ -45,16 +49,21 @@ def _draw_edges(feature_ids, rng, edge_prob):
     """Independent unit-weight edges over the pairs i < j in row-major order.
 
     ``edge_prob(rows, cols)`` gives each pair's probability. One uniform is
-    drawn per pair in that order, so the edges, their insertion order and
-    the generator's state afterwards equal those of a nested loop that calls
-    ``rng.random()`` once per pair.
+    drawn per pair in that order, ``_EDGE_BLOCK_ROWS`` rows at a time, so the
+    edges, their insertion order and the generator's state afterwards equal
+    those of a nested loop that calls ``rng.random()`` once per pair.
     """
-    rows, cols = np.triu_indices(len(feature_ids), 1)
-    hit = rng.random(rows.size) < edge_prob(rows, cols)
-    return {
-        (feature_ids[i], feature_ids[j]): 1.0
-        for i, j in zip(rows[hit].tolist(), cols[hit].tolist())
-    }
+    d = len(feature_ids)
+    edges = {}
+    for start in range(0, d, _EDGE_BLOCK_ROWS):
+        rows, cols = np.triu_indices(min(_EDGE_BLOCK_ROWS, d - start), start + 1, d)
+        rows += start
+        hit = rng.random(rows.size) < edge_prob(rows, cols)
+        edges.update(
+            ((feature_ids[i], feature_ids[j]), 1.0)
+            for i, j in zip(rows[hit].tolist(), cols[hit].tolist())
+        )
+    return edges
 
 
 def _join_isolated(feature_ids, edges, partner):

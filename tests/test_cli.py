@@ -273,6 +273,22 @@ class TestFit:
         assert err == f"error: line 1: duplicate column id {header[1]!r} in header\n"
         assert not (tmp_path / "out").exists()
 
+    def test_laplacian_out_of_memory_exit_one(self, dataset, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("pathfact.graph.splu", out_of_memory)
+        expr = dataio.load_expression(dataset / "expression.tsv", dataset / "labels.tsv")
+        data = dataio.align(
+            expr, dataio.load_gmt(dataset / "sets.gmt"), dataio.load_edge_list(dataset / "edges.tsv")
+        )
+        assert main(fit_args(dataset, tmp_path / "out")) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: out of memory in the graph precision's sparse LU "
+            f"(D={data.n_features}, {data.graph.n_edges} edges)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_summary_computes_no_moments(self, dataset, tmp_path, monkeypatch):
         """The summary reads the final moments fit() returns, so every
         factor_moments call of a CLI fit is made inside fit()."""

@@ -2,11 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 
 from conftest import default_hyper, make_dataset, make_state
 
-from pathfact.dist import GammaParams, NormalParams, TruncatedNormalParams
+from pathfact.dist import (
+    GammaParams,
+    NormalParams,
+    TruncatedNormalParams,
+    expected_log_ndtr_grad,
+    pdf_over_cdf,
+    std_normal_pdf,
+)
 from pathfact import inference, model
 from pathfact.graph import InteractionGraph, normalized_laplacian
 from pathfact.inference import (
@@ -512,6 +519,68 @@ class TestUpdateCluster:
         assert not stalled
 
 
+def reference_coupling(state, data, rh, lap, mom, x):
+    """Value and gradient of the coupling block at the packed point ``x``,
+    each term formed on its own: the residual in E[W], d value / d t
+    through the Gaussian density, and the chain rule into each packed
+    parameter."""
+    d, r = data.n_features, data.n_sets
+    n_g = d * r
+    noise_mean = float(state.noise.shape / state.noise.rate)
+    proj = data.X.T @ mom.a
+    mu_g = x[:n_g].reshape(d, r)
+    sig_g = np.exp(x[n_g : 2 * n_g]).reshape(d, r)
+    mu_pi = x[2 * n_g : 2 * n_g + r]
+    sig_pi = np.exp(x[2 * n_g + r :])
+    total_var = sig_pi[None, :] + sig_g
+    root = np.sqrt(total_var)
+    t = (mu_pi[None, :] - mu_g) / root
+    rho = special.ndtr(t)
+    w = rho * mom.v_mean
+    w_gram = w @ mom.aa
+    residual = (
+        data.x_sq
+        - 2.0 * float((w * proj).sum())
+        + float((w_gram * w).sum())
+        + float(mom.a2_sum @ (rho * mom.v_second - w * w).sum(axis=0))
+    )
+    value = -0.5 * noise_mean * residual
+    terms, prec_mu = model.membership_terms(
+        (mu_g, sig_g, x[n_g : 2 * n_g]),
+        (mu_pi, sig_pi, x[2 * n_g + r :]),
+        t,
+        data.mask_indices,
+        rh,
+        lap,
+    )
+    for term in terms.values():
+        value += term
+
+    d_resid_dw = 2.0 * (w_gram - proj - mom.a2_sum[None, :] * w)
+    d_value_drho = -0.5 * noise_mean * (
+        mom.v_mean * d_resid_dw + mom.v_second * mom.a2_sum[None, :]
+    )
+    d_value_dt = d_value_drho * std_normal_pdf(t)
+    rows, cols = data.mask_indices
+    if rows.size > 0 and rh.xi > 0:
+        pen = np.zeros_like(t)
+        pen[rows, cols] = rh.xi * pdf_over_cdf(t[rows, cols])
+        d_value_dt = d_value_dt + pen
+    d_t_dvar = -0.5 * t / total_var
+    a_beta = rh.beta_a / r
+    d_eln_mu, d_eln_var = expected_log_ndtr_grad(mu_pi, sig_pi)
+    grad_mu_g = -d_value_dt / root - prec_mu
+    grad_sig_g = d_value_dt * d_t_dvar - 0.5 * lap.precision_diag[:, None] + 0.5 / sig_g
+    grad_mu_pi = (d_value_dt / root).sum(axis=0) + (a_beta - 1.0) * d_eln_mu - mu_pi
+    grad_sig_pi = (
+        (d_value_dt * d_t_dvar).sum(axis=0) + (a_beta - 1.0) * d_eln_var - 0.5 + 0.5 / sig_pi
+    )
+    grad = np.concatenate(
+        [grad_mu_g.ravel(), (grad_sig_g * sig_g).ravel(), grad_mu_pi, grad_sig_pi * sig_pi]
+    )
+    return value, grad
+
+
 class TestUpdateCoupling:
     def test_penalty_drives_known_entries_to_one(self):
         feature_ids = ("G0", "G1")
@@ -648,6 +717,28 @@ class TestUpdateCoupling:
                 xm[i] -= eps
                 fd = (obj_at(xp) - obj_at(xm)) / (2 * eps)
                 assert grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "xi, mask_prob", [(4.0, 0.3), (0.0, 0.3), (4.0, 0.0)], ids=["xi", "xi0", "empty_mask"]
+    )
+    def test_matches_reference_formula(self, xi, mask_prob):
+        """The block's value and gradient equal the direct formula below,
+        which forms each term on its own, up to the rounding of the sums."""
+        rng = np.random.default_rng(15)
+        data = make_dataset(rng, n=30, d=40, k=3, r=6, edge_prob=0.2, mask_prob=mask_prob)
+        rh = default_hyper(zeta=0.6, xi=xi).resolve(data)
+        lap = normalized_laplacian(data.graph, rh.epsilon)
+        for _ in range(4):
+            state = make_state(rng, data)
+            mom = factor_moments(state, data, rh)
+            problem = _CouplingProblem(state, data, rh, lap, mom)
+            x0 = problem.pack(state.coupling, state.sparsity)
+            for x in (x0, x0 + 0.3 * rng.standard_normal(x0.size)):
+                value, grad = problem.value_and_grad(x)
+                want_value, want_grad = reference_coupling(state, data, rh, lap, mom, x)
+                assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+                scale = np.abs(want_grad).max()
+                np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * scale)
 
     def test_ascends_objective(self):
         rng = np.random.default_rng(14)
@@ -820,7 +911,7 @@ class TestFit:
         byte in every field."""
         checks = []
 
-        def objective(state, data, rh, lap=None, mom=None):
+        def objective(state, data, rh, lap=None, mom=None, member=None):
             fresh = vars(model.factor_moments(state, data, rh))
             held = vars(mom)
             assert held.keys() == fresh.keys()
@@ -829,7 +920,7 @@ class TestFit:
                 assert kept.dtype == value.dtype and kept.shape == value.shape, name
                 assert kept.tobytes() == value.tobytes(), name
             checks.append(state)
-            return model.regularized_objective(state, data, rh, lap=lap, mom=mom)
+            return model.regularized_objective(state, data, rh, lap=lap, mom=mom, member=member)
 
         monkeypatch.setattr(inference, "regularized_objective", objective)
         rng = np.random.default_rng(23)
@@ -837,6 +928,35 @@ class TestFit:
         report = fit(data, default_hyper(max_sweeps=3, xi=5.0))
         assert report.sweeps == 3
         assert len(checks) == 1 + 5 * 3
+
+    def test_membership_terms_once_per_coupling_block(self, monkeypatch):
+        """The objective checks reuse the membership terms computed after the
+        warm-up and after each coupling block: no other block changes q(g)
+        or q(pi), so terms computed afresh at every check give the same
+        trace bit for bit."""
+        calls = []
+        terms = model.state_membership_terms
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return terms(*args, **kwargs)
+
+        def fresh_terms(*args, member=None, **kwargs):
+            return model.regularized_objective(*args, **kwargs)
+
+        rng = np.random.default_rng(20)
+        data = make_dataset(rng, n=10, d=8, k=2, r=3)
+        hyper = default_hyper(max_sweeps=3)
+        monkeypatch.setattr(inference, "state_membership_terms", counted)
+        report = fit(data, hyper)
+        assert report.sweeps == 3
+        assert len(calls) == 1 + report.sweeps
+        assert calls[-1] is report.state
+        monkeypatch.setattr(inference, "regularized_objective", fresh_terms)
+        fresh = fit(data, hyper)
+        for got, want in zip(report.trace.records, fresh.trace.records, strict=True):
+            assert (got.elbo, got.penalty, got.objective) == (want.elbo, want.penalty, want.objective)
+            assert got.block_deltas == want.block_deltas
 
     def test_report_holds_final_moments(self):
         """The moments a fit returns equal a fresh pass over its final

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import default_hyper, oracle_state
 
+from pathfact import synth
 from pathfact.graph import InteractionGraph, normalized_laplacian
 from pathfact.inference import FitReport, fit
 from pathfact.model import ElboTrace
@@ -209,6 +210,24 @@ class TestEdgeDraws:
         )
         # patched edges for isolated nodes come after the drawn ones
         assert list(got.edges.items())[: len(want)] == list(want.items())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_draw_spans_several_row_blocks(self, seed, monkeypatch):
+        # 37 rows in blocks of 5: eight blocks, the last one partial
+        monkeypatch.setattr(synth, "_EDGE_BLOCK_ROWS", 5)
+        ids = tuple(f"G{i:02d}" for i in range(37))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assignment = np.arange(37) % 3
+        got = community_graph(ids, assignment, 0.4, 0.05, rng)
+        want = loop_edges(
+            ids, ref_rng, lambda i, j: 0.4 if assignment[i] == assignment[j] else 0.05
+        )
+        assert list(got.edges.items())[: len(want)] == list(want.items())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        got = random_graph(ids, 0.1, rng, min_degree=0)
+        want = loop_edges(ids, ref_rng, lambda i, j: 0.1)
+        assert list(got.edges.items()) == list(want.items())
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_community_graph_joins_isolated_nodes(self):
