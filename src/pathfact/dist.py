@@ -87,26 +87,14 @@ def std_normal_quantile(p):
     return special.ndtri(p)
 
 
-def std_normal_pdf(x):
-    x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x - 0.5 * LOG_2PI)
-
-
 def pdf_over_cdf(h):
-    """phi(h) / Phi(h) without cancellation for h far below zero.
+    """phi(h) / Phi(h) for every h, as sqrt(2/pi) / erfcx(-h/sqrt(2)).
 
-    Uses the scaled complementary error function on the negative branch;
-    the plain ratio is fine on the positive one.
+    The scaled complementary error function keeps the ratio accurate where
+    phi and Phi both underflow, far below zero. Above h = 37.6 erfcx
+    overflows and the ratio reads 0; its true value there is below 1e-308.
     """
-    h = np.asarray(h, dtype=float)
-    out = np.empty_like(h)
-    neg = h < 0.0
-    # erfcx(-h/sqrt(2)) stays representable for any negative h
-    out_neg = np.sqrt(2.0 / np.pi) / special.erfcx(-h[neg] / np.sqrt(2.0))
-    out[neg] = out_neg
-    pos = ~neg
-    out[pos] = std_normal_pdf(h[pos]) / special.ndtr(h[pos])
-    return out
+    return np.sqrt(2.0 / np.pi) / special.erfcx(-np.asarray(h, dtype=float) / np.sqrt(2.0))
 
 
 def trunc_norm_moments(location, scale_sq):

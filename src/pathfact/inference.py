@@ -43,6 +43,10 @@ from .model import (
 _MIN_PRECISION = 1e-300
 _MAX_SCALE = 1e12
 
+# backtracking factor and sufficient-ascent constant of the line search
+_SHRINK = 0.5
+_ARMIJO_C = 1e-4
+
 
 @dataclass(frozen=True)
 class GradientBlockConfig:
@@ -50,14 +54,10 @@ class GradientBlockConfig:
 
     max_iters: int = 25
     init_step: float = 1.0
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
     grad_tol: float = 1e-7
 
     def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.max_iters < 1 or self.init_step <= 0 or self.armijo_c <= 0:
+        if self.max_iters < 1 or self.init_step <= 0:
             raise ValueError("line-search constants must be positive")
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
@@ -153,38 +153,39 @@ def _association_sweep(state, data, rh, mom) -> TruncatedNormalParams:
     return TruncatedNormalParams(loc, scale)
 
 
+def _basis_column(r, w, noise_mean, rh, mom):
+    """Conditional Gaussian maximizer of q(V_jr) for every feature j at once:
+    with U, S and Z fixed the rows of V are conditionally independent. ``w``
+    holds E[W] with the current means of the other sets; the sufficient
+    statistics are X^T E[A] and E[A^T A]. Returns the mean and variance
+    columns."""
+    rho = mom.rho[:, r]
+    gram = mom.aa
+    prec = 1.0 / rh.sigma_v0[:, r] + noise_mean * rho * mom.a2_sum[r]
+    linear = rh.mu_v0[:, r] / rh.sigma_v0[:, r] + noise_mean * rho * (
+        mom.xta[:, r] - w @ gram[:, r] + w[:, r] * gram[r, r]
+    )
+    return linear / prec, 1.0 / prec
+
+
 def update_basis(state, data, hyper, j, r) -> NormalParams:
     """Closed-form update of q(V_jr) with every other factor held fixed."""
     rh = hyper.resolve(data)
     mom = factor_moments(state, data, rh)
     noise_mean = float(state.noise.shape / state.noise.rate)
-    resid = data.X[:, j] - mom.a @ mom.w[j]
-    prec = 1.0 / rh.sigma_v0[j, r] + noise_mean * mom.rho[j, r] * mom.a2_sum[r]
-    linear = rh.mu_v0[j, r] / rh.sigma_v0[j, r] + noise_mean * mom.rho[j, r] * (
-        mom.a[:, r] @ resid + mom.w[j, r] * (mom.a[:, r] @ mom.a[:, r])
-    )
-    return NormalParams(linear / prec, 1.0 / prec)
+    mean, var = _basis_column(r, mom.w, noise_mean, rh, mom)
+    return NormalParams(mean[j], var[j])
 
 
 def _basis_sweep(state, data, rh, mom) -> NormalParams:
-    """Gauss-Seidel over the sets. With U, S and Z fixed the rows of V are
-    conditionally independent, so each step updates column r for all
-    features at once from the sufficient statistics X^T A and E[A^T A]."""
+    """Gauss-Seidel over the sets, one column of V per step."""
     noise_mean = float(state.noise.shape / state.noise.rate)
-    rho = mom.rho
-    proj = data.X.T @ mom.a  # (D, R)
-    gram = mom.aa
     mean = mom.v_mean.copy()
     var = np.empty_like(mean)
-    w = rho * mean
+    w = mom.w.copy()
     for r in range(data.n_sets):
-        prec = 1.0 / rh.sigma_v0[:, r] + noise_mean * rho[:, r] * mom.a2_sum[r]
-        linear = rh.mu_v0[:, r] / rh.sigma_v0[:, r] + noise_mean * rho[:, r] * (
-            proj[:, r] - w @ gram[:, r] + w[:, r] * gram[r, r]
-        )
-        mean[:, r] = linear / prec
-        var[:, r] = 1.0 / prec
-        w[:, r] = rho[:, r] * mean[:, r]
+        mean[:, r], var[:, r] = _basis_column(r, w, noise_mean, rh, mom)
+        w[:, r] = mom.rho[:, r] * mean[:, r]
     return NormalParams(mean, var)
 
 
@@ -234,7 +235,7 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
             cand = x + s * g
             fc = value(cand)
             evaluations += 1
-            if np.isfinite(fc) and fc >= f + cfg.armijo_c * s * gnorm_sq:
+            if np.isfinite(fc) and fc >= f + _ARMIJO_C * s * gnorm_sq:
                 x = cand
                 f, g_new = value_and_grad(cand)
                 evaluations += 1
@@ -243,7 +244,7 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
                 accepted = True
                 accepted_any = True
                 break
-            s *= cfg.shrink
+            s *= _SHRINK
         if not accepted:
             break
     stalled = not accepted_any and bool(np.sqrt(float(np.vdot(g, g))) > cfg.grad_tol)
@@ -320,7 +321,7 @@ class _CouplingProblem:
         self.v_second = mom.v_second
         self.a2_sum = mom.a2_sum
         self.gram_a = mom.aa
-        self.proj = data.X.T @ mom.a  # (D, R)
+        self.proj = mom.xta
         self.mask = data.mask_indices
         self.penalized = self.mask[0].size > 0 and rh.xi > 0
         self.shape = mom.v_mean.shape

@@ -297,10 +297,11 @@ def factor_moments(state: VariationalState, data: ObservationSet, hyper, side=No
     With A = U S and W = Z o V, ``aa`` is E[A^T A] and ``ww`` is E[W^T W]
     under the factorized posterior: products of first moments across
     distinct sets, second moments (``a2_sum``, ``w2_sum``) on the diagonal.
-    ``xw`` is X E[W]. ``t`` is the membership margin with ``rho`` = Phi(t).
+    ``xw`` is X E[W] and ``xta`` is X^T E[A]. ``t`` is the membership margin
+    with ``rho`` = Phi(t).
 
     The moments fall in two sides. The A side (``s_*``, ``u``, ``a``,
-    ``a2_sum``, ``aa``) reads q(S) and the cluster logits; the W side
+    ``a2_sum``, ``aa``, ``xta``) reads q(S) and the cluster logits; the W side
     (``t``, ``rho``, ``v_*``, ``w``, ``w2_sum``, ``ww``, ``xw``) reads q(V),
     q(g) and q(pi). No moment depends on q(alpha). With ``side`` ("a" or
     "w"), only that side is computed and the other is taken from ``prev``,
@@ -317,6 +318,7 @@ def factor_moments(state: VariationalState, data: ObservationSet, hyper, side=No
         mom.a2_sum = np.einsum("ir,ir->r", a, a) + (u * u).sum(axis=0) @ mom.s_var
         mom.aa = a.T @ a
         np.fill_diagonal(mom.aa, mom.a2_sum)
+        mom.xta = data.X.T @ a
     if side in (None, "w"):
         mom.t = membership_logit(state.coupling, state.sparsity)
         mom.rho = rho = special.ndtr(mom.t)

@@ -385,7 +385,9 @@ def score_arrays(
 
 
 def score(report, truth: PlantedTruth, data: ObservationSet, hyper, top_m: int = 5):
-    """Score a fit report against the truth that generated ``data``."""
-    mom = factor_moments(report.state, data, hyper)
+    """Score a fit report against the truth that generated ``data``, from
+    the final moments the report holds; they are computed when it holds
+    none."""
+    mom = report.moments or factor_moments(report.state, data, hyper)
     recon = expected_reconstruction(report.state, data, hyper, mom=mom)
     return score_arrays(mom.s_mean, recon, mom.rho, report.state.basis.mean, truth, top_m)

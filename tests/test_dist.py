@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -10,6 +12,7 @@ from pathfact.dist import (
     expected_log_ndtr_grad,
     gamma_expectations,
     normal_entropy,
+    pdf_over_cdf,
     std_normal_quantile,
     trunc_norm_moments,
 )
@@ -46,6 +49,25 @@ class TestStdNormalQuantile:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 std_normal_quantile(bad)
+
+
+class TestPdfOverCdf:
+    def test_matches_log_space_ratio(self):
+        h = np.linspace(-30.0, 30.0, 6001)
+        expected = np.exp(-0.5 * h * h - 0.5 * np.log(2.0 * np.pi) - special.log_ndtr(h))
+        np.testing.assert_allclose(pdf_over_cdf(h), expected, rtol=1e-12, atol=0)
+
+    def test_zero(self):
+        assert pdf_over_cdf(0.0) == np.sqrt(2.0 / np.pi)
+
+    def test_far_below_zero_approaches_minus_h(self):
+        np.testing.assert_allclose(pdf_over_cdf(-1e8), 1e8, rtol=1e-12)
+
+    def test_far_above_zero_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = pdf_over_cdf([38.0, 50.0, 1e3, 1e300, np.inf])
+        np.testing.assert_array_equal(out, 0.0)
 
 
 class TestTruncNormMoments:

@@ -12,7 +12,6 @@ from pathfact.dist import (
     TruncatedNormalParams,
     expected_log_ndtr_grad,
     pdf_over_cdf,
-    std_normal_pdf,
 )
 from pathfact import inference, model
 from pathfact.graph import InteractionGraph, normalized_laplacian
@@ -42,7 +41,16 @@ from pathfact.model import (
 
 
 def polished_minimum(fun, x0):
-    """Nelder-Mead then coordinate-wise Brent refinement; oracle optimizer."""
+    """Nelder-Mead, then coordinate-wise Brent refinement, then
+    coordinate-wise Newton steps on central differences; oracle optimizer.
+
+    Near its minimum an objective of size F is flat to rounding over a width
+    of about sqrt(F * eps / curvature), which Brent on function values cannot
+    resolve (about 2.6e-7 for a basis site where F = 325). A difference
+    quotient over a step h = 1e-4 resolves the minimum to about
+    F * eps / (curvature * h), and is exact in a coordinate where
+    the objective is quadratic. A Newton step is kept only when it does not
+    raise the objective."""
     res = optimize.minimize(
         fun, x0, method="Nelder-Mead", options=dict(xatol=1e-12, fatol=1e-14, maxiter=5000)
     )
@@ -58,6 +66,16 @@ def polished_minimum(fun, x0):
                 along, bracket=(x[i] - 0.5, x[i] + 0.5), options=dict(xtol=1e-13)
             )
             x[i] = bracket.x
+    for _ in range(3):
+        for i in range(x.size):
+            step = np.zeros_like(x)
+            step[i] = 1e-4
+            f0, fp, fm = fun(x), fun(x + step), fun(x - step)
+            curvature = fp - 2.0 * f0 + fm
+            if curvature > 0:
+                cand = x - step * (fp - fm) / (2.0 * curvature)
+                if fun(cand) <= f0:
+                    x = cand
     return x
 
 
@@ -357,12 +375,12 @@ def doubling_ascent(x0, value, value_and_grad, cfg):
         s = step
         while s > 1e-20:
             cand = x + s * g
-            if value(cand) >= f + cfg.armijo_c * s * gnorm_sq:
+            if value(cand) >= f + inference._ARMIJO_C * s * gnorm_sq:
                 x = cand
                 f, g = value_and_grad(cand)
                 step = min(s * 2.0, cfg.init_step * 1024.0)
                 break
-            s *= cfg.shrink
+            s *= inference._SHRINK
         else:
             break
     return x
@@ -438,7 +456,7 @@ class TestBacktrackingAscent:
         assert evaluations == len(obj.trials) + len(obj.points)
         assert len(obj.points) == cfg.max_iters + 1
         for (xa, fa, ga), (xb, fb, _) in zip(obj.points, obj.points[1:]):
-            margin = cfg.armijo_c * step_of(xa, xb, ga) * (ga @ ga)
+            margin = inference._ARMIJO_C * step_of(xa, xb, ga) * (ga @ ga)
             assert fb - fa >= margin * (1.0 - 1e-9)
         ref = RecordedObjective(h, b)
         x_ref = doubling_ascent(np.zeros(10), ref.value, ref.value_and_grad, cfg)
@@ -560,7 +578,7 @@ def reference_coupling(state, data, rh, lap, mom, x):
     d_value_drho = -0.5 * noise_mean * (
         mom.v_mean * d_resid_dw + mom.v_second * mom.a2_sum[None, :]
     )
-    d_value_dt = d_value_drho * std_normal_pdf(t)
+    d_value_dt = d_value_drho * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
     rows, cols = data.mask_indices
     if rows.size > 0 and rh.xi > 0:
         pen = np.zeros_like(t)
@@ -867,8 +885,10 @@ class TestFit:
         objective check reuses the moments it read. Three sweeps: 2 + 4 * 3
         = 14 calls, beside 1 + 5 * 3 = 16 objective checks. X E[W] is formed
         by the full pass and each W side, 2 + 2 * 3 = 8 times, where
-        recomputing both sides formed it 14 times."""
-        counts = {"factor_moments": 0, "regularized_objective": 0, "x_ew": 0}
+        recomputing both sides formed it 14 times. X^T E[A] is formed by the
+        full pass and each A side, 1 + 2 * 3 = 7 times, and read by the basis
+        and the coupling blocks."""
+        counts = {"factor_moments": 0, "regularized_objective": 0, "x_ew": 0, "xt_ea": 0}
 
         def counted(name, original):
             def wrapper(*args, **kwargs):
@@ -889,11 +909,13 @@ class TestFit:
         data = make_dataset(rng, n=10, d=8, k=2, r=3)
 
         class CountedX(np.ndarray):
-            """X that counts its products X @ (D x R); X^T @ A is not one."""
+            """X that counts its products X @ (D x R) and X^T @ (N x R)."""
 
             def __matmul__(self, other):
                 if self.shape == data.X.shape:
                     counts["x_ew"] += 1
+                elif self.shape == data.X.T.shape:
+                    counts["xt_ea"] += 1
                 return np.asarray(self) @ other
 
         object.__setattr__(data, "X", data.X.view(CountedX))
@@ -903,6 +925,7 @@ class TestFit:
             "factor_moments": 2 + 4 * 3,
             "regularized_objective": 1 + 5 * 3,
             "x_ew": 2 + 2 * 3,
+            "xt_ea": 1 + 2 * 3,
         }
 
     def test_refreshed_moments_equal_fresh_moments(self, monkeypatch):
@@ -914,7 +937,7 @@ class TestFit:
         def objective(state, data, rh, lap=None, mom=None, member=None):
             fresh = vars(model.factor_moments(state, data, rh))
             held = vars(mom)
-            assert held.keys() == fresh.keys()
+            assert held.keys() == fresh.keys() and {"xw", "xta"} <= fresh.keys()
             for name, value in fresh.items():
                 kept = np.asarray(held[name])
                 assert kept.dtype == value.dtype and kept.shape == value.shape, name
@@ -1067,6 +1090,81 @@ class TestFit:
         # the coupling count includes the warm-up's evaluations
         assert calls["cluster"] > 3 and calls["coupling"] > 4
 
+    def test_line_search_call_pattern(self, monkeypatch):
+        """The call pattern by which the benchmark's per-layer metrics
+        (perfbench/layers.py) attribute line-search evaluations. Inside each
+        update_cluster or update_coupling call, a trial is a call of
+        cluster_objective_and_grad with the keyword with_grad=False, or of
+        _CouplingProblem.value; a gradient evaluation is any other call of
+        cluster_objective_and_grad, or a call of
+        _CouplingProblem.value_and_grad. A block evaluates the gradient once
+        at its start and once after each accepted step, at the trial point
+        it accepted, so its accepted steps number its gradient calls less
+        one. The calls sum to FitReport.evaluations."""
+        current = []  # the calls of the running block, as (trial, point)
+        blocks = {"cluster": [], "coupling": []}
+
+        def block(kind, original):
+            def wrapper(*args, **kwargs):
+                current.append([])
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    blocks[kind].append(current.pop())
+
+            return wrapper
+
+        def evaluation(original, trial_of, point_of):
+            def wrapper(*args, **kwargs):
+                assert len(current) == 1, "evaluation outside a line-search block"
+                current[-1].append((trial_of(args, kwargs), point_of(args).copy()))
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        def cluster_trial(args, kwargs):
+            assert len(args) == 4, "with_grad or mom passed by position"
+            return kwargs.get("with_grad", True) is False
+
+        monkeypatch.setattr(inference, "update_cluster", block("cluster", update_cluster))
+        monkeypatch.setattr(inference, "update_coupling", block("coupling", update_coupling))
+        monkeypatch.setattr(
+            inference,
+            "cluster_objective_and_grad",
+            evaluation(cluster_objective_and_grad, cluster_trial, lambda args: args[0]),
+        )
+        for name, trial in (("value", True), ("value_and_grad", False)):
+            monkeypatch.setattr(
+                _CouplingProblem,
+                name,
+                evaluation(
+                    getattr(_CouplingProblem, name),
+                    lambda args, kwargs, trial=trial: trial,
+                    lambda args: args[1],
+                ),
+            )
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=10, d=8, k=2, r=3)
+        report = fit(data, default_hyper(max_sweeps=3))
+        assert {kind: len(runs) for kind, runs in blocks.items()} == {
+            "cluster": 3,
+            "coupling": 4,
+        }
+        assert report.evaluations == {
+            kind: sum(len(calls) for calls in runs) for kind, runs in blocks.items()
+        }
+        accepted = rejected = 0
+        for runs in blocks.values():
+            for calls in runs:
+                assert not calls[0][0]
+                for (was_trial, at), (trial, point) in zip(calls, calls[1:]):
+                    if not trial:
+                        assert was_trial and np.array_equal(at, point)
+                        accepted += 1
+                    elif was_trial:
+                        rejected += 1
+        assert accepted > 0 and rejected > 0
+
     def test_stalled_fit_warns_once_with_counts(self):
         rng = np.random.default_rng(23)
         data = make_dataset(rng, n=10, d=8, k=2, r=3)
@@ -1108,8 +1206,6 @@ class TestInitState:
 
 class TestGradientBlockConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GradientBlockConfig(shrink=1.5)
         with pytest.raises(ValueError):
             GradientBlockConfig(max_iters=0)
         with pytest.raises(ValueError):

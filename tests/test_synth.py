@@ -3,7 +3,7 @@ import pytest
 
 from conftest import default_hyper, oracle_state
 
-from pathfact import synth
+from pathfact import model, synth
 from pathfact.graph import InteractionGraph, normalized_laplacian
 from pathfact.inference import FitReport, fit
 from pathfact.model import ElboTrace
@@ -309,6 +309,26 @@ class TestScore:
         assert metrics.precision_at_m > 2 / 5  # beats chance = top_m / R
         assert metrics.mask_auc > 0.6
         assert metrics.rmse < np.sqrt(np.mean(truth.noiseless_mean**2))
+
+    def test_fit_report_scored_from_its_moments(self, monkeypatch):
+        """Scoring a fit report reads the final moments it holds and
+        computes none; the metrics equal those of a fresh moments pass."""
+        data, truth = generate_planted((30, 2, 20, 4), corruption=0.2, snr=8.0, seed=36)
+        hyper = default_hyper(max_sweeps=5, xi=10.0, beta_a=2.0)
+        report = fit(data, hyper)
+        fresh = score(wrap_report(report.state), truth, data, hyper, top_m=2)
+        calls = []
+        moments = model.factor_moments
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return moments(*args, **kwargs)
+
+        monkeypatch.setattr(model, "factor_moments", counted)
+        monkeypatch.setattr(synth, "factor_moments", counted)
+        assert score(report, truth, data, hyper, top_m=2) == fresh
+        assert calls == []
+        assert not np.isnan(fresh.mask_auc)
 
     def test_shape_mismatch_rejected(self):
         data, truth = generate((6, 2, 8, 3), seed=35)
