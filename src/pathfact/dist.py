@@ -36,6 +36,11 @@ class GammaParams:
         if not np.all(self.rate > 0):
             raise ValueError("Gamma rate must be positive")
 
+    @property
+    def mean(self):
+        """E[x] = shape / rate."""
+        return self.shape / self.rate
+
 
 @dataclass(frozen=True)
 class TruncatedNormalParams:
@@ -122,7 +127,7 @@ def trunc_norm_moments(location, scale_sq):
 def gamma_expectations(params: GammaParams):
     """E[x], E[log x] and entropy of Gam(shape, rate)."""
     a, b = params.shape, params.rate
-    mean = a / b
+    mean = params.mean
     mean_log = special.digamma(a) - np.log(b)
     entropy = a - np.log(b) + special.gammaln(a) + (1.0 - a) * special.digamma(a)
     return mean, mean_log, entropy

@@ -36,6 +36,7 @@ from .model import (
     regularized_objective,
     softmax_rows,
     state_membership_terms,
+    with_prior_mean,
 )
 
 # precision floor / scale cap for sites the likelihood no longer touches;
@@ -46,6 +47,10 @@ _MAX_SCALE = 1e12
 # backtracking factor and sufficient-ascent constant of the line search
 _SHRINK = 0.5
 _ARMIJO_C = 1e-4
+
+# relative rounding error allowed, in the coupling screen, for the two terms
+# it leaves out (see _CouplingProblem.value)
+_SCREEN_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,7 @@ def update_association(state, data, hyper, k, r) -> TruncatedNormalParams:
     """Closed-form update of q(S_kr) with every other factor held fixed."""
     rh = hyper.resolve(data)
     mom = factor_moments(state, data, rh)
-    noise_mean = float(state.noise.shape / state.noise.rate)
+    noise_mean = float(state.noise.mean)
     gram_u = mom.u.T @ mom.u
     proj = mom.u.T @ mom.xw
     loc, scale = _assoc_site(
@@ -136,7 +141,7 @@ def update_association(state, data, hyper, k, r) -> TruncatedNormalParams:
 
 
 def _association_sweep(state, data, rh, mom) -> TruncatedNormalParams:
-    noise_mean = float(state.noise.shape / state.noise.rate)
+    noise_mean = float(state.noise.mean)
     gram_u = mom.u.T @ mom.u
     proj = mom.u.T @ mom.xw
     loc = state.assoc.location.copy()
@@ -172,14 +177,14 @@ def update_basis(state, data, hyper, j, r) -> NormalParams:
     """Closed-form update of q(V_jr) with every other factor held fixed."""
     rh = hyper.resolve(data)
     mom = factor_moments(state, data, rh)
-    noise_mean = float(state.noise.shape / state.noise.rate)
+    noise_mean = float(state.noise.mean)
     mean, var = _basis_column(r, mom.w, noise_mean, rh, mom)
     return NormalParams(mean[j], var[j])
 
 
 def _basis_sweep(state, data, rh, mom) -> NormalParams:
     """Gauss-Seidel over the sets, one column of V per step."""
-    noise_mean = float(state.noise.shape / state.noise.rate)
+    noise_mean = float(state.noise.mean)
     mean = mom.v_mean.copy()
     var = np.empty_like(mean)
     w = mom.w.copy()
@@ -213,6 +218,11 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
     ``init_step * 1024`` and then shrunk until the Armijo test passes, so
     every accepted step is a sufficient ascent.
 
+    Each trial is evaluated as ``value(x, floor)``, with ``floor`` its
+    Armijo floor ``f + _ARMIJO_C * s * |g|^2``. Only the test against the
+    floor reads a trial's value, so ``value`` may return any number below
+    the floor in place of the value of a trial that falls below it.
+
     Returns (x, stalled, evaluations): stalled means not a single step was
     accepted even at machine-precision step sizes; evaluations counts the
     calls of ``value`` and ``value_and_grad``.
@@ -233,9 +243,10 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
         accepted = False
         while s > 1e-20:
             cand = x + s * g
-            fc = value(cand)
+            floor = f + _ARMIJO_C * s * gnorm_sq
+            fc = value(cand, floor)
             evaluations += 1
-            if np.isfinite(fc) and fc >= f + _ARMIJO_C * s * gnorm_sq:
+            if np.isfinite(fc) and fc >= floor:
                 x = cand
                 f, g_new = value_and_grad(cand)
                 evaluations += 1
@@ -262,7 +273,7 @@ def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=No
     """
     rh = hyper.resolve(data)
     mom = mom or factor_moments(state, data, rh)
-    noise_mean = float(state.noise.shape / state.noise.rate)
+    noise_mean = float(state.noise.mean)
     var_load = mom.s_var @ mom.w2_sum  # per-cluster variance load
     tilde = softmax_rows(theta)
     u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
@@ -294,7 +305,7 @@ def update_cluster(state, data, hyper, cfg: GradientBlockConfig = None, mom=None
 
     mom = mom or factor_moments(state, data, rh)
 
-    def value(theta):
+    def value(theta, _floor):  # the likelihood alone: nothing cheaper to screen by
         return cluster_objective_and_grad(
             theta, state, data, rh, with_grad=False, mom=mom
         )[0]
@@ -315,7 +326,7 @@ class _CouplingProblem:
     def __init__(self, state, data, rh, lap, mom):
         self.rh = rh
         self.lap = lap
-        self.noise_mean = float(state.noise.shape / state.noise.rate)
+        self.noise_mean = float(state.noise.mean)
         self.pdf_scale = -self.noise_mean / np.sqrt(2.0 * np.pi)  # -E[gamma] phi(0)
         self.v_mean = mom.v_mean
         self.v_second = mom.v_second
@@ -323,11 +334,15 @@ class _CouplingProblem:
         self.gram_a = mom.aa
         self.proj = mom.xta
         self.mask = data.mask_indices
+        self.mask_flat = self.mask[0] * data.n_sets + self.mask[1]  # into a D x R array
         self.penalized = self.mask[0].size > 0 and rh.xi > 0
         self.shape = mom.v_mean.shape
         self.a_beta = rh.beta_a / data.n_sets
         self.x_sq = data.x_sq
+        # how far rounding can lift the likelihood above zero (see value())
+        self.likelihood_cap = _SCREEN_RTOL * 0.5 * self.noise_mean * self.x_sq
         self._kept = None  # (point, value, gradient) of the last value() call
+        self._handed = None  # (point, _membership(point)) from value() to _forward()
 
     def pack(self, coupling: NormalParams, sparsity: NormalParams):
         return np.concatenate(
@@ -340,19 +355,47 @@ class _CouplingProblem:
         )
 
     def unpack(self, x):
-        d, r = self.shape
-        mu_g = x[: d * r].reshape(d, r)
-        sig_g = np.exp(x[d * r : 2 * d * r]).reshape(d, r)
-        mu_pi = x[2 * d * r : 2 * d * r + r]
-        sig_pi = np.exp(x[2 * d * r + r :])
+        mu_g, mu_pi = self._means(x)
+        n_g, r = mu_g.size, mu_pi.size
+        sig_g = np.exp(x[n_g : 2 * n_g]).reshape(self.shape)
+        sig_pi = np.exp(x[2 * n_g + r :])
         return mu_g, sig_g, mu_pi, sig_pi
 
-    def value(self, x):
+    def _means(self, x):
+        """mu_g and mu_pi, as views of ``x``."""
+        d, r = self.shape
+        return x[: d * r].reshape(d, r), x[2 * d * r : 2 * d * r + r]
+
+    # trial steps may underflow a variance to zero; the resulting -inf/nan
+    # objective is rejected by the line search
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def value(self, x, floor=-np.inf):
+        """The block objective at ``x``, or, when the terms that need no
+        D x R pass already put it below ``floor``, a bound below ``floor``."""
         # the line search asks for a gradient only at the trial point it just
         # accepted, so the last trial's pass is kept for it; the old pass is
         # dropped first, so memory holds one pass
         self._kept = None
+        head = self._membership(x)
+        # The screen. The likelihood -E[gamma]/2 E||X - A (Z o V)^T||^2 and the
+        # prior-mean term -mu^T P mu / 2 (P positive definite) are never
+        # positive, and a rounded sum does not fall when one addend rises. So
+        # the pass's value, which adds the same terms in the same order, is at
+        # most this sum of the other terms and two caps on how far rounding
+        # can lift those two above zero: _SCREEN_RTOL of the size on which
+        # their parts cancel, E[gamma] ||X||^2 / 2 for the likelihood (its
+        # residual is small next to its parts only when the fit is near X)
+        # and (2 + eps) |mu|^2 / 2 for the prior mean (|P| has norm at most
+        # 2 + eps). Only the final additions round differently from the pass.
+        mu_g = self._means(x)[0]
+        mean_cap = _SCREEN_RTOL * 0.5 * (2.0 + self.lap.jitter) * float(np.vdot(mu_g, mu_g))
+        bound = self.likelihood_cap
+        for term in head[2].values():
+            bound += mean_cap if term is None else term
+        if bound < floor:
+            return bound
         x = np.array(x, dtype=float)  # a private copy, which the pass may view
+        self._handed = (x, head)
         self._kept = (x, *self._forward(x))
         return self._kept[1]
 
@@ -368,15 +411,28 @@ class _CouplingProblem:
             value, gradient = self._forward(x)
         return value, gradient()
 
-    # trial steps may underflow a variance to zero; the resulting -inf/nan
-    # objective is rejected by the line search
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def _membership(self, x):
+        """The variances at ``x`` and its :func:`membership_terms`. The
+        penalty reads the margins at the known entries only, formed by the
+        same elementwise operations as the full margins in :meth:`_forward`,
+        so it has the same bits either way."""
+        mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
+        n_g, r = sig_g.size, mu_pi.size
+        cols, flat = self.mask[1], self.mask_flat
+        t_mask = (mu_pi[cols] - mu_g.take(flat)) / np.sqrt(sig_pi[cols] + sig_g.take(flat))
+        # the entropies read the log-variances from x
+        g, pi = (mu_g, sig_g, x[n_g : 2 * n_g]), (mu_pi, sig_pi, x[2 * n_g + r :])
+        return sig_g, sig_pi, membership_terms(g, pi, t_mask, self.rh, self.lap)
+
     def _forward(self, x):
         """The block objective at ``x``, and a function that computes its
         gradient from this pass's intermediates. Trial steps and gradient
         points share this body, so the line search compares values summed
-        in one order."""
-        mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
+        in one order. Runs under the errstate of its callers, value() and
+        value_and_grad()."""
+        handed, self._handed = self._handed, None
+        sig_g, sig_pi, terms = handed[1] if handed and handed[0] is x else self._membership(x)
+        mu_g, mu_pi = self._means(x)
         n_g, r = sig_g.size, mu_pi.size
         root = sig_pi[None, :] + sig_g
         np.sqrt(root, out=root)
@@ -394,15 +450,7 @@ class _CouplingProblem:
             - float(np.einsum("jr,jr->r", w, w) @ self.a2_sum)
         )
         value = -0.5 * self.noise_mean * residual
-        # the entropies read the log-variances from x
-        terms, prec_mu = membership_terms(
-            (mu_g, sig_g, x[n_g : 2 * n_g]),
-            (mu_pi, sig_pi, x[2 * n_g + r :]),
-            t,
-            self.mask,
-            self.rh,
-            self.lap,
-        )
+        terms, prec_mu = with_prior_mean(terms, mu_g, self.lap)
         for term in terms.values():
             value += term
 

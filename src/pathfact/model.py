@@ -353,39 +353,48 @@ def expected_sq_residual(state, data, hyper, mom=None):
     )
 
 
-def membership_terms(g, pi, t, mask, hyper, lap):
+def membership_terms(g, pi, t_mask, hyper, lap):
     """The objective terms that depend on q(g) and q(pi), each without its
     constant, in the order the membership line search adds them: the
-    penalty ``xi * sum log q(Z=1)`` over the known entries ``mask``, the
-    GMRF prior's ``-mu^T P mu / 2`` and ``-diag(P) . var / 2``, the coupling
-    entropy, the sparsity prior and the sparsity entropy.
+    penalty ``xi * sum log q(Z=1)`` over the known entries, the GMRF prior's
+    ``-mu^T P mu / 2`` and ``-diag(P) . var / 2``, the coupling entropy, the
+    sparsity prior and the sparsity entropy.
 
-    ``g`` and ``pi`` are (mean, variance, log variance) triples and ``t`` is
-    the membership margin. Returns the terms by name and ``P mu``. An
-    entropy whose variance underflowed to zero is -inf, as its log gives.
+    ``g`` and ``pi`` are (mean, variance, log variance) triples and
+    ``t_mask`` is the membership margin at the known entries. The prior-mean
+    term is the one term that needs the D x R product P mu, so it holds None
+    here and :func:`with_prior_mean` fills it in; the line search sums the
+    others first (see ``_CouplingProblem.value``). An entropy whose variance
+    underflowed to zero is -inf, as its log gives.
     """
-    mu_g, var_g, log_var_g = g
+    _, var_g, log_var_g = g
     mu_pi, var_pi, log_var_pi = pi
-    rows, cols = mask
-    terms = {"penalty": 0.0}
-    if rows.size > 0 and hyper.xi > 0:
-        terms["penalty"] = hyper.xi * float(special.log_ndtr(t[rows, cols]).sum())
-    prec_mu = lap.apply_precision(mu_g)
-    terms["coupling_prior_mean"] = -0.5 * float(np.vdot(mu_g, prec_mu))
+    terms = {"penalty": 0.0, "coupling_prior_mean": None}
+    if t_mask.size > 0 and hyper.xi > 0:
+        terms["penalty"] = hyper.xi * float(special.log_ndtr(t_mask).sum())
     terms["coupling_prior_var"] = -0.5 * float((lap.precision_diag @ var_g).sum())
     terms["coupling_entropy"] = 0.5 * float(log_var_g.sum()) if var_g.all() else -np.inf
     a = hyper.beta_a / mu_pi.size
     eln = expected_log_ndtr(mu_pi, var_pi)
     terms["sparsity_prior"] = float(((a - 1.0) * eln - 0.5 * (mu_pi**2 + var_pi)).sum())
     terms["sparsity_entropy"] = 0.5 * float(log_var_pi.sum()) if var_pi.all() else -np.inf
-    return terms, prec_mu
+    return terms
+
+
+def with_prior_mean(terms, mu_g, lap):
+    """:func:`membership_terms` with the GMRF prior-mean term filled in, and
+    ``P mu``."""
+    prec_mu = lap.apply_precision(mu_g)
+    return {**terms, "coupling_prior_mean": -0.5 * float(np.vdot(mu_g, prec_mu))}, prec_mu
 
 
 def state_membership_terms(state: VariationalState, data: ObservationSet, hyper, lap, mom):
-    """:func:`membership_terms` of the state, with the margin read from its
-    moments ``mom``."""
+    """:func:`membership_terms` of the state with the prior-mean term filled
+    in, the margin read from its moments ``mom``."""
     g, pi = ((q.mean, q.variance, np.log(q.variance)) for q in (state.coupling, state.sparsity))
-    return membership_terms(g, pi, mom.t, data.mask_indices, hyper, lap)[0]
+    rows, cols = data.mask_indices
+    terms = membership_terms(g, pi, mom.t[rows, cols], hyper, lap)
+    return with_prior_mean(terms, state.coupling.mean, lap)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")

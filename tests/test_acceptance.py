@@ -13,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import optimize
 
-from conftest import default_hyper, make_dataset, make_state
+from conftest import default_hyper, make_dataset, make_state, polished_minimum
 
 from pathfact.dist import NormalParams, TruncatedNormalParams, GammaParams
 from pathfact.graph import InteractionGraph, normalized_laplacian
@@ -42,25 +41,6 @@ from pathfact.synth import generate, generate_planted, sample_membership, score
 def report(criterion, ok, detail):
     print(f"\ncriterion {criterion}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {criterion} failed: {detail}"
-
-
-def polished_minimum(fun, x0):
-    res = optimize.minimize(
-        fun, x0, method="Nelder-Mead", options=dict(xatol=1e-12, fatol=1e-14, maxiter=5000)
-    )
-    x = res.x.copy()
-    for _ in range(2):
-        for i in range(x.size):
-            def along(v, i=i):
-                xi = x.copy()
-                xi[i] = v
-                return fun(xi)
-
-            refined = optimize.minimize_scalar(
-                along, bracket=(x[i] - 0.5, x[i] + 0.5), options=dict(xtol=1e-13)
-            )
-            x[i] = refined.x
-    return x
 
 
 def test_criterion_1_monotonicity_suite():

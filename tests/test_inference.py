@@ -2,9 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import optimize, special
+from scipy import special
 
-from conftest import default_hyper, make_dataset, make_state
+from conftest import default_hyper, make_dataset, make_state, polished_minimum
 
 from pathfact.dist import (
     GammaParams,
@@ -38,45 +38,6 @@ from pathfact.model import (
     regularized_objective,
     softmax_rows,
 )
-
-
-def polished_minimum(fun, x0):
-    """Nelder-Mead, then coordinate-wise Brent refinement, then
-    coordinate-wise Newton steps on central differences; oracle optimizer.
-
-    Near its minimum an objective of size F is flat to rounding over a width
-    of about sqrt(F * eps / curvature), which Brent on function values cannot
-    resolve (about 2.6e-7 for a basis site where F = 325). A difference
-    quotient over a step h = 1e-4 resolves the minimum to about
-    F * eps / (curvature * h), and is exact in a coordinate where
-    the objective is quadratic. A Newton step is kept only when it does not
-    raise the objective."""
-    res = optimize.minimize(
-        fun, x0, method="Nelder-Mead", options=dict(xatol=1e-12, fatol=1e-14, maxiter=5000)
-    )
-    x = res.x.copy()
-    for _ in range(2):
-        for i in range(x.size):
-            def along(v, i=i):
-                xi = x.copy()
-                xi[i] = v
-                return fun(xi)
-
-            bracket = optimize.minimize_scalar(
-                along, bracket=(x[i] - 0.5, x[i] + 0.5), options=dict(xtol=1e-13)
-            )
-            x[i] = bracket.x
-    for _ in range(3):
-        for i in range(x.size):
-            step = np.zeros_like(x)
-            step[i] = 1e-4
-            f0, fp, fm = fun(x), fun(x + step), fun(x - step)
-            curvature = fp - 2.0 * f0 + fm
-            if curvature > 0:
-                cand = x - step * (fp - fm) / (2.0 * curvature)
-                if fun(cand) <= f0:
-                    x = cand
-    return x
 
 
 def singleton_dataset(x=2.0):
@@ -375,7 +336,8 @@ def doubling_ascent(x0, value, value_and_grad, cfg):
         s = step
         while s > 1e-20:
             cand = x + s * g
-            if value(cand) >= f + inference._ARMIJO_C * s * gnorm_sq:
+            floor = f + inference._ARMIJO_C * s * gnorm_sq
+            if value(cand, floor) >= floor:
                 x = cand
                 f, g = value_and_grad(cand)
                 step = min(s * 2.0, cfg.init_step * 1024.0)
@@ -388,17 +350,19 @@ def doubling_ascent(x0, value, value_and_grad, cfg):
 
 class RecordedObjective:
     """f(x) = -x.H.x / 2 + b.x (H = 0: linear), recording each trial point
-    passed to ``value`` and each (x, f, g) of ``value_and_grad``."""
+    and floor passed to ``value``, with the (x, f, g) the trial steps from,
+    and each (x, f, g) of ``value_and_grad``."""
 
     def __init__(self, h, b):
         self.h, self.b = np.asarray(h, dtype=float), np.asarray(b, dtype=float)
-        self.trials, self.points = [], []
+        self.trials, self.floors, self.points = [], [], []
 
     def f(self, x):
         return float(-0.5 * x @ self.h @ x + self.b @ x)
 
-    def value(self, x):
+    def value(self, x, floor):
         self.trials.append(x.copy())
+        self.floors.append((floor, self.points[-1]))
         return self.f(x)
 
     def value_and_grad(self, x):
@@ -462,6 +426,21 @@ class TestBacktrackingAscent:
         x_ref = doubling_ascent(np.zeros(10), ref.value, ref.value_and_grad, cfg)
         assert len(obj.trials) < len(ref.trials)
         assert obj.f(x) > ref.f(x_ref)
+
+    def test_each_trial_gets_its_armijo_floor(self):
+        """value(x, floor) receives f + _ARMIJO_C * s * |g|^2 for the step s
+        of that trial from the point (x, f, g) it steps from."""
+        rng = np.random.default_rng(1)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        obj = RecordedObjective((q * np.logspace(0, 2, 6)) @ q.T, rng.standard_normal(6))
+        cfg = GradientBlockConfig()
+        inference._backtracking_ascent(np.zeros(6), obj.value, obj.value_and_grad, cfg)
+        shrunk = 0
+        for trial, (floor, (x, f, g)) in zip(obj.trials, obj.floors):
+            s = step_of(x, trial, g)
+            assert floor == pytest.approx(f + inference._ARMIJO_C * s * (g @ g), rel=1e-12, abs=0)
+            shrunk += obj.f(trial) < floor
+        assert shrunk > 0  # some trials were rejected and shrunk
 
 
 class TestUpdateCluster:
@@ -563,14 +542,15 @@ def reference_coupling(state, data, rh, lap, mom, x):
         + float(mom.a2_sum @ (rho * mom.v_second - w * w).sum(axis=0))
     )
     value = -0.5 * noise_mean * residual
-    terms, prec_mu = model.membership_terms(
+    rows, cols = data.mask_indices
+    terms = model.membership_terms(
         (mu_g, sig_g, x[n_g : 2 * n_g]),
         (mu_pi, sig_pi, x[2 * n_g + r :]),
-        t,
-        data.mask_indices,
+        t[rows, cols],
         rh,
         lap,
     )
+    terms, prec_mu = model.with_prior_mean(terms, mu_g, lap)
     for term in terms.values():
         value += term
 
@@ -579,7 +559,6 @@ def reference_coupling(state, data, rh, lap, mom, x):
         mom.v_mean * d_resid_dw + mom.v_second * mom.a2_sum[None, :]
     )
     d_value_dt = d_value_drho * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-    rows, cols = data.mask_indices
     if rows.size > 0 and rh.xi > 0:
         pen = np.zeros_like(t)
         pen[rows, cols] = rh.xi * pdf_over_cdf(t[rows, cols])
@@ -776,7 +755,9 @@ class TestTrialValues:
     """The values the line searches compare: a trial step's value equals the
     value at a gradient point, and both track the full objective. The
     coupling block keeps the forward pass of its last trial step, so its
-    values and gradients are compared bit for bit with a fresh problem's."""
+    values and gradients are compared bit for bit with a fresh problem's.
+    It also screens a trial against its Armijo floor, which must leave every
+    accept/reject decision as the exact value makes it."""
 
     def points(self, seed, n_points=24):
         rng = np.random.default_rng(seed)
@@ -857,6 +838,42 @@ class TestTrialValues:
             assert np.isfinite(problem.value(x))
             x[index] = -800.0  # exp(-800) is 0.0 in float64
             assert problem.value(x) == -np.inf
+
+    def test_screened_decisions_are_exact(self):
+        """value(x, floor) falls below the floor exactly when value(x) does,
+        and where it runs the full pass it returns value(x) bit for bit, at
+        floors far off and within 1e-12 of the value, and at points whose
+        variances underflow to zero or overflow to infinity."""
+        screened = unscreened = 0
+        for seed in (46, 47, 48):
+            data, _, _, _, problem, passes, _, points = self.coupling_setup(seed)
+            n_g, r = data.n_features * data.n_sets, data.n_sets
+            for index in (n_g, 2 * n_g - 1, 2 * n_g + r, points[0].size - 1):
+                for log_var in (-800.0, 800.0):  # exp gives 0.0 and inf
+                    x = points[0].copy()
+                    x[index] = log_var
+                    points.append(x)
+            for x in points:
+                exact = problem.value(x)
+                floors = [-1e300, -1e7, 1e7]
+                if np.isfinite(exact):
+                    size = abs(exact)
+                    floors += [exact * (1.0 - 1e-12), exact * (1.0 + 1e-12), exact]
+                    floors += [exact - 1e3 * size, exact + 1e3 * size]
+                for floor in floors:
+                    passes.clear()
+                    got = problem.value(x, floor)
+                    assert (got < floor) == (exact < floor)
+                    assert (np.isfinite(got) and got >= floor) == (
+                        np.isfinite(exact) and exact >= floor
+                    )
+                    if passes:
+                        assert np.float64(got).tobytes() == np.float64(exact).tobytes()
+                        unscreened += 1
+                    else:
+                        assert got < floor
+                        screened += 1
+        assert screened > 0 and unscreened > 0
 
     def test_cluster_value_matches_value_and_grad_and_objective(self):
         rng, data, state, rh, n_points = self.points(42)
@@ -1164,6 +1181,52 @@ class TestFit:
                     elif was_trial:
                         rejected += 1
         assert accepted > 0 and rejected > 0
+
+    @staticmethod
+    def count_coupling_passes(monkeypatch):
+        """Count the calls of _CouplingProblem.value and _forward."""
+        calls = {"value": 0, "_forward": 0}
+        for name in calls:
+            original = getattr(_CouplingProblem, name)
+
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(_CouplingProblem, name, counted)
+        return calls
+
+    def test_screen_skips_passes_of_a_backtracking_search(self, monkeypatch):
+        """From the initial state the first coupling search backtracks, and
+        some of its trials are decided without the full pass."""
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=30, d=20, k=3, r=5)
+        rh = default_hyper().resolve(data)
+        calls = self.count_coupling_passes(monkeypatch)
+        update_coupling(init_state(data, rh), data, rh)
+        assert calls["_forward"] < calls["value"]
+
+    def test_screen_leaves_the_fit_bit_equal(self, monkeypatch):
+        """A fit whose coupling value ignores the floor, and so screens
+        nothing, has the same trace, final state and evaluation counts."""
+        rng = np.random.default_rng(23)
+        data = make_dataset(rng, n=30, d=20, k=3, r=5)
+        hyper = default_hyper(max_sweeps=4)
+        calls = self.count_coupling_passes(monkeypatch)
+        screened = fit(data, hyper)
+        assert calls["_forward"] < calls["value"]
+        value = _CouplingProblem.value
+        monkeypatch.setattr(_CouplingProblem, "value", lambda self, x, floor: value(self, x))
+        exact = fit(data, hyper)
+        assert screened.evaluations == exact.evaluations
+        assert screened.trace.records == exact.trace.records
+
+        def state_bytes(state):
+            factors = (state.noise, state.assoc, state.basis, state.coupling, state.sparsity)
+            arrays = [a for q in factors for a in vars(q).values()] + [state.cluster_logits]
+            return [a.tobytes() for a in arrays]
+
+        assert state_bytes(screened.state) == state_bytes(exact.state)
 
     def test_stalled_fit_warns_once_with_counts(self):
         rng = np.random.default_rng(23)

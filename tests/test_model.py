@@ -26,6 +26,7 @@ from pathfact.model import (
     rank_row,
     regularized_objective,
     summarize,
+    with_prior_mean,
     z_marginal,
 )
 
@@ -445,14 +446,14 @@ def gmrf_expectation(mu, var, lap):
     """E[g^T P g], summed over the columns of q(g) = N(mu, var), from the
     GMRF prior's two parts in the shared membership terms."""
     r = mu.shape[1]
-    terms, _ = membership_terms(
+    terms = membership_terms(
         (mu, var, np.log(var)),
         (np.zeros(r), np.ones(r), np.zeros(r)),
-        np.zeros_like(mu),
-        (np.array([], dtype=int), np.array([], dtype=int)),
+        np.array([]),
         default_hyper(),
         lap,
     )
+    terms, _ = with_prior_mean(terms, mu, lap)
     return -2.0 * (terms["coupling_prior_mean"] + terms["coupling_prior_var"])
 
 
