@@ -23,7 +23,7 @@ from .model import (
     summarize,
     z_marginal,
 )
-from .inference import FitReport, GradientBlockConfig, fit, init_state
+from .inference import FitReport, fit, init_state
 from .dataio import align, load_edge_list, load_expression, load_gmt
 from .synth import (
     PlantedTruth,
@@ -40,7 +40,6 @@ __all__ = [
     "ElboTrace",
     "FitReport",
     "GammaParams",
-    "GradientBlockConfig",
     "Hyperparameters",
     "InteractionGraph",
     "LaplacianOperator",

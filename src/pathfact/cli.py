@@ -17,7 +17,7 @@ import scipy
 
 from . import __version__, dataio
 from .dataio import DataError, format_number
-from .inference import fit
+from .inference import fit, render_counts
 from .model import Hyperparameters, NumericalError, rank_row, summarize
 from .synth import PlantedTruth, generate, score_arrays
 
@@ -184,10 +184,6 @@ def _render_ranked(cluster_ids, ranked) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_counts(counts) -> str:
-    return " ".join(f"{block}={n}" for block, n in counts.items())
-
-
 def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
     lines = ["# pathfact run metadata; reusable as a --config file"]
     lines.append(
@@ -197,7 +193,7 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
     lines.append("# cluster_order: " + ",".join(data.cluster_ids))
     lines.append("# set_order: " + ",".join(data.set_ids))
     lines.append(f"# status: {report.status} after {report.sweeps} sweep(s)")
-    lines.append("# stalled: " + _render_counts(report.stalled))
+    lines.append("# stalled: " + render_counts(report.stalled))
     lines.append(
         f"# versions: pathfact={__version__} numpy={np.__version__} scipy={scipy.__version__}"
     )
@@ -210,7 +206,7 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
         )
     )
-    lines.append("# evaluations: " + _render_counts(report.evaluations))
+    lines.append("# evaluations: " + render_counts(report.evaluations))
     # scalar settings as resolved; the broadcast prior arrays keep the
     # config's scalar
     resolved = replace(

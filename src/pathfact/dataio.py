@@ -100,8 +100,8 @@ class LabeledExpression:
 def parse_gmt(lines) -> GeneSetCollection:
     """Parse GMT text: one set per line, tab separated, >= 1 member.
 
-    Duplicate members within a line are dropped with a warning; duplicate
-    set ids are an error.
+    Duplicate members within a line are dropped with a warning; an empty or
+    duplicate set id is an error.
     """
     sets = []
     seen = set()
@@ -118,6 +118,8 @@ def parse_gmt(lines) -> GeneSetCollection:
                 line=lineno,
             )
         set_id = fields[0].strip()
+        if not set_id:
+            raise FormatError("empty set id", line=lineno)
         description = fields[1].strip()
         members = []
         listed = set()

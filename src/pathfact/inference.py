@@ -44,28 +44,17 @@ from .model import (
 _MIN_PRECISION = 1e-300
 _MAX_SCALE = 1e12
 
-# backtracking factor and sufficient-ascent constant of the line search
+# the line search: iterations per search, first step, gradient-norm
+# tolerance, backtracking factor and sufficient-ascent constant
+_MAX_ITERS = 25
+_INIT_STEP = 1.0
+_GRAD_TOL = 1e-7
 _SHRINK = 0.5
 _ARMIJO_C = 1e-4
 
 # relative rounding error allowed, in the coupling screen, for the two terms
 # it leaves out (see _CouplingProblem.value)
 _SCREEN_RTOL = 1e-4
-
-
-@dataclass(frozen=True)
-class GradientBlockConfig:
-    """Backtracking line-search settings for the non-conjugate blocks."""
-
-    max_iters: int = 25
-    init_step: float = 1.0
-    grad_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.max_iters < 1 or self.init_step <= 0:
-            raise ValueError("line-search constants must be positive")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -206,16 +195,16 @@ def _next_step(s, g_old, g_new, max_step):
     return min(s * 2.0, max_step)
 
 
-def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
+def _backtracking_ascent(x0, value, value_and_grad):
     """Maximize by steepest ascent with Armijo backtracking.
 
-    The first search starts at ``init_step``. After a step ``s * g_old`` is
+    The first search starts at ``_INIT_STEP``. After a step ``s * g_old`` is
     accepted, the next search starts at the Barzilai-Borwein short step
     ``-s * g_old.y / y.y`` with ``y = g_new - g_old``, the inverse of a
     scalar fit to the curvature along the step; when that curvature or
     ``y.y`` is not positive (a linear objective, say) it starts at twice
     the accepted step instead. Either start is capped at
-    ``init_step * 1024`` and then shrunk until the Armijo test passes, so
+    ``_INIT_STEP * 1024`` and then shrunk until the Armijo test passes, so
     every accepted step is a sufficient ascent.
 
     Each trial is evaluated as ``value(x, floor)``, with ``floor`` its
@@ -233,11 +222,11 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
     if not np.isfinite(f):
         raise NumericalError("gradient block started from a non-finite objective")
     accepted_any = False
-    step = cfg.init_step
-    max_step = cfg.init_step * 1024.0
-    for _ in range(cfg.max_iters):
+    step = _INIT_STEP
+    max_step = _INIT_STEP * 1024.0
+    for _ in range(_MAX_ITERS):
         gnorm_sq = float(np.vdot(g, g))
-        if np.sqrt(gnorm_sq) <= cfg.grad_tol:
+        if np.sqrt(gnorm_sq) <= _GRAD_TOL:
             break
         s = step
         accepted = False
@@ -258,7 +247,7 @@ def _backtracking_ascent(x0, value, value_and_grad, cfg: GradientBlockConfig):
             s *= _SHRINK
         if not accepted:
             break
-    stalled = not accepted_any and bool(np.sqrt(float(np.vdot(g, g))) > cfg.grad_tol)
+    stalled = not accepted_any and bool(np.sqrt(float(np.vdot(g, g))) > _GRAD_TOL)
     return x, stalled, evaluations
 
 
@@ -293,12 +282,11 @@ def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=No
     return value, grad
 
 
-def update_cluster(state, data, hyper, cfg: GradientBlockConfig = None, mom=None):
+def update_cluster(state, data, hyper, mom=None):
     """Line-search ascent on the cluster logits.
 
     Returns (logits, stalled, evaluations) as :func:`_backtracking_ascent`.
     """
-    cfg = cfg or GradientBlockConfig()
     rh = hyper.resolve(data)
     if rh.zeta == 1.0:
         return state.cluster_logits.copy(), False, 0
@@ -313,7 +301,7 @@ def update_cluster(state, data, hyper, cfg: GradientBlockConfig = None, mom=None
     def value_and_grad(theta):
         return cluster_objective_and_grad(theta, state, data, rh, mom=mom)
 
-    return _backtracking_ascent(state.cluster_logits, value, value_and_grad, cfg)
+    return _backtracking_ascent(state.cluster_logits, value, value_and_grad)
 
 
 class _CouplingProblem:
@@ -342,7 +330,6 @@ class _CouplingProblem:
         # how far rounding can lift the likelihood above zero (see value())
         self.likelihood_cap = _SCREEN_RTOL * 0.5 * self.noise_mean * self.x_sq
         self._kept = None  # (point, value, gradient) of the last value() call
-        self._handed = None  # (point, _membership(point)) from value() to _forward()
 
     def pack(self, coupling: NormalParams, sparsity: NormalParams):
         return np.concatenate(
@@ -395,8 +382,7 @@ class _CouplingProblem:
         if bound < floor:
             return bound
         x = np.array(x, dtype=float)  # a private copy, which the pass may view
-        self._handed = (x, head)
-        self._kept = (x, *self._forward(x))
+        self._kept = (x, *self._forward(x, head))
         return self._kept[1]
 
     # the gradient closures run under this errstate; decorating each closure
@@ -408,7 +394,7 @@ class _CouplingProblem:
         if kept is not None and np.array_equal(kept[0], x):
             _, value, gradient = kept
         else:
-            value, gradient = self._forward(x)
+            value, gradient = self._forward(x, self._membership(x))
         return value, gradient()
 
     def _membership(self, x):
@@ -424,14 +410,13 @@ class _CouplingProblem:
         g, pi = (mu_g, sig_g, x[n_g : 2 * n_g]), (mu_pi, sig_pi, x[2 * n_g + r :])
         return sig_g, sig_pi, membership_terms(g, pi, t_mask, self.rh, self.lap)
 
-    def _forward(self, x):
+    def _forward(self, x, head):
         """The block objective at ``x``, and a function that computes its
-        gradient from this pass's intermediates. Trial steps and gradient
-        points share this body, so the line search compares values summed
-        in one order. Runs under the errstate of its callers, value() and
-        value_and_grad()."""
-        handed, self._handed = self._handed, None
-        sig_g, sig_pi, terms = handed[1] if handed and handed[0] is x else self._membership(x)
+        gradient from this pass's intermediates; ``head`` is
+        ``_membership(x)``. Trial steps and gradient points share this body,
+        so the line search compares values summed in one order. Runs under
+        the errstate of its callers, value() and value_and_grad()."""
+        sig_g, sig_pi, terms = head
         mu_g, mu_pi = self._means(x)
         n_g, r = sig_g.size, mu_pi.size
         root = sig_pi[None, :] + sig_g
@@ -494,27 +479,27 @@ def coupling_objective_and_grad(state, data, hyper, lap=None):
     return problem.value_and_grad(x)
 
 
-def update_coupling(
-    state, data, hyper, cfg: GradientBlockConfig = None, lap=None, mom=None
-):
+def update_coupling(state, data, hyper, lap=None, mom=None):
     """Joint line-search ascent over the coupling functions and set levels.
 
     Returns (coupling, sparsity, stalled, evaluations).
     """
-    cfg = cfg or GradientBlockConfig()
     rh = hyper.resolve(data)
     lap = lap or normalized_laplacian(data.graph, rh.epsilon)
     mom = mom or factor_moments(state, data, rh)
     problem = _CouplingProblem(state, data, rh, lap, mom)
     x0 = problem.pack(state.coupling, state.sparsity)
-    x, stalled, evaluations = _backtracking_ascent(
-        x0, problem.value, problem.value_and_grad, cfg
-    )
+    x, stalled, evaluations = _backtracking_ascent(x0, problem.value, problem.value_and_grad)
     mu_g, sig_g, mu_pi, sig_pi = problem.unpack(x)
     return NormalParams(mu_g, sig_g), NormalParams(mu_pi, sig_pi), stalled, evaluations
 
 
-def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitReport:
+def render_counts(counts) -> str:
+    """Per-block line-search counts as ``block=n`` words, in block order."""
+    return " ".join(f"{block}={n}" for block, n in counts.items())
+
+
+def fit(data: ObservationSet, hyper) -> FitReport:
     """Run coordinate-ascent sweeps until the objective stabilizes.
 
     Stops when the relative objective change stays below ``elbo_rel_tol``
@@ -522,7 +507,6 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
     fixed seed and BLAS thread count.
     """
     rh = hyper.resolve(data)
-    cfg = cfg or GradientBlockConfig()
     if rh.xi > 0 and not data.Z0.any():
         warnings.warn("penalty weight xi > 0 but the known-membership set is empty")
     lap = normalized_laplacian(data.graph, rh.epsilon)
@@ -531,13 +515,13 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
     evaluations = {"cluster": 0, "coupling": 0}
 
     def cluster_step(s, m):
-        theta, stuck, evals = update_cluster(s, data, rh, cfg, mom=m)
+        theta, stuck, evals = update_cluster(s, data, rh, mom=m)
         stalled["cluster"] += stuck
         evaluations["cluster"] += evals
         return s.updated(cluster_logits=theta)
 
     def coupling_step(s, m):
-        coupling, sparsity, stuck, evals = update_coupling(s, data, rh, cfg, lap=lap, mom=m)
+        coupling, sparsity, stuck, evals = update_coupling(s, data, rh, lap=lap, mom=m)
         stalled["coupling"] += stuck
         evaluations["coupling"] += evals
         return s.updated(coupling=coupling, sparsity=sparsity)
@@ -607,8 +591,7 @@ def fit(data: ObservationSet, hyper, cfg: GradientBlockConfig = None) -> FitRepo
             break
 
     if any(stalled.values()):
-        counts = " ".join(f"{block}={n}" for block, n in stalled.items())
-        warnings.warn(f"line searches accepted no step: {counts}")
+        warnings.warn(f"line searches accepted no step: {render_counts(stalled)}")
     return FitReport(
         state=state,
         trace=trace,

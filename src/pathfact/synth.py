@@ -13,7 +13,7 @@ import numpy as np
 from scipy import linalg, stats
 
 from .graph import InteractionGraph, LaplacianOperator, normalized_laplacian
-from .model import ObservationSet, expected_reconstruction, factor_moments
+from .model import ObservationSet, expected_reconstruction, factor_moments, rank_row
 from .dist import std_normal_quantile
 
 # rows of the pair triangle drawn at once by _draw_edges; at D = 20,000 a
@@ -360,12 +360,9 @@ def score_arrays(
     k, r = assoc_mean.shape
     if truth.associations.shape != (k, r):
         raise ValueError("association shape mismatch against truth")
-    if not 1 <= top_m <= r:
-        raise ValueError(f"top_m must lie in [1, {r}]")
 
     def top(matrix, cluster):
-        row = matrix[cluster]
-        return set(sorted(range(r), key=lambda j: (-row[j], j))[:top_m])
+        return {j for j, _ in rank_row(matrix[cluster], range(r), top_m)}
 
     hits = sum(len(top(assoc_mean, c) & top(truth.associations, c)) for c in range(k))
     precision = hits / (k * top_m)

@@ -222,6 +222,16 @@ class TestFit:
         args[args.index("--gmt") + 1] = str(bad)
         assert main(args) == EXIT_DATA
 
+    def test_empty_set_id_exit_one_before_output(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "blank_id.gmt"
+        lines = (dataset / "sets.gmt").read_text().splitlines(keepends=True)
+        bad.write_text("".join(["\t" + lines[0].split("\t", 1)[1]] + lines[1:]))
+        args = fit_args(dataset, tmp_path / "out")
+        args[args.index("--gmt") + 1] = str(bad)
+        assert main(args) == EXIT_DATA
+        assert capsys.readouterr().err == "error: line 1: empty set id\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_exit_one(self, dataset, tmp_path):
         args = fit_args(dataset, tmp_path / "out")
         args[args.index("--expression") + 1] = str(tmp_path / "nope.tsv")

@@ -71,6 +71,12 @@ class TestParseGmt:
         out = parse_gmt(["\n", "P\td\tG1\n", "   \n"])
         assert out.set_ids == ("P",)
 
+    def test_empty_set_id(self):
+        """A blank id would become an empty column id in every fit matrix,
+        which no reader accepts."""
+        with pytest.raises(FormatError, match=r"^line 2: empty set id$"):
+            parse_gmt(["P\td\tG1\n", " \td\tG2\n"])
+
 
 class TestParseEdgeList:
     def test_path_graph(self):

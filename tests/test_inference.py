@@ -16,7 +16,6 @@ from pathfact.dist import (
 from pathfact import inference, model
 from pathfact.graph import InteractionGraph, normalized_laplacian
 from pathfact.inference import (
-    GradientBlockConfig,
     _basis_sweep,
     _CouplingProblem,
     cluster_objective_and_grad,
@@ -323,15 +322,15 @@ def direct_cluster_objective_and_grad(theta, state, data, hyper):
     return value, (1.0 - rh.zeta) * tilde * (d_value_du - inner)
 
 
-def doubling_ascent(x0, value, value_and_grad, cfg):
+def doubling_ascent(x0, value, value_and_grad):
     """Reference: the same Armijo ascent, but each search starts at twice the
     last accepted step."""
     x = x0
     f, g = value_and_grad(x)
-    step = cfg.init_step
-    for _ in range(cfg.max_iters):
+    step = inference._INIT_STEP
+    for _ in range(inference._MAX_ITERS):
         gnorm_sq = float((g * g).sum())
-        if np.sqrt(gnorm_sq) <= cfg.grad_tol:
+        if np.sqrt(gnorm_sq) <= inference._GRAD_TOL:
             break
         s = step
         while s > 1e-20:
@@ -340,7 +339,7 @@ def doubling_ascent(x0, value, value_and_grad, cfg):
             if value(cand, floor) >= floor:
                 x = cand
                 f, g = value_and_grad(cand)
-                step = min(s * 2.0, cfg.init_step * 1024.0)
+                step = min(s * 2.0, inference._INIT_STEP * 1024.0)
                 break
             s *= inference._SHRINK
         else:
@@ -378,13 +377,14 @@ def step_of(x_from, x_to, g):
 class TestBacktrackingAscent:
     """The step rule of the shared line search: a Barzilai-Borwein start
     after each accepted step, doubling where the curvature is not positive,
-    the init_step * 1024 cap, and the Armijo test on every accepted step."""
+    the _INIT_STEP * 1024 cap, and the Armijo test on every accepted step."""
 
-    def test_second_trial_is_barzilai_borwein_step(self):
+    def test_second_trial_is_barzilai_borwein_step(self, monkeypatch):
         h = np.array([[2.0, 0.5], [0.5, 1.0]])
         obj = RecordedObjective(h, [1.0, -1.0])
-        cfg = GradientBlockConfig(max_iters=2, init_step=0.1)
-        inference._backtracking_ascent(np.zeros(2), obj.value, obj.value_and_grad, cfg)
+        monkeypatch.setattr(inference, "_MAX_ITERS", 2)
+        monkeypatch.setattr(inference, "_INIT_STEP", 0.1)
+        inference._backtracking_ascent(np.zeros(2), obj.value, obj.value_and_grad)
         (x0, _, g0), (x1, _, g1) = obj.points[:2]
         np.testing.assert_array_equal(obj.trials[0], x1)  # the first trial was accepted
         s, y = x1 - x0, g1 - g0
@@ -394,11 +394,12 @@ class TestBacktrackingAscent:
         assert expected != pytest.approx(0.2)  # not the doubled step
         np.testing.assert_allclose(step_of(x1, obj.trials[1], g1), expected, rtol=1e-12)
 
-    def test_linear_objective_doubles_up_to_cap(self):
+    def test_linear_objective_doubles_up_to_cap(self, monkeypatch):
         obj = RecordedObjective(np.zeros((2, 2)), [3.0, -4.0])
-        cfg = GradientBlockConfig(max_iters=14, init_step=0.5)
+        monkeypatch.setattr(inference, "_MAX_ITERS", 14)
+        monkeypatch.setattr(inference, "_INIT_STEP", 0.5)
         x, stalled, evaluations = inference._backtracking_ascent(
-            np.zeros(2), obj.value, obj.value_and_grad, cfg
+            np.zeros(2), obj.value, obj.value_and_grad
         )
         starts = [np.zeros(2)] + obj.trials[:-1]
         steps = [step_of(a, b, obj.b) for a, b in zip(starts, obj.trials)]
@@ -412,18 +413,17 @@ class TestBacktrackingAscent:
         q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         h = (q * np.logspace(0, 3, 10)) @ q.T
         b = rng.standard_normal(10)
-        cfg = GradientBlockConfig()
         obj = RecordedObjective(h, b)
         x, _, evaluations = inference._backtracking_ascent(
-            np.zeros(10), obj.value, obj.value_and_grad, cfg
+            np.zeros(10), obj.value, obj.value_and_grad
         )
         assert evaluations == len(obj.trials) + len(obj.points)
-        assert len(obj.points) == cfg.max_iters + 1
+        assert len(obj.points) == inference._MAX_ITERS + 1
         for (xa, fa, ga), (xb, fb, _) in zip(obj.points, obj.points[1:]):
             margin = inference._ARMIJO_C * step_of(xa, xb, ga) * (ga @ ga)
             assert fb - fa >= margin * (1.0 - 1e-9)
         ref = RecordedObjective(h, b)
-        x_ref = doubling_ascent(np.zeros(10), ref.value, ref.value_and_grad, cfg)
+        x_ref = doubling_ascent(np.zeros(10), ref.value, ref.value_and_grad)
         assert len(obj.trials) < len(ref.trials)
         assert obj.f(x) > ref.f(x_ref)
 
@@ -433,8 +433,7 @@ class TestBacktrackingAscent:
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
         obj = RecordedObjective((q * np.logspace(0, 2, 6)) @ q.T, rng.standard_normal(6))
-        cfg = GradientBlockConfig()
-        inference._backtracking_ascent(np.zeros(6), obj.value, obj.value_and_grad, cfg)
+        inference._backtracking_ascent(np.zeros(6), obj.value, obj.value_and_grad)
         shrunk = 0
         for trial, (floor, (x, f, g)) in zip(obj.trials, obj.floors):
             s = step_of(x, trial, g)
@@ -649,7 +648,7 @@ class TestUpdateCoupling:
         # its neighbor moves the same direction only under the edge
         assert coupled.coupling.mean[1, 0] < independent.coupling.mean[1, 0] - 1e-3
 
-    def test_prior_fixed_point_without_penalty_or_data(self):
+    def test_prior_fixed_point_without_penalty_or_data(self, monkeypatch):
         rng = np.random.default_rng(12)
         data = make_dataset(rng, n=4, d=3, k=2, r=2, mask_prob=0.5)
         hyper = default_hyper(xi=0.0, beta_a=2.0)  # beta_a / R = 1: flat Beta
@@ -667,9 +666,8 @@ class TestUpdateCoupling:
             sparsity=NormalParams(np.zeros(2), np.ones(2)),
         )
         before = regularized_objective(state, data, hyper)[0]
-        coupling, sparsity, _, _ = update_coupling(
-            state, data, hyper, GradientBlockConfig(grad_tol=1e-5)
-        )
+        monkeypatch.setattr(inference, "_GRAD_TOL", 1e-5)
+        coupling, sparsity, _, _ = update_coupling(state, data, hyper)
         after = regularized_objective(
             state.updated(coupling=coupling, sparsity=sparsity), data, hyper
         )[0]
@@ -776,9 +774,9 @@ class TestTrialValues:
         passes = []
         forward = problem._forward
 
-        def counted(x):
+        def counted(x, head):
             passes.append(x)
-            return forward(x)
+            return forward(x, head)
 
         problem._forward = counted
 
@@ -1069,12 +1067,14 @@ class TestFit:
         assert not report.converged
 
 
-    def test_counts_stalled_line_searches(self):
+    def test_counts_stalled_line_searches(self, monkeypatch):
         rng = np.random.default_rng(23)
         data = make_dataset(rng, n=10, d=8, k=2, r=3)
         hyper = default_hyper(max_sweeps=3)
-        with pytest.warns(UserWarning, match="accepted no step"):
-            report = fit(data, hyper, GradientBlockConfig(init_step=1e-30))
+        with monkeypatch.context() as patch:
+            patch.setattr(inference, "_INIT_STEP", 1e-30)
+            with pytest.warns(UserWarning, match="accepted no step"):
+                report = fit(data, hyper)
         # every call stalls; the coupling warm-up counts under coupling
         assert report.stalled == {"cluster": 3, "coupling": 4}
         # a stalled search evaluates its start and tries no step below 1e-20
@@ -1228,11 +1228,12 @@ class TestFit:
 
         assert state_bytes(screened.state) == state_bytes(exact.state)
 
-    def test_stalled_fit_warns_once_with_counts(self):
+    def test_stalled_fit_warns_once_with_counts(self, monkeypatch):
         rng = np.random.default_rng(23)
         data = make_dataset(rng, n=10, d=8, k=2, r=3)
+        monkeypatch.setattr(inference, "_INIT_STEP", 1e-30)
         with pytest.warns(UserWarning) as caught:
-            fit(data, default_hyper(max_sweeps=3), GradientBlockConfig(init_step=1e-30))
+            fit(data, default_hyper(max_sweeps=3))
         assert [str(w.message) for w in caught] == [
             "line searches accepted no step: cluster=3 coupling=4"
         ]
@@ -1266,10 +1267,3 @@ class TestInitState:
         state = init_state(data, default_hyper(seed=1))
         assert np.std(state.basis.mean) > 0
 
-
-class TestGradientBlockConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GradientBlockConfig(max_iters=0)
-        with pytest.raises(ValueError):
-            GradientBlockConfig(grad_tol=0.0)

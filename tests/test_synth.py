@@ -330,6 +330,19 @@ class TestScore:
         assert calls == []
         assert not np.isnan(fresh.mask_auc)
 
+    @pytest.mark.parametrize("top_m", [0, 4])
+    def test_top_m_out_of_range_rejected(self, top_m):
+        data, truth = generate((6, 2, 8, 3), seed=35)
+        with pytest.raises(ValueError, match=r"top_m must lie in \[1, 3\]"):
+            score_arrays(
+                truth.associations,
+                truth.noiseless_mean,
+                truth.shown_mask,
+                truth.basis,
+                truth,
+                top_m,
+            )
+
     def test_shape_mismatch_rejected(self):
         data, truth = generate((6, 2, 8, 3), seed=35)
         with pytest.raises(ValueError):
