@@ -246,10 +246,12 @@ def cmd_fit(argv) -> int:
     if config.top_m < 1:
         raise UsageError(f"top_m must be at least 1, got {config.top_m}")
 
-    expr = dataio.load_expression(config.expression, config.labels)
-    sets = dataio.load_gmt(config.gmt)
-    graph = dataio.load_edge_list(config.edges)
-    data = dataio.align(expr, sets, graph)
+    # nested, so that the parsed inputs are released once aligned
+    data = dataio.align(
+        dataio.load_expression(config.expression, config.labels),
+        dataio.load_gmt(config.gmt),
+        dataio.load_edge_list(config.edges),
+    )
     try:
         hyper = hyper.resolve(data)
     except ValueError as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import InteractionGraph
-from .model import ObservationSet
+from .model import ObservationSet, all_finite
 
 
 class DataError(Exception):
@@ -93,7 +93,7 @@ class LabeledExpression:
             raise ValueError("matrix shape does not match identifier lists")
         if len(self.labels) != len(self.sample_ids):
             raise ValueError("one cluster label required per sample")
-        if not np.all(np.isfinite(self.matrix)):
+        if not all_finite(self.matrix):
             raise ValueError("expression matrix contains non-finite values")
 
 
@@ -265,7 +265,9 @@ def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
         warnings.warn(f"{len(dropped)} sample(s) missing cluster labels dropped: {names}")
         keep = [i for i, sid in enumerate(sample_ids) if sid in label_map]
         sample_ids = tuple(sample_ids[i] for i in keep)
-        matrix = matrix[keep]
+        for row, kept in enumerate(keep):  # compacted in place: rows only move up
+            matrix[row] = matrix[kept]
+        matrix.resize((len(keep), len(feature_ids)), refcheck=False)
     if not sample_ids:
         raise FormatError("no labelled samples remain")
     return LabeledExpression(
@@ -301,8 +303,11 @@ def align(
         raise AlignmentError(
             "no features shared by expression matrix, gene sets and interaction graph"
         )
-    col_of = {f: i for i, f in enumerate(expr.feature_ids)}
-    x = expr.matrix[:, [col_of[f] for f in universe]]
+    if len(universe) == len(expr.feature_ids):  # every column kept, in order
+        x = expr.matrix
+    else:
+        col_of = {f: i for i, f in enumerate(expr.feature_ids)}
+        x = expr.matrix.take([col_of[f] for f in universe], axis=1)
 
     index = {f: j for j, f in enumerate(universe)}
     kept_sets = []
@@ -346,7 +351,7 @@ def write_labeled_matrix(row_ids, col_ids, matrix, corner="row_id") -> str:
         raise ValueError("matrix shape does not match label lists")
     template = "\t".join([_NUMBER] * matrix.shape[1])
     return f"{corner}\t" + "\t".join(col_ids) + "\n" + "".join(
-        f"{rid}\t{template % tuple(row)}\n" for rid, row in zip(row_ids, matrix.tolist())
+        f"{rid}\t{template % tuple(row.tolist())}\n" for rid, row in zip(row_ids, matrix)
     )
 
 
@@ -358,7 +363,8 @@ def parse_labeled_matrix(lines):
     the rows. A ragged row or a bad cell is an error naming its line.
     """
     col_ids = None
-    rows = {}  # row id -> values, in file order
+    rows = {}  # row id -> its row of ``matrix``, in file order
+    matrix = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -375,6 +381,7 @@ def parse_labeled_matrix(lines):
                 if col in seen:
                     raise FormatError(f"duplicate column id {col!r} in header", line=lineno)
                 seen.add(col)
+            matrix = np.empty((0, len(col_ids)))
             continue
         row_id = fields[0].strip()
         if not row_id:
@@ -386,10 +393,16 @@ def parse_labeled_matrix(lines):
                 f"row for {row_id!r} has {len(fields) - 1} values, expected {len(col_ids)}",
                 line=lineno,
             )
-        rows[row_id] = _parse_row(fields[1:], lineno, col_ids)
+        row = len(rows)
+        if row == len(matrix):
+            # grows by an eighth in place: realloc moves the pages of a large
+            # buffer instead of copying them, so the file's values are held once
+            matrix.resize((row + row // 8 + 8, len(col_ids)), refcheck=False)
+        matrix[row] = _parse_row(fields[1:], lineno, col_ids)
+        rows[row_id] = row
     if col_ids is None:
         raise FormatError("empty matrix file")
-    matrix = np.asarray(list(rows.values()), dtype=float).reshape(len(rows), len(col_ids))
+    matrix.resize((len(rows), len(col_ids)), refcheck=False)
     return tuple(rows), col_ids, matrix
 
 

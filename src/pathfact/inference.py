@@ -195,7 +195,7 @@ def _next_step(s, g_old, g_new, max_step):
     return min(s * 2.0, max_step)
 
 
-def _backtracking_ascent(x0, value, value_and_grad):
+def _backtracking_ascent(x, value, value_and_grad):
     """Maximize by steepest ascent with Armijo backtracking.
 
     The first search starts at ``_INIT_STEP``. After a step ``s * g_old`` is
@@ -210,13 +210,15 @@ def _backtracking_ascent(x0, value, value_and_grad):
     Each trial is evaluated as ``value(x, floor)``, with ``floor`` its
     Armijo floor ``f + _ARMIJO_C * s * |g|^2``. Only the test against the
     floor reads a trial's value, so ``value`` may return any number below
-    the floor in place of the value of a trial that falls below it.
+    the floor in place of the value of a trial that falls below it. Each
+    trial is a new read-only array, so ``value`` may keep it, or views of
+    it, without a copy; the accepted trial is the array handed to
+    ``value_and_grad`` next, and the one returned.
 
     Returns (x, stalled, evaluations): stalled means not a single step was
     accepted even at machine-precision step sizes; evaluations counts the
     calls of ``value`` and ``value_and_grad``.
     """
-    x = x0
     f, g = value_and_grad(x)
     evaluations = 1
     if not np.isfinite(f):
@@ -231,7 +233,9 @@ def _backtracking_ascent(x0, value, value_and_grad):
         s = step
         accepted = False
         while s > 1e-20:
-            cand = x + s * g
+            cand = s * g
+            cand += x  # x + s * g, without a second temporary
+            cand.flags.writeable = False
             floor = f + _ARMIJO_C * s * gnorm_sq
             fc = value(cand, floor)
             evaluations += 1
@@ -381,7 +385,6 @@ class _CouplingProblem:
             bound += mean_cap if term is None else term
         if bound < floor:
             return bound
-        x = np.array(x, dtype=float)  # a private copy, which the pass may view
         self._kept = (x, *self._forward(x, head))
         return self._kept[1]
 
@@ -390,8 +393,9 @@ class _CouplingProblem:
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def value_and_grad(self, x):
         kept, self._kept = self._kept, None
-        # compared by content: an array mutated in place is recomputed
-        if kept is not None and np.array_equal(kept[0], x):
+        # found by identity: the line search's trials are read-only, so the
+        # array value() saw still holds the point its pass was made at
+        if kept is not None and kept[0] is x:
             _, value, gradient = kept
         else:
             value, gradient = self._forward(x, self._membership(x))
@@ -488,8 +492,9 @@ def update_coupling(state, data, hyper, lap=None, mom=None):
     lap = lap or normalized_laplacian(data.graph, rh.epsilon)
     mom = mom or factor_moments(state, data, rh)
     problem = _CouplingProblem(state, data, rh, lap, mom)
-    x0 = problem.pack(state.coupling, state.sparsity)
-    x, stalled, evaluations = _backtracking_ascent(x0, problem.value, problem.value_and_grad)
+    x, stalled, evaluations = _backtracking_ascent(
+        problem.pack(state.coupling, state.sparsity), problem.value, problem.value_and_grad
+    )
     mu_g, sig_g, mu_pi, sig_pi = problem.unpack(x)
     return NormalParams(mu_g, sig_g), NormalParams(mu_pi, sig_pi), stalled, evaluations
 

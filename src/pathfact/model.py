@@ -32,6 +32,12 @@ class NumericalError(RuntimeError):
     """Raised when an objective evaluation produces a non-finite block."""
 
 
+def all_finite(a):
+    """Whether every entry of ``a`` is finite, without an array of flags: the
+    minimum and the maximum carry any NaN or infinity."""
+    return a.size == 0 or bool(np.isfinite([a.min(), a.max()]).all())
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Aligned observations plus structured prior knowledge.
@@ -60,7 +66,7 @@ class ObservationSet:
         object.__setattr__(self, "feature_ids", tuple(self.feature_ids))
         object.__setattr__(self, "cluster_ids", tuple(self.cluster_ids))
         object.__setattr__(self, "set_ids", tuple(self.set_ids))
-        if not np.all(np.isfinite(X)):
+        if not all_finite(X):
             raise ValueError("X contains non-finite values")
         n, d = X.shape
         if U0.shape != (n, len(self.cluster_ids)):
@@ -104,8 +110,9 @@ class ObservationSet:
 
     @cached_property
     def x_sq(self):
-        """Squared Frobenius norm of X, computed once per dataset."""
-        return float(np.sum(self.X * self.X))
+        """Squared Frobenius norm of X, computed once per dataset and read
+        in place, in any memory order."""
+        return float(np.einsum("ij,ij->", self.X, self.X))
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,11 @@ def sample_membership(n_features, n_sets, beta_a, lap: LaplacianOperator, rng):
     a = beta_a / n_sets
     pi = rng.beta(a, 1.0, size=n_sets)
     pi_bar = std_normal_quantile(np.clip(pi, 1e-300, 1 - 1e-16))
-    chol = np.linalg.cholesky(lap.precision.toarray())
+    try:
+        chol = np.linalg.cholesky(lap.precision.toarray())
+    except MemoryError:
+        msg = f"out of memory in the dense Cholesky factor of the graph precision (D={n_features})"
+        raise MemoryError(msg) from None
     noise = rng.standard_normal((n_features, n_sets))
     g = linalg.solve_triangular(chol.T, noise, lower=False)
     z = (g < pi_bar[None, :]).astype(int)

@@ -1,5 +1,8 @@
 """Shared builders for small random instances used across the test suite,
-and the oracle optimizer that the closed-form blocks are checked against."""
+the oracle optimizer that the closed-form blocks are checked against, and
+a memory probe."""
+
+import tracemalloc
 
 import numpy as np
 from scipy import optimize
@@ -133,3 +136,16 @@ def polished_minimum(fun, x0):
                 if fun(cand) <= f0:
                     x = cand
     return x
+
+
+def traced_peak(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` and the most bytes it held at once, as
+    tracemalloc counts them; numpy reports its buffers to tracemalloc, and
+    what the call returns is counted too."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -82,12 +82,13 @@ def test_criterion_2_block_optimality():
         data = make_dataset(rng, n=7, d=5, k=2, r=3, mask_prob=0.4)
         state = make_state(rng, data)
         hyper = default_hyper(xi=2.0)
+        lap = normalized_laplacian(data.graph, hyper.epsilon)  # one per trial, not per call
 
         closed = update_noise(state, data, hyper)
 
         def neg_noise(x):
             return -elbo(
-                state.updated(noise=GammaParams(np.exp(x[0]), np.exp(x[1]))), data, hyper
+                state.updated(noise=GammaParams(np.exp(x[0]), np.exp(x[1]))), data, hyper, lap=lap
             )
 
         best = np.exp(
@@ -112,7 +113,7 @@ def test_criterion_2_block_optimality():
             loc[k, r] = x[0]
             sc[k, r] = np.exp(x[1])
             return -regularized_objective(
-                state.updated(assoc=TruncatedNormalParams(loc, sc)), data, hyper
+                state.updated(assoc=TruncatedNormalParams(loc, sc)), data, hyper, lap=lap
             )[0]
 
         best = polished_minimum(
@@ -135,7 +136,7 @@ def test_criterion_2_block_optimality():
             mean[j, r] = x[0]
             var[j, r] = np.exp(x[1])
             return -regularized_objective(
-                state.updated(basis=NormalParams(mean, var)), data, hyper
+                state.updated(basis=NormalParams(mean, var)), data, hyper, lap=lap
             )[0]
 
         best = polished_minimum(

@@ -117,6 +117,18 @@ class TestSimulate:
         assert main(simulate_args(b, seed=2)) == EXIT_OK
         assert (a / "expression.tsv").read_text() != (b / "expression.tsv").read_text()
 
+    def test_membership_draw_out_of_memory_exit_one(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np.linalg, "cholesky", out_of_memory)
+        out = tmp_path / "out"
+        assert main(simulate_args(out)) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "error: out of memory in the dense Cholesky factor of the graph precision (D=16)\n"
+        )
+        assert not out.exists()
+
     def test_invalid_dims_exit_one(self, tmp_path):
         assert main(simulate_args(tmp_path / "x", n=0)) == EXIT_DATA
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from pathfact.dataio import (
     AlignmentError,
@@ -11,6 +12,7 @@ from pathfact.dataio import (
     LabeledExpression,
     align,
     format_number,
+    load_expression,
     parse_edge_list,
     parse_expression,
     parse_gmt,
@@ -137,6 +139,13 @@ class TestParseExpression:
             out = parse_expression(self.MATRIX, ["S1\tbrca\n"])
         assert out.sample_ids == ("S1",)
         assert out.matrix.shape == (1, 2)
+
+    def test_dropped_samples_leave_the_others_in_order(self):
+        matrix = ["s\tG1\tG2\n"] + [f"S{i}\t{i}\t{-i}\n" for i in range(6)]
+        with pytest.warns(UserWarning, match="2 sample"):
+            out = parse_expression(matrix, [f"S{i}\tk\n" for i in (1, 2, 4, 5)])
+        assert out.sample_ids == ("S1", "S2", "S4", "S5")
+        np.testing.assert_array_equal(out.matrix, [[1, -1], [2, -2], [4, -4], [5, -5]])
 
     def test_duplicate_sample_row(self):
         with pytest.raises(FormatError) as caught:
@@ -285,7 +294,7 @@ class TestLabeledMatrixIds:
 class TestMatrixWriters:
     def test_rows_render_as_format_number(self):
         rng = np.random.default_rng(0)
-        specials = [-0.0, 5e-324, 1e308, 2.0, 0.1, 0.0, -1e-310, 1.0 / 3.0]
+        specials = [-0.0, 5e-324, 1e308, -1e308, 2.0, 0.1, 0.0, -1e-310, 2.225073858507201e-308]
         matrix = np.concatenate(
             [np.array([specials]), rng.standard_normal((40, len(specials)))]
         )
@@ -297,10 +306,17 @@ class TestMatrixWriters:
             for rid, row in zip(row_ids, matrix)
         )
         assert all(format_number(v) == format(float(v), ".17g") for v in matrix.ravel())
+        assert body == "".join(
+            rid + "\t" + "\t".join("%.17g" % v for v in row) + "\n"
+            for rid, row in zip(row_ids, matrix.tolist())
+        )
         header = "\t" + "\t".join(col_ids) + "\n"
         assert write_labeled_matrix(row_ids, col_ids, matrix) == "row_id" + header + body
         expr = LabeledExpression(tuple(row_ids), col_ids, matrix, ("k",) * len(row_ids))
         assert write_expression(expr)[0] == "sample_id" + header + body
+        # any memory order renders the same
+        fortran = np.asfortranarray(matrix)
+        assert write_labeled_matrix(row_ids, col_ids, fortran) == "row_id" + header + body
 
     def test_single_column_and_non_finite(self):
         assert write_labeled_matrix(["a", "b"], ["c"], [[np.nan], [-np.inf]]) == (
@@ -449,3 +465,66 @@ class TestAlign:
         with pytest.warns(UserWarning):
             data = align(expr, sets, graph)
         assert data.graph.node_labels == data.feature_ids
+
+
+class TestMatrixHeldOnce:
+    """From file to ObservationSet the expression matrix is held once: the
+    parser grows one buffer in place, and align passes the matrix on
+    uncopied unless a column drops."""
+
+    def test_load_expression_peak_is_near_one_matrix(self, tmp_path):
+        rng = np.random.default_rng(5)
+        matrix = rng.standard_normal((400, 1500))
+        sample_ids = [f"S{i}" for i in range(matrix.shape[0])]
+        feature_ids = [f"G{j}" for j in range(matrix.shape[1])]
+        text = write_labeled_matrix(sample_ids, feature_ids, matrix, "sample_id")
+        (tmp_path / "expression.tsv").write_text(text)
+        (tmp_path / "labels.tsv").write_text("".join(f"{sid}\tk\n" for sid in sample_ids))
+        del text
+        expr, peak = traced_peak(
+            load_expression, tmp_path / "expression.tsv", tmp_path / "labels.tsv"
+        )
+        np.testing.assert_array_equal(expr.matrix, matrix)
+        assert expr.matrix.flags.c_contiguous
+        # the buffer grows by an eighth; the slack covers one line's strings
+        assert peak <= 1.25 * expr.matrix.nbytes + 1e6
+
+    def test_align_passes_the_matrix_on_when_every_column_survives(self):
+        expr = LabeledExpression(
+            sample_ids=("S1", "S2"),
+            feature_ids=("G1", "G2", "G3"),
+            matrix=np.arange(6, dtype=float).reshape(2, 3),
+            labels=("a", "b"),
+        )
+        graph = InteractionGraph(node_labels=("G3", "G2", "G1"), edges={("G1", "G2"): 1.0})
+        sets = GeneSetCollection(sets=(GeneSet("P", "d", ("G1", "G2", "G3")),))
+        data = align(expr, sets, graph)
+        assert data.X is expr.matrix
+
+    def test_align_copies_once_when_a_column_drops(self):
+        expr, sets, graph = TestAlign().build()
+        with pytest.warns(UserWarning, match="P2"):
+            data = align(expr, sets, graph)
+        assert not np.shares_memory(data.X, expr.matrix)
+        assert data.X.flags.c_contiguous
+        np.testing.assert_array_equal(data.X, expr.matrix[:, [1, 2]])
+
+
+class TestFiniteness:
+    """Non-finite entries are found without an N x D array of flags."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        matrix = np.ones((3, 4))
+        matrix[1, 2] = bad
+        with pytest.raises(ValueError, match="^expression matrix contains non-finite values$"):
+            LabeledExpression(("a", "b", "c"), ("G1", "G2", "G3", "G4"), matrix, ("k",) * 3)
+
+    def test_extreme_finite_values_accepted(self):
+        matrix = np.array([[-1.7976931348623157e308, 1.7976931348623157e308, 5e-324]])
+        expr = LabeledExpression(("a",), ("G1", "G2", "G3"), matrix, ("k",))
+        assert expr.matrix is not None
+
+    def test_empty_matrix_accepted(self):
+        expr = LabeledExpression((), ("G1", "G2"), np.empty((0, 2)), ())
+        assert expr.matrix.shape == (0, 2)

@@ -101,10 +101,11 @@ class TestUpdateNoise:
         state = make_state(rng, data)
         hyper = default_hyper()
         closed = update_noise(state, data, hyper)
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
 
         def neg(x):
             return -elbo(
-                state.updated(noise=GammaParams(np.exp(x[0]), np.exp(x[1]))), data, hyper
+                state.updated(noise=GammaParams(np.exp(x[0]), np.exp(x[1]))), data, hyper, lap=lap
             )
 
         x = polished_minimum(neg, np.log([float(closed.shape), float(closed.rate)]) + 0.25)
@@ -166,6 +167,7 @@ class TestUpdateAssociation:
         mean = trunc_norm_moments(out.location, out.scale_sq)[0]
         assert float(out.location) < 0
         assert float(mean) < 0.1
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
 
         def neg(xv):
             loc = state.assoc.location.copy()
@@ -173,7 +175,7 @@ class TestUpdateAssociation:
             loc[0, 1] = xv[0]
             sc[0, 1] = np.exp(xv[1])
             return -regularized_objective(
-                state.updated(assoc=TruncatedNormalParams(loc, sc)), data, hyper
+                state.updated(assoc=TruncatedNormalParams(loc, sc)), data, hyper, lap=lap
             )[0]
 
         best = polished_minimum(neg, np.array([float(out.location), np.log(float(out.scale_sq))]) + 0.1)
@@ -185,6 +187,7 @@ class TestUpdateAssociation:
         data = make_dataset(rng, n=7, d=5, k=2, r=3)
         state = make_state(rng, data)
         hyper = default_hyper(xi=2.0)
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
         for k, r in [(0, 0), (1, 2)]:
             closed = update_association(state, data, hyper, k, r)
 
@@ -194,7 +197,7 @@ class TestUpdateAssociation:
                 loc[k, r] = xv[0]
                 sc[k, r] = np.exp(xv[1])
                 return -regularized_objective(
-                    state.updated(assoc=TruncatedNormalParams(loc, sc)), data, hyper
+                    state.updated(assoc=TruncatedNormalParams(loc, sc)), data, hyper, lap=lap
                 )[0]
 
             x0 = np.array([float(closed.location), np.log(float(closed.scale_sq))]) + 0.2
@@ -250,6 +253,7 @@ class TestUpdateBasis:
         data = make_dataset(rng, n=6, d=4, k=2, r=3)
         state = make_state(rng, data)
         hyper = default_hyper(xi=2.0)
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
         for j, r in [(0, 0), (3, 2)]:
             closed = update_basis(state, data, hyper, j, r)
 
@@ -259,7 +263,7 @@ class TestUpdateBasis:
                 mean[j, r] = xv[0]
                 var[j, r] = np.exp(xv[1])
                 return -regularized_objective(
-                    state.updated(basis=NormalParams(mean, var)), data, hyper
+                    state.updated(basis=NormalParams(mean, var)), data, hyper, lap=lap
                 )[0]
 
             x0 = np.array([float(closed.mean), np.log(float(closed.variance))]) + 0.2
@@ -818,13 +822,32 @@ class TestTrialValues:
             self.assert_same(problem.value_and_grad(x2), fresh(x2))
         assert len(passes) == len(points)
 
-    def test_coupling_point_mutated_in_place_is_fresh(self):
-        _, _, _, _, problem, passes, fresh, points = self.coupling_setup(44)
-        for i, x in enumerate(points):
+    def test_coupling_pass_is_kept_for_the_same_array_only(self):
+        """The kept pass is found by identity: an equal but different array
+        gets a pass of its own. Identity is safe because every trial the
+        ascent hands out is read-only, so a write into one raises."""
+        data, state, rh, _, problem, passes, fresh, points = self.coupling_setup(44)
+        for x in points:
             problem.value(x)
-            x[i] += 0.25
-            self.assert_same(problem.value_and_grad(x), fresh(x))
-        assert len(passes) == 2 * len(points)
+            passes.clear()
+            twin = x.copy()
+            self.assert_same(problem.value_and_grad(twin), fresh(twin))
+            assert len(passes) == 1 and passes[0] is twin
+
+        trials = []
+
+        def value(x, floor):
+            trials.append(x)
+            return problem.value(x, floor)
+
+        x, _, _ = inference._backtracking_ascent(points[0], value, problem.value_and_grad)
+        assert len(trials) > 1 and not any(t.flags.writeable for t in trials)
+        assert any(x is t for t in trials)
+        with pytest.raises(ValueError, match="read-only"):
+            trials[0][0] += 1.0
+        # the fitted state holds copies, which may be written
+        coupling, sparsity, _, _ = update_coupling(state, data, rh)
+        assert coupling.mean.flags.writeable and sparsity.variance.flags.writeable
 
     def test_coupling_underflowed_variance_is_rejected(self):
         """A trial variance that underflows to zero makes the value -inf,

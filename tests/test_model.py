@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import default_hyper, make_dataset, make_state
+from conftest import default_hyper, make_dataset, make_state, traced_peak
 
 from pathfact.dist import (
     GammaParams,
@@ -712,6 +714,31 @@ class TestObservationSetValidation:
                 set_ids=data.set_ids,
             )
 
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_x(self, bad):
+        data = make_dataset(np.random.default_rng(20))
+        x = data.X.copy()
+        x[-1, 0] = bad
+        with pytest.raises(ValueError, match="^X contains non-finite values$"):
+            replace(data, X=x)
+
+    def test_accepts_no_samples(self):
+        data = make_dataset(np.random.default_rng(21))
+        empty = replace(data, X=np.empty((0, data.n_features)), U0=np.empty((0, 2)), sample_ids=())
+        assert empty.n_samples == 0 and empty.x_sq == 0.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_x_sq_reads_x_in_place(self, order):
+        """||X||^2 needs no N x D temporary, in either memory order, and
+        equals the sum of X * X to rounding."""
+        base = make_dataset(np.random.default_rng(22), n=200, d=300, edge_prob=0.02)
+        data = replace(base, X=np.asarray(base.X, order=order))
+        assert data.X.flags.c_contiguous == (order == "C")
+        value, peak = traced_peak(lambda: data.x_sq)
+        assert peak < data.X.nbytes / 4
+        want = float(np.sum(data.X * data.X))
+        assert abs(value - want) <= 1e-12 * want
 
     def test_mask_indices_computed_once_and_read_only(self):
         data = make_dataset(np.random.default_rng(19), mask_prob=0.5)

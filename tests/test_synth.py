@@ -126,6 +126,18 @@ class TestMembershipPrior:
         assert np.mean(agree_adj) > np.mean(agree_far) + 0.01
 
 
+    def test_dense_factor_out_of_memory_names_d(self, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(synth.np.linalg, "cholesky", out_of_memory)
+        with pytest.raises(MemoryError) as caught:
+            generate((6, 2, 9, 3), seed=1)
+        assert str(caught.value) == (
+            "out of memory in the dense Cholesky factor of the graph precision (D=9)"
+        )
+
+
 class TestGeneratePlanted:
     def test_balanced_disjoint_sets(self):
         data, truth = generate_planted((20, 2, 24, 4), seed=3)
