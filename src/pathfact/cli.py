@@ -168,12 +168,10 @@ def _write_matrix(path: Path, data, kinds, matrix):
     """Write ``matrix`` labeled with the ids of ``data`` of the (row,
     column) ``kinds``; the corner cell names the row kind."""
     rows, cols = kinds
-    _write(
-        path,
+    with path.open("w", encoding="utf-8") as handle:
         dataio.write_labeled_matrix(
-            getattr(data, f"{rows}_ids"), getattr(data, f"{cols}_ids"), matrix, corner=rows
-        ),
-    )
+            handle, getattr(data, f"{rows}_ids"), getattr(data, f"{cols}_ids"), matrix, rows
+        )
 
 
 def _render_ranked(cluster_ids, ranked) -> str:
@@ -198,9 +196,13 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
         f"# versions: pathfact={__version__} numpy={np.__version__} scipy={scipy.__version__}"
     )
     # outputs are byte-identical only at a fixed BLAS thread count
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
     lines.append(
-        f"# blas: {blas['name']} {blas['version']} "
+        f"# blas: {blas} "
         + " ".join(
             f"{var}={os.environ.get(var, 'unset')}"
             for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -334,9 +336,11 @@ def cmd_simulate(argv) -> int:
         matrix=data.X,
         labels=tuple(data.cluster_ids[int(np.argmax(row))] for row in data.U0),
     )
-    matrix_text, labels_text = dataio.write_expression(expr)
-    _write(out / "expression.tsv", matrix_text)
-    _write(out / "labels.tsv", labels_text)
+    with (
+        (out / "expression.tsv").open("w", encoding="utf-8") as matrix_out,
+        (out / "labels.tsv").open("w", encoding="utf-8") as labels_out,
+    ):
+        dataio.write_expression(expr, matrix_out, labels_out)
     sets = dataio.GeneSetCollection(
         sets=tuple(
             dataio.GeneSet(

@@ -278,11 +278,10 @@ def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
     )
 
 
-def write_expression(expr: LabeledExpression):
-    """Canonical matrix and label TSVs; returns (matrix_text, label_text)."""
-    matrix = write_labeled_matrix(expr.sample_ids, expr.feature_ids, expr.matrix, "sample_id")
-    labels = "".join(f"{sid}\t{lab}\n" for sid, lab in zip(expr.sample_ids, expr.labels))
-    return matrix, labels
+def write_expression(expr: LabeledExpression, matrix_out, labels_out):
+    """Write the canonical matrix and label TSVs to two text handles."""
+    write_labeled_matrix(matrix_out, expr.sample_ids, expr.feature_ids, expr.matrix, "sample_id")
+    labels_out.writelines(f"{sid}\t{lab}\n" for sid, lab in zip(expr.sample_ids, expr.labels))
 
 
 def align(
@@ -342,17 +341,17 @@ def align(
     )
 
 
-def write_labeled_matrix(row_ids, col_ids, matrix, corner="row_id") -> str:
-    """Labeled TSV with 17-significant-digit values (round-trips exactly):
-    each value as :func:`format_number` renders it, through one ``%``
-    template per matrix."""
+def write_labeled_matrix(out, row_ids, col_ids, matrix, corner="row_id"):
+    """Write a labeled TSV to the text handle ``out``, a row at a time, with
+    17-significant-digit values (round-trips exactly): each value as
+    :func:`format_number` renders it, through one ``%`` template per matrix."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (len(row_ids), len(col_ids)):
         raise ValueError("matrix shape does not match label lists")
     template = "\t".join([_NUMBER] * matrix.shape[1])
-    return f"{corner}\t" + "\t".join(col_ids) + "\n" + "".join(
-        f"{rid}\t{template % tuple(row.tolist())}\n" for rid, row in zip(row_ids, matrix)
-    )
+    out.write(f"{corner}\t" + "\t".join(col_ids) + "\n")
+    for rid, row in zip(row_ids, matrix):
+        out.write(f"{rid}\t{template % tuple(row.tolist())}\n")
 
 
 def parse_labeled_matrix(lines):

@@ -10,7 +10,7 @@ how much of the hidden structure a fit recovers.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import linalg
 
 from .graph import InteractionGraph, LaplacianOperator, normalized_laplacian
 from .model import ObservationSet, expected_reconstruction, factor_moments, rank_row
@@ -336,15 +336,17 @@ def generate_planted(
 def ranking_auc(scores, labels):
     """Area under the ROC curve via the rank-sum statistic (ties averaged).
 
-    Returns nan when either class is absent.
+    Returns nan when either class is absent or any score is nan.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(bool)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_neg == 0 or np.isnan(scores).any():
         return float("nan")
-    ranks = stats.rankdata(scores)
+    # average ranks: a run of equal scores shares the mean of its positions
+    _, inv, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -1,12 +1,14 @@
 """Shared builders for small random instances used across the test suite,
-the oracle optimizer that the closed-form blocks are checked against, and
-a memory probe."""
+the oracle optimizer that the closed-form blocks are checked against, a
+memory probe, and the text that the writers write."""
 
+import io
 import tracemalloc
 
 import numpy as np
 from scipy import optimize
 
+from pathfact import dataio
 from pathfact.dist import GammaParams, NormalParams, TruncatedNormalParams
 from pathfact.model import Hyperparameters, ObservationSet, VariationalState
 from pathfact.synth import random_graph
@@ -149,3 +151,19 @@ def traced_peak(fn, *args, **kwargs):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def render_matrix(*args, **kwargs):
+    """The text :func:`dataio.write_labeled_matrix` writes for these
+    arguments."""
+    out = io.StringIO()
+    dataio.write_labeled_matrix(out, *args, **kwargs)
+    return out.getvalue()
+
+
+def render_expression(expr):
+    """(matrix_text, label_text) that :func:`dataio.write_expression`
+    writes for ``expr``."""
+    matrix_out, labels_out = io.StringIO(), io.StringIO()
+    dataio.write_expression(expr, matrix_out, labels_out)
+    return matrix_out.getvalue(), labels_out.getvalue()

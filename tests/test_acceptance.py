@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import default_hyper, make_dataset, make_state, polished_minimum
+from conftest import (
+    default_hyper,
+    make_dataset,
+    make_state,
+    polished_minimum,
+    render_expression,
+)
 
 from pathfact.dist import NormalParams, TruncatedNormalParams, GammaParams
 from pathfact.graph import InteractionGraph, normalized_laplacian
@@ -461,13 +467,13 @@ def test_criterion_10_format_round_trips():
         ]
         labels = [f"S{i:02d}\tL{int(rng.integers(0, 3))}\n" for i in range(n)]
         once = dataio.parse_expression([header] + rows, labels)
-        m_text, l_text = dataio.write_expression(once)
+        m_text, l_text = render_expression(once)
         twice = dataio.parse_expression(
             m_text.splitlines(keepends=True), l_text.splitlines(keepends=True)
         )
         assert np.array_equal(once.matrix, twice.matrix)
         assert once.sample_ids == twice.sample_ids and once.labels == twice.labels
-        assert dataio.write_expression(twice) == (m_text, l_text)
+        assert render_expression(twice) == (m_text, l_text)
         cases += 1
 
     report(10, cases == 1000, f"{cases} fuzzed parse-serialize-parse identities")

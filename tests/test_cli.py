@@ -1,10 +1,16 @@
+import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from conftest import render_matrix
 
 import pathfact
 from pathfact import cli, dataio, inference, model
@@ -150,6 +156,43 @@ class TestSimulate:
         assert not out.exists()
 
 
+def test_commands_load_only_the_scipy_a_fit_runs(dataset, tmp_path):
+    """A fresh interpreter loads no public scipy subpackage beyond
+    scipy.special, scipy.sparse and the scipy.linalg that its LU solver
+    loads: not on importing the package, nor the CLI, nor through a fit."""
+    script = """
+import json, sys
+def scipy_subpackages():
+    return sorted({
+        name.split(".")[1] for name in sys.modules
+        if name.startswith("scipy.") and not name.split(".")[1].startswith("_")
+    })
+import pathfact
+loaded = [scipy_subpackages()]
+import pathfact.cli
+loaded.append(scipy_subpackages())
+pathfact.cli.main(json.loads(sys.argv[1]))
+loaded.append(scipy_subpackages())
+print(json.dumps(loaded))
+"""
+    env = dict(os.environ)
+    src = str(Path(pathfact.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    args = json.dumps(fit_args(dataset, tmp_path / "fit"))
+    done = subprocess.run(
+        [sys.executable, "-c", script, args], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert len(loaded) == 3
+    for subpackages in loaded:
+        assert set(subpackages) <= {"linalg", "sparse", "special", "version"}
+
+
+def _build_info_unreadable(mode):
+    raise TypeError("no build information")
+
+
 class TestFit:
     def test_outputs_exist_and_trace_monotone(self, dataset, tmp_path):
         out = tmp_path / "fit"
@@ -214,12 +257,25 @@ class TestFit:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         assert meta[stalled + 3] in (out2 / "run_meta").read_text().splitlines()
 
+    @pytest.mark.parametrize(
+        "show_config", [_build_info_unreadable, lambda mode: {}], ids=["raises", "empty"]
+    )
+    def test_run_meta_without_blas_info(self, dataset, tmp_path, monkeypatch, show_config):
+        monkeypatch.setattr(np, "show_config", show_config)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        out = tmp_path / "fit"
+        assert main(fit_args(dataset, out)) in (EXIT_OK, EXIT_MAX_SWEEPS)
+        meta = (out / "run_meta").read_text().splitlines()
+        assert "# blas: unknown OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset" in meta
+        assert set(parse_config_file(out / "run_meta")) == {f.name for f in fields(RunConfig)}
+
     def test_outputs_parse_back(self, dataset, tmp_path):
         out = tmp_path / "parse"
         main(fit_args(dataset, out))
         for name in ("association.tsv", "z_posterior.tsv", "u_mixed.tsv", "basis_mean.tsv"):
             row_ids, col_ids, matrix = dataio.load_labeled_matrix(out / name)
-            rendered = dataio.write_labeled_matrix(
+            rendered = render_matrix(
                 row_ids,
                 col_ids,
                 matrix,
@@ -384,24 +440,16 @@ class TestEvalAndRank:
         fake = tmp_path / "oracle_fit"
         fake.mkdir()
         (fake / "association.tsv").write_text(
-            dataio.write_labeled_matrix(
-                data.cluster_ids, data.set_ids, associations, corner="cluster"
-            )
+            render_matrix(data.cluster_ids, data.set_ids, associations, corner="cluster")
         )
         (fake / "z_posterior.tsv").write_text(
-            dataio.write_labeled_matrix(
-                data.feature_ids, data.set_ids, membership, corner="feature"
-            )
+            render_matrix(data.feature_ids, data.set_ids, membership, corner="feature")
         )
         (fake / "u_mixed.tsv").write_text(
-            dataio.write_labeled_matrix(
-                data.sample_ids, data.cluster_ids, data.U0, corner="sample"
-            )
+            render_matrix(data.sample_ids, data.cluster_ids, data.U0, corner="sample")
         )
         (fake / "basis_mean.tsv").write_text(
-            dataio.write_labeled_matrix(
-                data.feature_ids, data.set_ids, basis, corner="feature"
-            )
+            render_matrix(data.feature_ids, data.set_ids, basis, corner="feature")
         )
         code = main(
             [

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import render_expression, render_matrix, traced_peak
 
 from pathfact.dataio import (
     AlignmentError,
@@ -18,7 +18,6 @@ from pathfact.dataio import (
     parse_gmt,
     parse_labeled_matrix,
     write_edge_list,
-    write_expression,
     write_gmt,
     write_labeled_matrix,
 )
@@ -311,15 +310,30 @@ class TestMatrixWriters:
             for rid, row in zip(row_ids, matrix.tolist())
         )
         header = "\t" + "\t".join(col_ids) + "\n"
-        assert write_labeled_matrix(row_ids, col_ids, matrix) == "row_id" + header + body
+        assert render_matrix(row_ids, col_ids, matrix) == "row_id" + header + body
         expr = LabeledExpression(tuple(row_ids), col_ids, matrix, ("k",) * len(row_ids))
-        assert write_expression(expr)[0] == "sample_id" + header + body
+        assert render_expression(expr)[0] == "sample_id" + header + body
         # any memory order renders the same
         fortran = np.asfortranarray(matrix)
-        assert write_labeled_matrix(row_ids, col_ids, fortran) == "row_id" + header + body
+        assert render_matrix(row_ids, col_ids, fortran) == "row_id" + header + body
+
+    def test_writes_row_by_row(self, tmp_path):
+        matrix = np.random.default_rng(6).standard_normal((500, 2000))
+        row_ids = [f"S{i}" for i in range(matrix.shape[0])]
+        col_ids = [f"G{j}" for j in range(matrix.shape[1])]
+        path = tmp_path / "matrix.tsv"
+
+        def write():
+            with path.open("w", encoding="utf-8") as handle:
+                write_labeled_matrix(handle, row_ids, col_ids, matrix, "sample_id")
+
+        _, peak = traced_peak(write)
+        # the whole text is 20 MB; a row's is 40 kB
+        assert peak < 1e6
+        assert path.read_text() == render_matrix(row_ids, col_ids, matrix, "sample_id")
 
     def test_single_column_and_non_finite(self):
-        assert write_labeled_matrix(["a", "b"], ["c"], [[np.nan], [-np.inf]]) == (
+        assert render_matrix(["a", "b"], ["c"], [[np.nan], [-np.inf]]) == (
             "row_id\tc\na\tnan\nb\t-inf\n"
         )
 
@@ -346,14 +360,14 @@ class TestRoundTrips:
         matrix = ["sample_id\tG1\tG2\n", "S1\t0.1234567890123456\t-2\n"]
         labels = ["S1\tk\n"]
         once = parse_expression(matrix, labels)
-        m_text, l_text = write_expression(once)
+        m_text, l_text = render_expression(once)
         twice = parse_expression(
             m_text.splitlines(keepends=True), l_text.splitlines(keepends=True)
         )
         np.testing.assert_array_equal(once.matrix, twice.matrix)
         assert once.sample_ids == twice.sample_ids
         assert once.labels == twice.labels
-        assert write_expression(twice) == (m_text, l_text)
+        assert render_expression(twice) == (m_text, l_text)
 
     def test_fuzzed_round_trips(self):
         rng = np.random.default_rng(0)
@@ -477,10 +491,9 @@ class TestMatrixHeldOnce:
         matrix = rng.standard_normal((400, 1500))
         sample_ids = [f"S{i}" for i in range(matrix.shape[0])]
         feature_ids = [f"G{j}" for j in range(matrix.shape[1])]
-        text = write_labeled_matrix(sample_ids, feature_ids, matrix, "sample_id")
-        (tmp_path / "expression.tsv").write_text(text)
+        with (tmp_path / "expression.tsv").open("w", encoding="utf-8") as handle:
+            write_labeled_matrix(handle, sample_ids, feature_ids, matrix, "sample_id")
         (tmp_path / "labels.tsv").write_text("".join(f"{sid}\tk\n" for sid in sample_ids))
-        del text
         expr, peak = traced_peak(
             load_expression, tmp_path / "expression.tsv", tmp_path / "labels.tsv"
         )

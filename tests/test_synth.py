@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from conftest import default_hyper, oracle_state
 
@@ -277,6 +278,35 @@ class TestRankingAuc:
 
     def test_degenerate_returns_nan(self):
         assert np.isnan(ranking_auc([0.5, 0.2], [1, 1]))
+
+    @staticmethod
+    def rankdata_auc(scores, labels):
+        labels = np.asarray(labels, dtype=bool)
+        n_pos = int(labels.sum())
+        n_neg = labels.size - n_pos
+        u = rankdata(scores)[labels].sum() - n_pos * (n_pos + 1) / 2.0
+        return float(u / (n_pos * n_neg))
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.random.default_rng(5).integers(0, 7, 501) / 4.0,  # tie-heavy
+            np.random.default_rng(6).random(400),
+            np.full(64, 0.3),
+            np.r_[np.inf, -np.inf, 0.0, -0.0, 1.0, np.inf, -np.inf, 2.0],
+        ],
+        ids=["ties", "distinct", "all-equal", "infinite"],
+    )
+    def test_bit_equal_to_rankdata(self, scores):
+        labels = np.random.default_rng(scores.size).random(scores.size) < 0.4
+        labels[:2] = (True, False)  # both classes present
+        assert ranking_auc(scores, labels) == self.rankdata_auc(scores, labels)
+
+    def test_nan_score_gives_nan(self):
+        scores = np.array([0.9, np.nan, 0.2, 0.1])
+        assert np.isnan(ranking_auc(scores, [1, 1, 0, 0]))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(self.rankdata_auc(scores, [1, 1, 0, 0]))
 
 
 class TestScore:
