@@ -35,6 +35,7 @@ from .model import (
     membership_terms,
     regularized_objective,
     softmax_rows,
+    sq_residual_at,
     state_membership_terms,
     with_prior_mean,
 )
@@ -260,27 +261,19 @@ def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=No
 
     Every other objective term is constant in theta, so ascent on this
     restriction is ascent on the full objective. ``mom`` holds the state's
-    moments and is computed when absent; only those that do not depend on
-    theta are read, so an evaluation costs O(NKR + NR^2) and forms no N x D
-    residual.
+    moments and is computed when absent; only ``c``, ``m`` and ``var_load``,
+    which do not depend on theta, are read, so an evaluation costs O(NK^2).
     """
     rh = hyper.resolve(data)
     mom = mom or factor_moments(state, data, rh)
     noise_mean = float(state.noise.mean)
-    var_load = mom.s_var @ mom.w2_sum  # per-cluster variance load
     tilde = softmax_rows(theta)
     u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
-    a = u @ mom.s_mean
-    a_gram = a @ mom.ww
-    total = (
-        data.x_sq
-        - float((a * (2.0 * mom.xw - a_gram)).sum())
-        + float((u * u).sum(axis=0) @ var_load)
-    )
+    total, um = sq_residual_at(u, data.x_sq, mom)
     value = -0.5 * noise_mean * total
     if not with_grad:
         return value, None
-    d_value_du = noise_mean * ((mom.xw - a_gram) @ mom.s_mean.T - u * var_load)
+    d_value_du = noise_mean * (mom.c - um - u * mom.var_load)
     inner = (tilde * d_value_du).sum(axis=1, keepdims=True)
     grad = (1.0 - rh.zeta) * tilde * (d_value_du - inner)
     return value, grad

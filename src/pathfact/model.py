@@ -162,6 +162,8 @@ class Hyperparameters:
             raise ValueError("max_sweeps must be >= 1")
         if self.elbo_rel_tol <= 0:
             raise ValueError("elbo_rel_tol must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def resolve(self, data: ObservationSet) -> "ResolvedHyperparameters":
         """Prior arrays broadcast to the data's shapes, ``beta_a`` filled in
@@ -313,6 +315,8 @@ def factor_moments(state: VariationalState, data: ObservationSet, hyper, side=No
     q(g) and q(pi). No moment depends on q(alpha). With ``side`` ("a" or
     "w"), only that side is computed and the other is taken from ``prev``,
     the moments of a state that differs from ``state`` on that side only.
+    ``c`` = X E[W] E[S]^T, ``m`` = E[S] E[W^T W] E[S]^T and ``var_load``
+    read both sides and are recomputed after either (see :func:`sq_residual_at`).
     """
     hyper = hyper.resolve(data)
     mom = SimpleNamespace(**vars(prev)) if side else SimpleNamespace()
@@ -338,6 +342,9 @@ def factor_moments(state: VariationalState, data: ObservationSet, hyper, side=No
             mom.ww = w.T @ w
             mom.xw = data.X @ w
         np.fill_diagonal(mom.ww, mom.w2_sum)
+    mom.c = mom.xw @ mom.s_mean.T
+    mom.m = mom.s_mean @ mom.ww @ mom.s_mean.T
+    mom.var_load = mom.s_var @ mom.w2_sum
     return mom
 
 
@@ -347,17 +354,19 @@ def expected_reconstruction(state, data, hyper, mom=None):
     return mom.a @ mom.w.T
 
 
+def sq_residual_at(u, x_sq, mom):
+    """E[||X - u S (Z o V)^T||^2] at cluster weights ``u`` in cluster space, O(NK^2):
+    ||X||^2 - 2 <u, C> + <u, u M> + (u o u)^T 1 . var_load. Also returns u M."""
+    um = u @ mom.m
+    total = x_sq - float((u * (2.0 * mom.c - um)).sum())
+    return total + float((u * u).sum(axis=0) @ mom.var_load), um
+
+
 def expected_sq_residual(state, data, hyper, mom=None):
-    """E[ sum_ij (X_ij - reconstruction_ij)^2 ] under the factorized posterior,
-    in moment form: ||X||^2 - 2 <E[A], X E[W]> + <E[A^T A], E[W^T W]>. No
-    N x D array is formed.
-    """
+    """E[ sum_ij (X_ij - reconstruction_ij)^2 ] under the factorized posterior:
+    :func:`sq_residual_at` at the state's cluster weights."""
     mom = mom or factor_moments(state, data, hyper)
-    return (
-        data.x_sq
-        - 2.0 * float(np.sum(mom.a * mom.xw))
-        + float(np.sum(mom.aa * mom.ww))
-    )
+    return sq_residual_at(mom.u, data.x_sq, mom)[0]
 
 
 def membership_terms(g, pi, t_mask, hyper, lap):

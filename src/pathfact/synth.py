@@ -186,15 +186,12 @@ def _ids(dims):
     )
 
 
-def _plant(
-    rng, ids, z, graph, *, lambda_s, mu_v, sigma_v, noise_precision, snr, corruption,
-    keep_features,
-):
+def _plant(rng, ids, z, graph, *, noise_precision, snr, corruption, keep_features):
     """The dataset and truth around memberships ``z`` and ``graph``.
 
-    Draws the associations S, the basis V and the noise, with one-hot
-    round-robin clusters, then hides a ``corruption`` share of ``z`` from
-    the model (see :func:`_corrupt_mask` for ``keep_features``).
+    Draws the associations S ~ Exp(1), the basis V ~ N(0, 1) and the noise,
+    with one-hot round-robin clusters, then hides a ``corruption`` share of
+    ``z`` from the model (see :func:`_corrupt_mask` for ``keep_features``).
     """
     if not 0.0 <= corruption < 0.5:
         raise ValueError("corruption must lie in [0, 0.5)")
@@ -202,8 +199,8 @@ def _plant(
         raise ValueError("give either noise_precision or snr, not both")
     sample_ids, cluster_ids, feature_ids, set_ids = ids
     n, k, d, r = len(sample_ids), len(cluster_ids), len(feature_ids), len(set_ids)
-    s = rng.exponential(1.0 / lambda_s, size=(k, r))
-    v = rng.normal(mu_v, np.sqrt(sigma_v), size=(d, r))
+    s = rng.exponential(size=(k, r))
+    v = rng.standard_normal((d, r))
     u0 = np.zeros((n, k))
     u0[np.arange(n), np.arange(n) % k] = 1.0
 
@@ -245,12 +242,8 @@ def _plant(
 def generate(
     dims,
     *,
-    graph: InteractionGraph = None,
     edge_prob: float = 0.15,
     beta_a: float = None,
-    lambda_s: float = 1.0,
-    mu_v: float = 0.0,
-    sigma_v: float = 1.0,
     noise_precision: float = None,
     snr: float = None,
     corruption: float = 0.0,
@@ -274,10 +267,7 @@ def generate(
     rng = np.random.default_rng(seed)
     ids = _ids(dims)
 
-    if graph is None:
-        graph = random_graph(ids[2], edge_prob, rng, min_degree=1)
-    elif tuple(graph.node_labels) != ids[2]:
-        raise ValueError("provided graph must be defined on the generated feature ids")
+    graph = random_graph(ids[2], edge_prob, rng, min_degree=1)
     lap = normalized_laplacian(graph, epsilon)
 
     if beta_a is None:
@@ -288,9 +278,8 @@ def generate(
     z = _patch_coverage(z, g, pi_bar, min_members=min_members)
 
     return _plant(
-        rng, ids, z, graph, lambda_s=lambda_s, mu_v=mu_v, sigma_v=sigma_v,
-        noise_precision=noise_precision, snr=snr, corruption=corruption,
-        keep_features=True,
+        rng, ids, z, graph, noise_precision=noise_precision, snr=snr,
+        corruption=corruption, keep_features=True,
     )
 
 
@@ -299,8 +288,6 @@ def generate_planted(
     *,
     p_in: float = 0.35,
     p_out: float = 0.02,
-    lambda_s: float = 1.0,
-    sigma_v: float = 1.0,
     noise_precision: float = None,
     snr: float = None,
     corruption: float = 0.0,
@@ -327,9 +314,8 @@ def generate_planted(
     graph = community_graph(ids[2], assignment, p_in, p_out, rng)
 
     return _plant(
-        rng, ids, z, graph, lambda_s=lambda_s, mu_v=0.0, sigma_v=sigma_v,
-        noise_precision=noise_precision, snr=snr, corruption=corruption,
-        keep_features=False,
+        rng, ids, z, graph, noise_precision=noise_precision, snr=snr,
+        corruption=corruption, keep_features=False,
     )
 
 

@@ -322,6 +322,7 @@ class TestFit:
             ("--xi", "nan", "xi must be finite"),
             ("--xi", "inf", "xi must be finite"),
             ("--elbo-rel-tol", "nan", "elbo_rel_tol must be finite"),
+            ("--seed", "-1", "seed must be nonnegative"),
         ],
     )
     def test_out_of_range_hyperparameter_exit_one(

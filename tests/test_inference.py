@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -464,6 +465,31 @@ class TestUpdateCluster:
             )
             trial, none = cluster_objective_and_grad(theta, state, data, hyper, with_grad=False)
             assert none is None and trial == val
+
+    def test_reads_only_cluster_space_statistics(self):
+        """Given moments that hold only c, m and var_load, an evaluation and
+        the whole block give the same bits as with the full moments."""
+        rng = np.random.default_rng(25)
+        data = make_dataset(rng, n=9, d=7, k=3, r=4)
+        state = make_state(rng, data)
+        hyper = default_hyper(zeta=0.6)
+        mom = factor_moments(state, data, hyper)
+        lean = SimpleNamespace(c=mom.c, m=mom.m, var_load=mom.var_load)
+        theta = rng.normal(size=state.cluster_logits.shape)
+        for with_grad in (True, False):
+            val, grad = cluster_objective_and_grad(
+                theta, state, data, hyper, with_grad=with_grad, mom=mom
+            )
+            lean_val, lean_grad = cluster_objective_and_grad(
+                theta, state, data, hyper, with_grad=with_grad, mom=lean
+            )
+            assert lean_val == val
+            assert (lean_grad is None) == (grad is None) == (not with_grad)
+            if with_grad:
+                assert lean_grad.tobytes() == grad.tobytes()
+        full = update_cluster(state, data, hyper, mom=mom)
+        only = update_cluster(state, data, hyper, mom=lean)
+        assert only[0].tobytes() == full[0].tobytes() and only[1:] == full[1:]
 
     def test_zeta_one_leaves_logits(self):
         rng = np.random.default_rng(8)
@@ -975,7 +1001,8 @@ class TestFit:
         def objective(state, data, rh, lap=None, mom=None, member=None):
             fresh = vars(model.factor_moments(state, data, rh))
             held = vars(mom)
-            assert held.keys() == fresh.keys() and {"xw", "xta"} <= fresh.keys()
+            assert held.keys() == fresh.keys()
+            assert {"xw", "xta", "c", "m", "var_load"} <= fresh.keys()
             for name, value in fresh.items():
                 kept = np.asarray(held[name])
                 assert kept.dtype == value.dtype and kept.shape == value.shape, name

@@ -170,7 +170,35 @@ class TestExpectedReconstruction:
         assert np.all(np.abs(ours - mc_mean) < 3 * mc_se + 1e-12)
 
 
+def set_space_residual(data, mom):
+    """The expected squared residual in set space, from A- and W-side
+    moments: ||X||^2 - 2 <E[A], X E[W]> + <E[A^T A], E[W^T W]>."""
+    return data.x_sq - 2.0 * float(np.sum(mom.a * mom.xw)) + float(np.sum(mom.aa * mom.ww))
+
+
 class TestExpectedSqResidual:
+    @pytest.mark.parametrize("zeta", [0.0, 0.9, 1.0])
+    def test_equals_set_space_moment_form(self, zeta):
+        """The cluster-space residual equals the set-space moment form, at
+        fresh moments and at moments refreshed on either side."""
+        rng = np.random.default_rng(89)
+        hyper = default_hyper(zeta=zeta)
+        for _ in range(10):
+            data = make_dataset(rng, n=7, d=6, k=3, r=4)
+            state, other = make_state(rng, data), make_state(rng, data)
+            mom = factor_moments(state, data, hyper)
+            cases = [(state, mom)]
+            a_side = state.updated(assoc=other.assoc, cluster_logits=other.cluster_logits)
+            w_side = state.updated(
+                basis=other.basis, coupling=other.coupling, sparsity=other.sparsity
+            )
+            for side, changed in (("a", a_side), ("w", w_side)):
+                cases.append((changed, factor_moments(changed, data, hyper, side, mom)))
+            for current, moments in cases:
+                want = set_space_residual(data, moments)
+                got = expected_sq_residual(current, data, hyper, mom=moments)
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
     def test_zero_reconstruction_gives_frobenius(self):
         rng = np.random.default_rng(6)
         data = make_dataset(rng)
@@ -674,6 +702,19 @@ class TestHyperparameters:
     )
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            default_hyper(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("zeta", 1.5, r"zeta must lie in \[0, 1\]"),
+            ("xi", -1.0, "xi must be nonnegative"),
+            ("max_sweeps", 0, "max_sweeps must be >= 1"),
+            ("seed", -1, "seed must be nonnegative"),
+        ],
+    )
+    def test_out_of_range_rejected(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             default_hyper(**{name: value})
 
     def test_int_beyond_float_range_accepted(self):
