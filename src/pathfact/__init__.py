@@ -24,7 +24,7 @@ from .model import (
     z_marginal,
 )
 from .inference import FitReport, fit, init_state
-from .dataio import align, load_edge_list, load_expression, load_gmt
+from .dataio import align, load_edge_list, load_expression, load_gmt, load_observations
 from .synth import (
     PlantedTruth,
     RecoveryMetrics,
@@ -61,6 +61,7 @@ __all__ = [
     "load_edge_list",
     "load_expression",
     "load_gmt",
+    "load_observations",
     "mix_cluster",
     "normalized_laplacian",
     "regularized_objective",

@@ -248,12 +248,7 @@ def cmd_fit(argv) -> int:
     if config.top_m < 1:
         raise UsageError(f"top_m must be at least 1, got {config.top_m}")
 
-    # nested, so that the parsed inputs are released once aligned
-    data = dataio.align(
-        dataio.load_expression(config.expression, config.labels),
-        dataio.load_gmt(config.gmt),
-        dataio.load_edge_list(config.edges),
-    )
+    data = dataio.load_observations(config.expression, config.labels, config.gmt, config.edges)
     try:
         hyper = hyper.resolve(data)
     except ValueError as exc:
@@ -306,6 +301,8 @@ def cmd_simulate(argv) -> int:
     parser.add_argument("--snr", type=float, default=None)
     parser.add_argument("--min-members", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     if not (args.beta_a is None or args.beta_a > 0):
         raise UsageError(f"--beta-a must be positive, got {args.beta_a}")
     if not 0 <= args.edge_prob <= 1:

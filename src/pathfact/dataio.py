@@ -241,11 +241,11 @@ def _parse_row(tokens, lineno, column_names):
     )
 
 
-def parse_expression(matrix_lines, label_lines) -> LabeledExpression:
-    """Parse the expression matrix (see :func:`parse_labeled_matrix`) and the
-    sample-label TSV together. Samples without a label are dropped with a
-    warning."""
-    sample_ids, feature_ids, matrix = parse_labeled_matrix(matrix_lines)
+def parse_expression(matrix_lines, label_lines, keep=None) -> LabeledExpression:
+    """Parse the expression matrix (see :func:`parse_labeled_matrix`, which
+    reads ``keep``) and the sample-label TSV together. Samples without a
+    label are dropped with a warning."""
+    sample_ids, feature_ids, matrix = parse_labeled_matrix(matrix_lines, keep)
 
     label_map = {}
     for lineno, raw in enumerate(label_lines, start=1):
@@ -354,14 +354,17 @@ def write_labeled_matrix(out, row_ids, col_ids, matrix, corner="row_id"):
         out.write(f"{rid}\t{template % tuple(row.tolist())}\n")
 
 
-def parse_labeled_matrix(lines):
+def parse_labeled_matrix(lines, keep=None):
     """Inverse of :func:`write_labeled_matrix`: (row_ids, col_ids, matrix).
 
     Blank lines are skipped. Ids are trimmed; there must be at least one
     column, and no id may be empty or repeat among the columns or among
-    the rows. A ragged row or a bad cell is an error naming its line.
+    the rows. A ragged row or a bad cell is an error naming its line. With
+    ``keep``, a set of ids, only the columns whose id it holds are stored
+    and returned, in file order; every id and cell is still checked.
     """
     col_ids = None
+    take = None  # the stored columns' positions, when some column is not stored
     rows = {}  # row id -> its row of ``matrix``, in file order
     matrix = None
     for lineno, raw in enumerate(lines, start=1):
@@ -380,7 +383,10 @@ def parse_labeled_matrix(lines):
                 if col in seen:
                     raise FormatError(f"duplicate column id {col!r} in header", line=lineno)
                 seen.add(col)
-            matrix = np.empty((0, len(col_ids)))
+            stored = [j for j, col in enumerate(col_ids) if keep is None or col in keep]
+            if len(stored) < len(col_ids):
+                take = np.array(stored, dtype=np.intp)
+            matrix = np.empty((0, len(stored)))
             continue
         row_id = fields[0].strip()
         if not row_id:
@@ -396,12 +402,15 @@ def parse_labeled_matrix(lines):
         if row == len(matrix):
             # grows by an eighth in place: realloc moves the pages of a large
             # buffer instead of copying them, so the file's values are held once
-            matrix.resize((row + row // 8 + 8, len(col_ids)), refcheck=False)
-        matrix[row] = _parse_row(fields[1:], lineno, col_ids)
+            matrix.resize((row + row // 8 + 8, matrix.shape[1]), refcheck=False)
+        values = _parse_row(fields[1:], lineno, col_ids)
+        matrix[row] = values if take is None else values[take]
         rows[row_id] = row
     if col_ids is None:
         raise FormatError("empty matrix file")
-    matrix.resize((len(rows), len(col_ids)), refcheck=False)
+    matrix.resize((len(rows), matrix.shape[1]), refcheck=False)
+    if take is not None:
+        col_ids = tuple(col_ids[j] for j in take)
     return tuple(rows), col_ids, matrix
 
 
@@ -420,6 +429,16 @@ def load_edge_list(path) -> InteractionGraph:
         return parse_edge_list(handle)
 
 
-def load_expression(matrix_path, labels_path) -> LabeledExpression:
+def load_expression(matrix_path, labels_path, keep=None) -> LabeledExpression:
     with open(matrix_path, encoding="utf-8") as mh, open(labels_path, encoding="utf-8") as lh:
-        return parse_expression(mh, lh)
+        return parse_expression(mh, lh, keep)
+
+
+def load_observations(matrix_path, labels_path, gmt_path, edges_path) -> ObservationSet:
+    """Load and :func:`align` the four input files. The gene sets and the
+    graph are read first, so that the expression parser stores only the
+    columns both of them name: X is held once even when columns drop."""
+    sets = load_gmt(gmt_path)
+    graph = load_edge_list(edges_path)
+    keep = sets.member_union().intersection(graph.node_labels)
+    return align(load_expression(matrix_path, labels_path, keep), sets, graph)

@@ -10,6 +10,8 @@ import numpy as np
 from scipy import special
 
 LOG_2PI = np.log(2.0 * np.pi)
+_SQRT_2 = np.sqrt(2.0)
+_SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 
 # Gauss-Hermite rule used for Gaussian expectations of log(Phi); fixed order
 # keeps objective and gradient evaluations mutually consistent.
@@ -99,7 +101,16 @@ def pdf_over_cdf(h):
     phi and Phi both underflow, far below zero. Above h = 37.6 erfcx
     overflows and the ratio reads 0; its true value there is below 1e-308.
     """
-    return np.sqrt(2.0 / np.pi) / special.erfcx(-np.asarray(h, dtype=float) / np.sqrt(2.0))
+    return _SQRT_2_OVER_PI / special.erfcx(-np.asarray(h, dtype=float) / _SQRT_2)
+
+
+def trunc_norm_mean(sd, h):
+    """Mean ``sd * (h + phi(h) / Phi(h))`` of N(h * sd, sd^2) truncated to
+    [0, inf), elementwise, followed by ``phi(h) / Phi(h)`` and
+    ``h + phi(h) / Phi(h)``. Works on arrays and on single floats alike."""
+    ratio = pdf_over_cdf(h)
+    shifted = h + ratio  # mean / sd, computed before multiplying to keep precision
+    return sd * shifted, ratio, shifted
 
 
 def trunc_norm_moments(location, scale_sq):
@@ -115,9 +126,7 @@ def trunc_norm_moments(location, scale_sq):
     location, scale_sq = np.broadcast_arrays(location, scale_sq)
     sd = np.sqrt(scale_sq)
     h = location / sd
-    ratio = pdf_over_cdf(h)
-    shifted = h + ratio  # mean / sd, computed before multiplying to keep precision
-    mean = sd * shifted
+    mean, ratio, shifted = trunc_norm_mean(sd, h)
     var = scale_sq * np.maximum(1.0 - ratio * shifted, np.finfo(float).tiny)
     log_mass = special.log_ndtr(h)
     entropy = 0.5 * (LOG_2PI + 1.0) + 0.5 * np.log(scale_sq) + log_mass - 0.5 * h * ratio

@@ -7,6 +7,7 @@ maximizers; gradient blocks use backtracking line search with a
 sufficient-ascent test, so the objective never decreases.
 """
 
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .dist import (
     expected_log_ndtr_grad,
     pdf_over_cdf,
     std_normal_quantile,
-    trunc_norm_moments,
+    trunc_norm_mean,
 )
 from .graph import normalized_laplacian
 from .model import (
@@ -144,7 +145,8 @@ def _association_sweep(state, data, rh, mom) -> TruncatedNormalParams:
             )
             loc[k, r] = loc_new
             scale[k, r] = scale_new
-            m[k, r] = trunc_norm_moments(loc_new, scale_new)[0]
+            sd = math.sqrt(scale_new)
+            m[k, r] = trunc_norm_mean(sd, loc_new / sd)[0]
     return TruncatedNormalParams(loc, scale)
 
 
@@ -256,21 +258,30 @@ def _backtracking_ascent(x, value, value_and_grad):
     return x, stalled, evaluations
 
 
-def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=None):
+def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=None, kept=None):
     """Likelihood part of the objective as a function of the cluster logits.
 
     Every other objective term is constant in theta, so ascent on this
     restriction is ascent on the full objective. ``mom`` holds the state's
     moments and is computed when absent; only ``c``, ``m`` and ``var_load``,
     which do not depend on theta, are read, so an evaluation costs O(NK^2).
+    ``kept``, a list the caller owns, carries one pass from a call to the
+    next: each call leaves its pass there, and a call at the very array the
+    last one saw reuses it. Key by identity only arrays nobody writes to,
+    as the line search's read-only trials.
     """
     rh = hyper.resolve(data)
     mom = mom or factor_moments(state, data, rh)
     noise_mean = float(state.noise.mean)
-    tilde = softmax_rows(theta)
-    u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
-    total, um = sq_residual_at(u, data.x_sq, mom)
-    value = -0.5 * noise_mean * total
+    if kept and kept[0] is theta:
+        _, tilde, u, um, value = kept
+    else:
+        tilde = softmax_rows(theta)
+        u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
+        total, um = sq_residual_at(u, data.x_sq, mom)
+        value = -0.5 * noise_mean * total
+        if kept is not None:
+            kept[:] = theta, tilde, u, um, value
     if not with_grad:
         return value, None
     d_value_du = noise_mean * (mom.c - um - u * mom.var_load)
@@ -289,14 +300,16 @@ def update_cluster(state, data, hyper, mom=None):
         return state.cluster_logits.copy(), False, 0
 
     mom = mom or factor_moments(state, data, rh)
+    # the gradient at an accepted trial reuses the pass of that trial
+    kept = []
 
     def value(theta, _floor):  # the likelihood alone: nothing cheaper to screen by
         return cluster_objective_and_grad(
-            theta, state, data, rh, with_grad=False, mom=mom
+            theta, state, data, rh, with_grad=False, mom=mom, kept=kept
         )[0]
 
     def value_and_grad(theta):
-        return cluster_objective_and_grad(theta, state, data, rh, mom=mom)
+        return cluster_objective_and_grad(theta, state, data, rh, mom=mom, kept=kept)
 
     return _backtracking_ascent(state.cluster_logits, value, value_and_grad)
 
@@ -322,7 +335,10 @@ class _CouplingProblem:
         self.mask_flat = self.mask[0] * data.n_sets + self.mask[1]  # into a D x R array
         self.penalized = self.mask[0].size > 0 and rh.xi > 0
         self.shape = mom.v_mean.shape
-        self.a_beta = rh.beta_a / data.n_sets
+        # the gradient's terms that stay fixed through the block
+        self.half_a2_v_second = (0.5 * mom.a2_sum) * mom.v_second
+        self.half_precision_diag = 0.5 * lap.precision_diag[:, None]
+        self.a_beta_less_1 = rh.beta_a / data.n_sets - 1.0
         self.x_sq = data.x_sq
         # how far rounding can lift the likelihood above zero (see value())
         self.likelihood_cap = _SCREEN_RTOL * 0.5 * self.noise_mean * self.x_sq
@@ -374,7 +390,7 @@ class _CouplingProblem:
         mu_g = self._means(x)[0]
         mean_cap = _SCREEN_RTOL * 0.5 * (2.0 + self.lap.jitter) * float(np.vdot(mu_g, mu_g))
         bound = self.likelihood_cap
-        for term in head[2].values():
+        for term in head[3].values():
             bound += mean_cap if term is None else term
         if bound < floor:
             return bound
@@ -395,17 +411,18 @@ class _CouplingProblem:
         return value, gradient()
 
     def _membership(self, x):
-        """The variances at ``x`` and its :func:`membership_terms`. The
-        penalty reads the margins at the known entries only, formed by the
-        same elementwise operations as the full margins in :meth:`_forward`,
-        so it has the same bits either way."""
+        """The variances at ``x``, the margins at the known entries and its
+        :func:`membership_terms`. The known margins are formed by the same
+        elementwise operations as the full margins in :meth:`_forward`, so
+        they have the same bits either way; the penalty and its gradient
+        read them."""
         mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
         n_g, r = sig_g.size, mu_pi.size
         cols, flat = self.mask[1], self.mask_flat
         t_mask = (mu_pi[cols] - mu_g.take(flat)) / np.sqrt(sig_pi[cols] + sig_g.take(flat))
         # the entropies read the log-variances from x
         g, pi = (mu_g, sig_g, x[n_g : 2 * n_g]), (mu_pi, sig_pi, x[2 * n_g + r :])
-        return sig_g, sig_pi, membership_terms(g, pi, t_mask, self.rh, self.lap)
+        return sig_g, sig_pi, t_mask, membership_terms(g, pi, t_mask, self.rh, self.lap)
 
     def _forward(self, x, head):
         """The block objective at ``x``, and a function that computes its
@@ -413,7 +430,7 @@ class _CouplingProblem:
         ``_membership(x)``. Trial steps and gradient points share this body,
         so the line search compares values summed in one order. Runs under
         the errstate of its callers, value() and value_and_grad()."""
-        sig_g, sig_pi, terms = head
+        sig_g, sig_pi, t_mask, terms = head
         mu_g, mu_pi = self._means(x)
         n_g, r = sig_g.size, mu_pi.size
         root = sig_pi[None, :] + sig_g
@@ -440,24 +457,31 @@ class _CouplingProblem:
             out = np.empty(x.size)
             mu_out = out[:n_g].reshape(self.shape)
             sig_out = out[n_g : 2 * n_g].reshape(self.shape)
-            d_t = (err - self.a2_sum * w) * self.v_mean + (0.5 * self.a2_sum) * self.v_second
-            d_t *= np.exp(-0.5 * t * t)
+            # d_t = ((err - a2_sum w) v_mean + half_a2_v_second) exp(-t^2 / 2)
+            # pdf_scale, formed in place: the fixed D x R term the block holds
+            # then adds nothing to the memory at the gradient's peak
+            d_t = self.a2_sum * w
+            np.subtract(err, d_t, out=d_t)
+            d_t *= self.v_mean
+            d_t += self.half_a2_v_second
+            density = -0.5 * t
+            density *= t
+            d_t *= np.exp(density, out=density)
             d_t *= self.pdf_scale  # d value / d t
-            if self.penalized:
-                rows, cols = self.mask
-                d_t[rows, cols] += self.rh.xi * pdf_over_cdf(t[rows, cols])
+            if self.penalized:  # d_t is a new C-ordered array: reshape gives a view
+                d_t.reshape(-1)[self.mask_flat] += self.rh.xi * pdf_over_cdf(t_mask)
             # d t / d mu_pi = -d t / d mu_g = 1 / root
             d_mu = np.divide(d_t, root, out=d_t)
             np.negative(d_mu, out=mu_out)
             mu_out -= prec_mu
             d_eln_mu, d_eln_var = expected_log_ndtr_grad(mu_pi, sig_pi)
-            out[2 * n_g : -r] = d_mu.sum(axis=0) + (self.a_beta - 1.0) * d_eln_mu - mu_pi
+            out[2 * n_g : -r] = d_mu.sum(axis=0) + self.a_beta_less_1 * d_eln_mu - mu_pi
             # d t / d var = -t / (2 root^2) for either variance
             d_var = np.multiply(d_mu, t, out=sig_out)
             d_var /= root
             d_var *= -0.5
-            out[-r:] = (d_var.sum(axis=0) + (self.a_beta - 1.0) * d_eln_var - 0.5) * sig_pi + 0.5
-            sig_out -= 0.5 * self.lap.precision_diag[:, None]
+            out[-r:] = (d_var.sum(axis=0) + self.a_beta_less_1 * d_eln_var - 0.5) * sig_pi + 0.5
+            sig_out -= self.half_precision_diag
             sig_out *= sig_g
             sig_out += 0.5
             return out

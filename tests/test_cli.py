@@ -147,6 +147,7 @@ class TestSimulate:
             ("--edge-prob", "-1", "--edge-prob must lie in [0, 1], got -1.0"),
             ("--edge-prob", "2", "--edge-prob must lie in [0, 1], got 2.0"),
             ("--edge-prob", "nan", "--edge-prob must lie in [0, 1], got nan"),
+            ("--seed", "-1", "--seed must be nonnegative, got -1"),
         ],
     )
     def test_out_of_range_flag_exit_one(self, tmp_path, capsys, flag, value, message):

@@ -12,7 +12,10 @@ from pathfact.dataio import (
     LabeledExpression,
     align,
     format_number,
+    load_edge_list,
     load_expression,
+    load_gmt,
+    load_observations,
     parse_edge_list,
     parse_expression,
     parse_gmt,
@@ -281,10 +284,38 @@ class TestLabeledMatrixIds:
         assert row_ids == () and col_ids == ("A", "B", "C")
         assert matrix.shape == (0, 3) and matrix.dtype == float
 
+    HEADER = ["id\tG1\tG2\tG3\n"]
+
+    @pytest.mark.parametrize("keep", [set(), {"G1"}, {"G1", "G3", "G9"}])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["id\tG1\tG2\t G2 \n"], "line 1: duplicate column id 'G2' in header"),
+            (["id\tG1\t\tG3\n"], "line 1: empty column id in header"),
+            (HEADER + ["S0\t1\tabc\t3\n"], "line 2: non-numeric value 'abc' in column 'G2'"),
+            (HEADER + ["S0\t1\t2\tinf\n"], "line 2: non-finite value 'inf' in column 'G3'"),
+            (HEADER + ["S0\t1\t2\n"], "line 2: row for 'S0' has 2 values, expected 3"),
+        ],
+        ids=["duplicate_column", "empty_column", "non_numeric", "non_finite", "short_row"],
+    )
+    def test_columns_not_kept_are_still_checked(self, keep, lines, message):
+        with pytest.raises(FormatError) as caught:
+            parse_labeled_matrix(lines, keep)
+        assert str(caught.value) == message
+
+    def test_keep_stores_the_columns_it_names_in_file_order(self):
+        lines = ["id\tG1\tG2\tG3\tG4\n", "S0\t1\t2\t3\t4\n", "\n", "S1\t5\t6\t7\t8\n"]
+        full = parse_labeled_matrix(lines)
+        for keep, cols in [({"G4", "G2", "G9"}, [1, 3]), (set(), []), (set(full[1]), range(4))]:
+            row_ids, col_ids, matrix = parse_labeled_matrix(lines, keep)
+            assert row_ids == full[0] and col_ids == tuple(full[1][j] for j in cols)
+            assert matrix.tobytes() == full[2][:, cols].tobytes()
+            assert matrix.flags.c_contiguous
+
     def test_expression_keeps_parsed_matrix_when_no_sample_dropped(self, monkeypatch):
         parsed = parse_labeled_matrix(TestParseExpression.MATRIX)
         monkeypatch.setattr(
-            "pathfact.dataio.parse_labeled_matrix", lambda lines: parsed
+            "pathfact.dataio.parse_labeled_matrix", lambda lines, keep=None: parsed
         )
         out = parse_expression(TestParseExpression.MATRIX, TestParseExpression.LABELS)
         assert out.matrix is parsed[2]
@@ -501,6 +532,38 @@ class TestMatrixHeldOnce:
         assert expr.matrix.flags.c_contiguous
         # the buffer grows by an eighth; the slack covers one line's strings
         assert peak <= 1.25 * expr.matrix.nbytes + 1e6
+
+    def test_load_observations_holds_only_the_kept_columns(self, tmp_path):
+        """With a tenth of the genes in no set, the parser stores only the
+        columns that survive alignment, and the result is what aligning the
+        whole parsed matrix gives."""
+        rng = np.random.default_rng(6)
+        matrix = rng.standard_normal((400, 1500))
+        sample_ids = [f"S{i}" for i in range(matrix.shape[0])]
+        feature_ids = [f"G{j}" for j in range(matrix.shape[1])]
+        kept = [j for j in range(matrix.shape[1]) if j % 10]
+        paths = [tmp_path / name for name in ("x.tsv", "labels.tsv", "sets.gmt", "edges.tsv")]
+        with paths[0].open("w", encoding="utf-8") as handle:
+            write_labeled_matrix(handle, sample_ids, feature_ids, matrix, "sample_id")
+        paths[1].write_text("".join(f"{sid}\tk{i % 3}\n" for i, sid in enumerate(sample_ids)))
+        paths[2].write_text(
+            "".join(
+                f"P{p}\td\t" + "\t".join(feature_ids[j] for j in kept[p::30]) + "\n"
+                for p in range(30)
+            )
+        )
+        paths[3].write_text("".join(f"{a}\t{b}\n" for a, b in zip(feature_ids, feature_ids[1:])))
+        data, peak = traced_peak(load_observations, *paths)
+        np.testing.assert_array_equal(data.X, matrix[:, kept])
+        assert data.X.flags.c_contiguous
+        assert peak <= 1.25 * data.X.nbytes + 1e6
+        whole = align(load_expression(*paths[:2]), load_gmt(paths[2]), load_edge_list(paths[3]))
+        assert data.X.tobytes() == whole.X.tobytes()
+        for field in ("U0", "Z0"):
+            assert getattr(data, field).tobytes() == getattr(whole, field).tobytes()
+        for field in ("sample_ids", "feature_ids", "cluster_ids", "set_ids"):
+            assert getattr(data, field) == getattr(whole, field)
+        assert data.graph.edges == whole.graph.edges
 
     def test_align_passes_the_matrix_on_when_every_column_survives(self):
         expr = LabeledExpression(

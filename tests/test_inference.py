@@ -227,6 +227,71 @@ class TestUpdateAssociation:
             assert after >= before - 1e-10
 
 
+def trunc_norm_mean_oracle(location, scale_sq):
+    """The mean as trunc_norm_moments formed it for one site, on 0-d arrays."""
+    sd = np.sqrt(np.asarray(scale_sq, dtype=float))
+    h = np.asarray(location, dtype=float) / sd
+    ratio = np.sqrt(2.0 / np.pi) / special.erfcx(-h / np.sqrt(2.0))
+    return sd * (h + ratio)
+
+
+class TestAssociationSweep:
+    def test_forms_the_mean_alone_with_the_same_bits(self, monkeypatch):
+        """The sweep forms each site's mean without trunc_norm_moments, and
+        every later site reads the bits the full moments would give, at
+        standardized locations deep in the lower tail, at zero and where
+        phi/Phi underflows to zero."""
+        rng = np.random.default_rng(12)
+        data = make_dataset(rng, n=9, d=7, k=3, r=4)
+        state = make_state(rng, data)
+        rh = default_hyper(xi=1.0).resolve(data)
+        mom = factor_moments(state, data, rh)
+        # site -> the standardized location h = loc / sd it is moved to
+        placed_h = {
+            (0, 0): -38.0, (0, 2): -36.5, (1, 1): 0.0, (1, 3): -1e-9, (2, 0): 40.0, (2, 2): 38.5
+        }
+        means_read = []
+        site = inference._assoc_site
+
+        def placed(k, r, m, *args):
+            means_read.append(m.copy())
+            loc, scale = site(k, r, m, *args)
+            if (k, r) in placed_h:
+                loc = placed_h[k, r] * np.sqrt(scale)
+            return loc, scale
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trunc_norm_moments called")
+
+        monkeypatch.setattr(inference, "_assoc_site", placed)
+        got = inference._association_sweep(state, data, rh, mom)
+        got_means, means_read[:] = means_read[:], []
+
+        loc = state.assoc.location.copy()
+        scale = state.assoc.scale_sq.copy()
+        m = mom.s_mean.copy()
+        for k in range(data.n_clusters):
+            for r in range(data.n_sets):
+                loc[k, r], scale[k, r] = inference._assoc_site(
+                    k, r, m, mom.u.T @ mom.u, mom.u.T @ mom.xw, mom.ww,
+                    float(state.noise.mean), rh.lambda_s0[k, r],
+                )
+                m[k, r] = trunc_norm_mean_oracle(loc[k, r], scale[k, r])
+        assert got.location.tobytes() == loc.tobytes()
+        assert got.scale_sq.tobytes() == scale.tobytes()
+        assert [a.tobytes() for a in got_means] == [a.tobytes() for a in means_read]
+        h = loc / np.sqrt(scale)
+        for at, want in placed_h.items():
+            assert h[at] == pytest.approx(want, rel=1e-12, abs=1e-20)
+        assert m[2, 0] == 40.0 * np.sqrt(scale[2, 0])  # phi/Phi read 0 there
+        assert 0 < m[0, 0] < 0.03 * np.sqrt(scale[0, 0])
+
+        monkeypatch.setattr("pathfact.dist.trunc_norm_moments", forbidden)
+        monkeypatch.setattr(inference, "trunc_norm_moments", forbidden, raising=False)
+        again = inference._association_sweep(state, data, rh, mom)
+        assert again.location.tobytes() == loc.tobytes()
+
+
 class TestUpdateBasis:
     def test_disconnected_site_returns_prior(self):
         rng = np.random.default_rng(6)
@@ -490,6 +555,61 @@ class TestUpdateCluster:
         full = update_cluster(state, data, hyper, mom=mom)
         only = update_cluster(state, data, hyper, mom=lean)
         assert only[0].tobytes() == full[0].tobytes() and only[1:] == full[1:]
+
+    def test_one_softmax_per_trial_and_one_at_the_start(self, monkeypatch):
+        """The gradient at an accepted trial reuses that trial's pass, so the
+        block forms one softmax per trial plus one for its first gradient,
+        and returns the bits of an ascent that keeps no pass."""
+        rng = np.random.default_rng(26)
+        data = make_dataset(rng, n=9, d=7, k=3, r=4)
+        state = make_state(rng, data)
+        rh = default_hyper(zeta=0.4).resolve(data)
+        mom = factor_moments(state, data, rh)
+        counts = {"softmax": 0, "trials": 0}
+        softmax, evaluate = inference.softmax_rows, inference.cluster_objective_and_grad
+
+        def counted_softmax(logits):
+            counts["softmax"] += 1
+            return softmax(logits)
+
+        def counted_evaluate(*args, **kwargs):
+            counts["trials"] += kwargs.get("with_grad", True) is False
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "softmax_rows", counted_softmax)
+        monkeypatch.setattr(inference, "cluster_objective_and_grad", counted_evaluate)
+        theta, stalled, evaluations = update_cluster(state, data, rh, mom=mom)
+        assert counts["softmax"] == counts["trials"] + 1 < evaluations
+        assert not stalled
+
+        fresh = inference._backtracking_ascent(
+            state.cluster_logits,
+            lambda th, _floor: evaluate(th, state, data, rh, with_grad=False, mom=mom)[0],
+            lambda th: evaluate(th, state, data, rh, mom=mom),
+        )
+        assert theta.tobytes() == fresh[0].tobytes() and evaluations == fresh[2]
+
+    def test_pass_is_kept_for_the_same_array_only(self):
+        """A call reuses the kept pass only at the very array the last call
+        saw; an equal copy gets a pass of its own. Either way the value and
+        gradient have the bits of a call that keeps nothing."""
+        rng = np.random.default_rng(27)
+        data = make_dataset(rng, n=9, d=7, k=3, r=4)
+        state = make_state(rng, data)
+        rh = default_hyper(zeta=0.4).resolve(data)
+        mom = factor_moments(state, data, rh)
+        kept = []
+        for _ in range(4):
+            theta = rng.normal(size=state.cluster_logits.shape)
+            want = cluster_objective_and_grad(theta, state, data, rh, mom=mom)
+            trial = cluster_objective_and_grad(
+                theta, state, data, rh, with_grad=False, mom=mom, kept=kept
+            )
+            assert trial[0] == want[0] and kept[0] is theta
+            for point in (theta, theta.copy()):
+                val, grad = cluster_objective_and_grad(point, state, data, rh, mom=mom, kept=kept)
+                assert val == want[0] and grad.tobytes() == want[1].tobytes()
+                assert kept[0] is point
 
     def test_zeta_one_leaves_logits(self):
         rng = np.random.default_rng(8)
@@ -846,6 +966,21 @@ class TestTrialValues:
         for x1, x2 in zip(points[::2], points[1::2]):
             problem.value(x1)
             self.assert_same(problem.value_and_grad(x2), fresh(x2))
+        assert len(passes) == len(points)
+
+    def test_coupling_gradient_reads_only_block_invariants(self):
+        """The gradient of a kept pass reads the block's fixed terms formed
+        once, and the known margins of that pass, not the moments, the
+        Laplacian or the mask they come from, and gives the bits of a fresh
+        problem's gradient."""
+        _, _, _, _, problem, passes, fresh, points = self.coupling_setup(49)
+        assert problem.penalized
+        raw = {name: vars(problem).get(name) for name in ("v_second", "lap", "mask", "a_beta")}
+        for x in points:
+            problem.value(x)
+            vars(problem).update(dict.fromkeys(raw))
+            self.assert_same(problem.value_and_grad(x), fresh(x))
+            vars(problem).update(raw)
         assert len(passes) == len(points)
 
     def test_coupling_pass_is_kept_for_the_same_array_only(self):
