@@ -7,6 +7,7 @@ problems, 2 numerical aborts, 3 fit stopped at the sweep limit.
 """
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import field, fields, make_dataclass, replace
@@ -138,14 +139,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value settings file")
     for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
         if f.type is bool:
-            parser.add_argument(flag, choices=("true", "false"))
+            parser.add_argument(_flag(f.name), choices=("true", "false"))
         else:
-            parser.add_argument(flag, type=f.type, help=f.metadata.get("help"))
+            parser.add_argument(_flag(f.name), type=f.type, help=f.metadata.get("help"))
 
 
 def build_config(args) -> RunConfig:
@@ -285,21 +289,19 @@ def cmd_fit(argv) -> int:
     return EXIT_OK if report.converged else EXIT_MAX_SWEEPS
 
 
+# the generator's settings, each a simulate flag with its type and default
+_SIMULATE_SETTINGS = [
+    p for p in inspect.signature(generate).parameters.values() if p.kind is p.KEYWORD_ONLY
+]
+
+
 def cmd_simulate(argv) -> int:
     parser = _Parser(prog="pathfact simulate", description="emit a synthetic dataset")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--n-samples", type=int, required=True)
-    parser.add_argument("--n-clusters", type=int, required=True)
-    parser.add_argument("--n-features", type=int, required=True)
-    parser.add_argument("--n-sets", type=int, required=True)
-    parser.add_argument("--corruption", type=float, default=0.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--beta-a", type=float, default=None)
-    parser.add_argument("--edge-prob", type=float, default=0.15)
-    parser.add_argument("--epsilon", type=float, default=0.05)
-    parser.add_argument("--noise-precision", type=float, default=None)
-    parser.add_argument("--snr", type=float, default=None)
-    parser.add_argument("--min-members", type=int, default=1)
+    for dim in ("n_samples", "n_clusters", "n_features", "n_sets"):
+        parser.add_argument(_flag(dim), type=int, required=True)
+    for p in _SIMULATE_SETTINGS:
+        parser.add_argument(_flag(p.name), type=p.annotation, default=p.default)
     args = parser.parse_args(argv)
     if args.seed < 0:
         raise UsageError(f"--seed must be nonnegative, got {args.seed}")
@@ -311,14 +313,7 @@ def cmd_simulate(argv) -> int:
     try:
         data, truth = generate(
             (args.n_samples, args.n_clusters, args.n_features, args.n_sets),
-            edge_prob=args.edge_prob,
-            beta_a=args.beta_a,
-            noise_precision=args.noise_precision,
-            snr=args.snr,
-            corruption=args.corruption,
-            epsilon=args.epsilon,
-            seed=args.seed,
-            min_members=args.min_members,
+            **{p.name: getattr(args, p.name) for p in _SIMULATE_SETTINGS},
         )
     except ValueError as exc:
         raise UsageError(str(exc))

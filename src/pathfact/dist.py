@@ -20,6 +20,13 @@ _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(_GH_ORDER)
 _GH_WEIGHTS = _GH_WEIGHTS / np.sqrt(np.pi)
 
 
+def _store_broadcast(params, *names):
+    """Store the named fields of ``params`` as float arrays broadcast together."""
+    arrays = np.broadcast_arrays(*(np.asarray(getattr(params, n), dtype=float) for n in names))
+    for name, array in zip(names, arrays):
+        object.__setattr__(params, name, array.copy())
+
+
 @dataclass(frozen=True)
 class GammaParams:
     """Shape/rate parameters of a Gamma distribution (arrays broadcast together)."""
@@ -28,11 +35,7 @@ class GammaParams:
     rate: np.ndarray
 
     def __post_init__(self):
-        a, b = np.broadcast_arrays(
-            np.asarray(self.shape, dtype=float), np.asarray(self.rate, dtype=float)
-        )
-        object.__setattr__(self, "shape", a.copy())
-        object.__setattr__(self, "rate", b.copy())
+        _store_broadcast(self, "shape", "rate")
         if not np.all(self.shape > 0):
             raise ValueError("Gamma shape must be positive")
         if not np.all(self.rate > 0):
@@ -56,11 +59,7 @@ class TruncatedNormalParams:
     scale_sq: np.ndarray
 
     def __post_init__(self):
-        loc, sc = np.broadcast_arrays(
-            np.asarray(self.location, dtype=float), np.asarray(self.scale_sq, dtype=float)
-        )
-        object.__setattr__(self, "location", loc.copy())
-        object.__setattr__(self, "scale_sq", sc.copy())
+        _store_broadcast(self, "location", "scale_sq")
         if not np.all(np.isfinite(self.location)):
             raise ValueError("truncated-normal location must be finite")
         if not np.all(self.scale_sq > 0):
@@ -75,11 +74,7 @@ class NormalParams:
     variance: np.ndarray
 
     def __post_init__(self):
-        mean, var = np.broadcast_arrays(
-            np.asarray(self.mean, dtype=float), np.asarray(self.variance, dtype=float)
-        )
-        object.__setattr__(self, "mean", mean.copy())
-        object.__setattr__(self, "variance", var.copy())
+        _store_broadcast(self, "mean", "variance")
         if not np.all(np.isfinite(self.mean)):
             raise ValueError("normal mean must be finite")
         if not np.all(self.variance > 0):
@@ -146,12 +141,16 @@ def normal_entropy(variance):
     return 0.5 * (LOG_2PI + 1.0) + 0.5 * np.log(np.asarray(variance, dtype=float))
 
 
+def _gh_points(mean, variance):
+    """The Gauss-Hermite points ``mean + sqrt(2 variance) * nodes``, one row
+    per entry, and ``sqrt(2 variance)``."""
+    root = np.sqrt(2.0 * np.asarray(variance, dtype=float))
+    return np.asarray(mean, dtype=float)[..., None] + root[..., None] * _GH_NODES, root
+
+
 def expected_log_ndtr(mean, variance):
     """Gauss-Hermite estimate of E[log Phi(x)] for x ~ N(mean, variance)."""
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    z = mean[..., None] + np.sqrt(2.0 * variance)[..., None] * _GH_NODES
-    return special.log_ndtr(z) @ _GH_WEIGHTS
+    return special.log_ndtr(_gh_points(mean, variance)[0]) @ _GH_WEIGHTS
 
 
 def expected_log_ndtr_grad(mean, variance):
@@ -160,11 +159,6 @@ def expected_log_ndtr_grad(mean, variance):
     Differentiates the quadrature itself, so finite differences of the
     quadrature value match these gradients to rounding error.
     """
-    mean = np.asarray(mean, dtype=float)
-    variance = np.asarray(variance, dtype=float)
-    root = np.sqrt(2.0 * variance)[..., None]
-    z = mean[..., None] + root * _GH_NODES
+    z, root = _gh_points(mean, variance)
     ratio = pdf_over_cdf(z)
-    d_mean = ratio @ _GH_WEIGHTS
-    d_var = (ratio * _GH_NODES) @ _GH_WEIGHTS / np.sqrt(2.0 * variance)
-    return d_mean, d_var
+    return ratio @ _GH_WEIGHTS, (ratio * _GH_NODES) @ _GH_WEIGHTS / root

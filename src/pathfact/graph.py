@@ -88,18 +88,6 @@ class LaplacianOperator:
     precision_diag: np.ndarray
     log_det_precision: float
 
-    @property
-    def dimension(self):
-        return self.laplacian.shape[0]
-
-    def apply_precision(self, columns):
-        cols = np.asarray(columns, dtype=float)
-        if cols.shape[0] != self.dimension:
-            raise ValueError(
-                f"expected leading dimension {self.dimension}, got {cols.shape[0]}"
-            )
-        return self.precision @ cols
-
 
 def normalized_laplacian(graph: InteractionGraph, jitter: float = 0.05) -> LaplacianOperator:
     """Build L = I - D^{-1/2} A D^{-1/2} and its jittered precision.
@@ -112,8 +100,11 @@ def normalized_laplacian(graph: InteractionGraph, jitter: float = 0.05) -> Lapla
         raise ValueError("graph must have at least one node")
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
+    # L itself is singular on any graph with edges; precision needs jitter
+    if graph.n_edges and not jitter > 0:
+        raise ValueError("jitter must be positive for a graph with edges")
     adj = graph.adjacency().tocoo()
-    degrees = np.asarray(abs(adj).sum(axis=1)).ravel()
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
     inv_root = np.zeros_like(degrees)
     nz = degrees > 0
     inv_root[nz] = 1.0 / np.sqrt(degrees[nz])
@@ -124,15 +115,11 @@ def normalized_laplacian(graph: InteractionGraph, jitter: float = 0.05) -> Lapla
     n = graph.n_nodes
     lap = (sparse.identity(n, format="csr") - scaled.tocsr()).tocsr()
     prec = (lap + jitter * sparse.identity(n, format="csr")).tocsr()
-    if jitter > 0 or graph.n_edges == 0:
-        try:
-            log_det = _sparse_log_det(prec)
-        except MemoryError:
-            msg = f"out of memory in the graph precision's sparse LU (D={n}, {graph.n_edges} edges)"
-            raise MemoryError(msg) from None
-    else:
-        # L itself is singular on any graph with edges; precision needs jitter
-        raise ValueError("jitter must be positive for a graph with edges")
+    try:
+        log_det = _sparse_log_det(prec)
+    except MemoryError:
+        msg = f"out of memory in the graph precision's sparse LU (D={n}, {graph.n_edges} edges)"
+        raise MemoryError(msg) from None
     return LaplacianOperator(
         laplacian=lap,
         jitter=float(jitter),

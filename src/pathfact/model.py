@@ -400,7 +400,7 @@ def membership_terms(g, pi, t_mask, hyper, lap):
 def with_prior_mean(terms, mu_g, lap):
     """:func:`membership_terms` with the GMRF prior-mean term filled in, and
     ``P mu``."""
-    prec_mu = lap.apply_precision(mu_g)
+    prec_mu = lap.precision @ mu_g
     return {**terms, "coupling_prior_mean": -0.5 * float(np.vdot(mu_g, prec_mu))}, prec_mu
 
 

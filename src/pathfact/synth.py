@@ -13,7 +13,7 @@ import numpy as np
 from scipy import linalg
 
 from .graph import InteractionGraph, LaplacianOperator, normalized_laplacian
-from .model import ObservationSet, expected_reconstruction, factor_moments, rank_row
+from .model import Hyperparameters, ObservationSet, expected_reconstruction, factor_moments, rank_row
 from .dist import std_normal_quantile
 
 # rows of the pair triangle drawn at once by _draw_edges; at D = 20,000 a
@@ -186,6 +186,17 @@ def _ids(dims):
     )
 
 
+def _check_plant(noise_precision, snr, corruption):
+    """Reject bad settings of :func:`_plant` before a generator's first draw."""
+    if not 0.0 <= corruption < 0.5:
+        raise ValueError("corruption must lie in [0, 0.5)")
+    if noise_precision is not None and snr is not None:
+        raise ValueError("give either noise_precision or snr, not both")
+    level = snr if noise_precision is None else noise_precision
+    if not (level is None or level > 0):  # also rejects nan
+        raise ValueError("noise precision must be positive")
+
+
 def _plant(rng, ids, z, graph, *, noise_precision, snr, corruption, keep_features):
     """The dataset and truth around memberships ``z`` and ``graph``.
 
@@ -193,10 +204,6 @@ def _plant(rng, ids, z, graph, *, noise_precision, snr, corruption, keep_feature
     with one-hot round-robin clusters, then hides a ``corruption`` share of
     ``z`` from the model (see :func:`_corrupt_mask` for ``keep_features``).
     """
-    if not 0.0 <= corruption < 0.5:
-        raise ValueError("corruption must lie in [0, 0.5)")
-    if noise_precision is not None and snr is not None:
-        raise ValueError("give either noise_precision or snr, not both")
     sample_ids, cluster_ids, feature_ids, set_ids = ids
     n, k, d, r = len(sample_ids), len(cluster_ids), len(feature_ids), len(set_ids)
     s = rng.exponential(size=(k, r))
@@ -212,8 +219,6 @@ def _plant(rng, ids, z, graph, *, noise_precision, snr, corruption, keep_feature
         gamma = snr / signal_var
     else:
         gamma = 1.0 if noise_precision is None else float(noise_precision)
-    if not gamma > 0:  # also rejects nan
-        raise ValueError("noise precision must be positive")
     x = mean + rng.normal(0.0, 1.0 / np.sqrt(gamma), size=(n, d))
 
     shown = _corrupt_mask(z, corruption, rng, keep_features)
@@ -259,11 +264,16 @@ def generate(
     hidden from the model; every set and every feature keeps one shown
     membership. ``min_members`` pads undersized sets with their
     nearest-to-threshold features so every planted association has enough
-    data behind it to be estimable. Deterministic given ``seed``.
+    data behind it to be estimable. Deterministic given ``seed``. Every
+    setting is checked before the first draw.
     """
     n, k, d, r = dims
     if min(n, k, d, r) < 1 or k > n:
         raise ValueError("degenerate dimensions")
+    Hyperparameters(beta_a=beta_a, epsilon=epsilon, seed=seed)  # the model's own checks
+    _check_plant(noise_precision, snr, corruption)
+    if min_members > d:
+        raise ValueError("min_members cannot exceed the feature count")
     rng = np.random.default_rng(seed)
     ids = _ids(dims)
 
@@ -273,8 +283,6 @@ def generate(
     if beta_a is None:
         beta_a = r / 10.0
     z, g, pi_bar = sample_membership(d, r, beta_a, lap, rng)
-    if min_members > d:
-        raise ValueError("min_members cannot exceed the feature count")
     z = _patch_coverage(z, g, pi_bar, min_members=min_members)
 
     return _plant(
@@ -305,6 +313,7 @@ def generate_planted(
     n, k, d, r = dims
     if min(n, k, d, r) < 1 or k > n or r > d:
         raise ValueError("degenerate dimensions")
+    _check_plant(noise_precision, snr, corruption)
     rng = np.random.default_rng(seed)
     ids = _ids(dims)
 

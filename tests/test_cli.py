@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import re
@@ -13,7 +14,7 @@ import scipy
 from conftest import render_matrix
 
 import pathfact
-from pathfact import cli, dataio, inference, model
+from pathfact import cli, dataio, inference, model, synth
 from pathfact.cli import (
     EXIT_DATA,
     EXIT_MAX_SWEEPS,
@@ -155,6 +156,67 @@ class TestSimulate:
         assert main(simulate_args(out, extra=[flag, value])) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--corruption", "0.7"], "corruption must lie in [0, 0.5)"),
+            (["--noise-precision", "1"], "give either noise_precision or snr, not both"),
+            (["--snr", "-1"], "noise precision must be positive"),
+            (["--min-members", "5000"], "min_members cannot exceed the feature count"),
+            (["--epsilon", "-1"], "epsilon must be nonnegative"),
+            (["--epsilon", "nan"], "epsilon must be finite"),
+        ],
+    )
+    def test_bad_setting_exits_before_any_draw(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the settings")
+
+        monkeypatch.setattr(np.linalg, "cholesky", no_draw)
+        monkeypatch.setattr(synth, "_draw_edges", no_draw)
+        out = tmp_path / "out"
+        assert main(simulate_args(out, extra=extra)) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_nan_epsilon_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(simulate_args(out, extra=["--epsilon", "nan"])) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_flags_are_generate_settings(self, capsys, monkeypatch):
+        settings = {
+            p.name: p
+            for p in inspect.signature(generate).parameters.values()
+            if p.kind is p.KEYWORD_ONLY
+        }
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {
+            "--help", "--out", "--n-samples", "--n-clusters", "--n-features", "--n-sets",
+            *("--" + name.replace("_", "-") for name in settings),
+        }
+
+        calls = []
+
+        def record(dims, **kwargs):
+            calls.append(kwargs)
+            raise ValueError("recorded")
+
+        monkeypatch.setattr(cli, "generate", record)
+        dims = ["--n-samples", "4", "--n-clusters", "2", "--n-features", "3", "--n-sets", "2"]
+        assert main(["simulate", "--out", "unused", *dims]) == EXIT_DATA
+        assert calls.pop() == {name: p.default for name, p in settings.items()}
+        for name, p in settings.items():
+            flag = "--" + name.replace("_", "-")
+            assert main(["simulate", "--out", "unused", *dims, flag, "1"]) == EXIT_DATA
+            value = calls.pop()[name]
+            assert type(value) is p.annotation and value == 1, name
 
 
 def test_commands_load_only_the_scipy_a_fit_runs(dataset, tmp_path):

@@ -135,3 +135,5 @@ class TestNormalizedLaplacian:
         g = InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): 1.0})
         with pytest.raises(ValueError):
             normalized_laplacian(g, jitter=0.0)
+        with pytest.raises(ValueError):
+            normalized_laplacian(g, jitter=float("nan"))

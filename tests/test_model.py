@@ -523,7 +523,7 @@ class TestGmrfPrior:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            self.small_operator().apply_precision(np.zeros(3))
+            with_prior_mean({}, np.zeros((3, 1)), self.small_operator())
 
     def test_zero_mean_gives_trace(self):
         g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0})

@@ -174,6 +174,10 @@ class TestGeneratePlanted:
         np.testing.assert_array_equal(truth.membership, [[1]])
 
 
+def no_draw(*args, **kwargs):
+    raise AssertionError("drew before checking the settings")
+
+
 @pytest.mark.parametrize("generator", [generate, generate_planted])
 @pytest.mark.parametrize(
     "noise",
@@ -185,9 +189,30 @@ class TestGeneratePlanted:
         {"snr": float("nan")},
     ],
 )
-def test_rejects_nonpositive_noise_precision(generator, noise):
+def test_rejects_nonpositive_noise_precision(generator, noise, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     with pytest.raises(ValueError, match="noise precision must be positive"):
         generator((10, 2, 12, 3), seed=9, **noise)
+
+
+@pytest.mark.parametrize(
+    "generator, setting, message",
+    [
+        (generate, {"corruption": 0.7}, r"corruption must lie in \[0, 0.5\)"),
+        (generate_planted, {"corruption": 0.7}, r"corruption must lie in \[0, 0.5\)"),
+        (generate, {"noise_precision": 1.0, "snr": 2.0}, "give either noise_precision or snr"),
+        (generate_planted, {"noise_precision": 1.0, "snr": 2.0}, "give either noise_precision"),
+        (generate, {"min_members": 13}, "min_members cannot exceed the feature count"),
+        (generate, {"beta_a": 0.0}, "beta_a must be positive"),
+        (generate, {"epsilon": -1.0}, "epsilon must be nonnegative"),
+        (generate, {"epsilon": float("nan")}, "epsilon must be finite"),
+        (generate, {"seed": -1}, "seed must be nonnegative"),
+    ],
+)
+def test_rejects_settings_before_any_draw(generator, setting, message, monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=message):
+        generator((10, 2, 12, 3), **setting)
 
 
 def loop_edges(feature_ids, rng, edge_prob):
