@@ -303,13 +303,6 @@ def cmd_simulate(argv) -> int:
     for p in _SIMULATE_SETTINGS:
         parser.add_argument(_flag(p.name), type=p.annotation, default=p.default)
     args = parser.parse_args(argv)
-    if args.seed < 0:
-        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
-    if not (args.beta_a is None or args.beta_a > 0):
-        raise UsageError(f"--beta-a must be positive, got {args.beta_a}")
-    if not 0 <= args.edge_prob <= 1:
-        raise UsageError(f"--edge-prob must lie in [0, 1], got {args.edge_prob}")
-
     try:
         data, truth = generate(
             (args.n_samples, args.n_clusters, args.n_features, args.n_sets),

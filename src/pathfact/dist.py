@@ -95,8 +95,9 @@ def pdf_over_cdf(h):
     The scaled complementary error function keeps the ratio accurate where
     phi and Phi both underflow, far below zero. Above h = 37.6 erfcx
     overflows and the ratio reads 0; its true value there is below 1e-308.
+    Dividing by -sqrt(2) gives the bits of negating first, in one pass.
     """
-    return _SQRT_2_OVER_PI / special.erfcx(-np.asarray(h, dtype=float) / _SQRT_2)
+    return _SQRT_2_OVER_PI / special.erfcx(np.asarray(h, dtype=float) / -_SQRT_2)
 
 
 def trunc_norm_mean(sd, h):
@@ -141,24 +142,28 @@ def normal_entropy(variance):
     return 0.5 * (LOG_2PI + 1.0) + 0.5 * np.log(np.asarray(variance, dtype=float))
 
 
-def _gh_points(mean, variance):
-    """The Gauss-Hermite points ``mean + sqrt(2 variance) * nodes``, one row
-    per entry, and ``sqrt(2 variance)``."""
-    root = np.sqrt(2.0 * np.asarray(variance, dtype=float))
-    return np.asarray(mean, dtype=float)[..., None] + root[..., None] * _GH_NODES, root
+def gh_grid(mean, variance):
+    """The Gauss-Hermite grid of N(mean, variance) that :func:`expected_log_ndtr`
+    and its gradient read: the points ``mean + sqrt(2 variance) * nodes``,
+    one row per entry of the arrays ``mean`` and ``variance``, and
+    ``sqrt(2 variance)``."""
+    root = np.sqrt(2.0 * variance)
+    return mean[..., None] + root[..., None] * _GH_NODES, root
 
 
-def expected_log_ndtr(mean, variance):
-    """Gauss-Hermite estimate of E[log Phi(x)] for x ~ N(mean, variance)."""
-    return special.log_ndtr(_gh_points(mean, variance)[0]) @ _GH_WEIGHTS
+def expected_log_ndtr(grid):
+    """Gauss-Hermite estimate of E[log Phi(x)] for x ~ N(mean, variance),
+    from the :func:`gh_grid` of that Gaussian."""
+    return special.log_ndtr(grid[0]) @ _GH_WEIGHTS
 
 
-def expected_log_ndtr_grad(mean, variance):
-    """Gradient of :func:`expected_log_ndtr` w.r.t. mean and variance.
+def expected_log_ndtr_grad(grid):
+    """Gradient of :func:`expected_log_ndtr` w.r.t. mean and variance, from
+    the same grid.
 
     Differentiates the quadrature itself, so finite differences of the
     quadrature value match these gradients to rounding error.
     """
-    z, root = _gh_points(mean, variance)
+    z, root = grid
     ratio = pdf_over_cdf(z)
     return ratio @ _GH_WEIGHTS, (ratio * _GH_NODES) @ _GH_WEIGHTS / root

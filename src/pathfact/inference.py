@@ -33,12 +33,12 @@ from .model import (
     VariationalState,
     expected_sq_residual,
     factor_moments,
+    fill_prior_mean,
     membership_terms,
     regularized_objective,
     softmax_rows,
     sq_residual_at,
     state_membership_terms,
-    with_prior_mean,
 )
 
 # precision floor / scale cap for sites the likelihood no longer touches;
@@ -57,6 +57,10 @@ _ARMIJO_C = 1e-4
 # relative rounding error allowed, in the coupling screen, for the two terms
 # it leaves out (see _CouplingProblem.value)
 _SCREEN_RTOL = 1e-4
+
+# the floating-point state that every caller of _CouplingProblem's
+# evaluations enters, once per block (see _CouplingProblem)
+_COUPLING_ERRSTATE = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 @dataclass(frozen=True)
@@ -224,14 +228,14 @@ def _backtracking_ascent(x, value, value_and_grad):
     """
     f, g = value_and_grad(x)
     evaluations = 1
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NumericalError("gradient block started from a non-finite objective")
     accepted_any = False
     step = _INIT_STEP
     max_step = _INIT_STEP * 1024.0
     for _ in range(_MAX_ITERS):
         gnorm_sq = float(np.vdot(g, g))
-        if np.sqrt(gnorm_sq) <= _GRAD_TOL:
+        if math.sqrt(gnorm_sq) <= _GRAD_TOL:
             break
         s = step
         accepted = False
@@ -242,7 +246,7 @@ def _backtracking_ascent(x, value, value_and_grad):
             floor = f + _ARMIJO_C * s * gnorm_sq
             fc = value(cand, floor)
             evaluations += 1
-            if np.isfinite(fc) and fc >= floor:
+            if math.isfinite(fc) and fc >= floor:
                 x = cand
                 f, g_new = value_and_grad(cand)
                 evaluations += 1
@@ -254,16 +258,25 @@ def _backtracking_ascent(x, value, value_and_grad):
             s *= _SHRINK
         if not accepted:
             break
-    stalled = not accepted_any and bool(np.sqrt(float(np.vdot(g, g))) > _GRAD_TOL)
+    stalled = not accepted_any and math.sqrt(float(np.vdot(g, g))) > _GRAD_TOL
     return x, stalled, evaluations
 
 
-def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=None, kept=None):
+def _cluster_fixed(state, data, rh):
+    """The terms of the cluster objective that stay fixed through a block:
+    E[gamma], zeta U0 and 1 - zeta."""
+    return float(state.noise.mean), rh.zeta * data.U0, 1.0 - rh.zeta
+
+
+def cluster_objective_and_grad(
+    theta, state, data, hyper, with_grad=True, mom=None, kept=None, fixed=None
+):
     """Likelihood part of the objective as a function of the cluster logits.
 
     Every other objective term is constant in theta, so ascent on this
     restriction is ascent on the full objective. ``mom`` holds the state's
-    moments and is computed when absent; only ``c``, ``m`` and ``var_load``,
+    moments and ``fixed`` its :func:`_cluster_fixed` terms; each is
+    computed when absent. Only ``c``, ``m`` and ``var_load`` of ``mom``,
     which do not depend on theta, are read, so an evaluation costs O(NK^2).
     ``kept``, a list the caller owns, carries one pass from a call to the
     next: each call leaves its pass there, and a call at the very array the
@@ -272,12 +285,12 @@ def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=No
     """
     rh = hyper.resolve(data)
     mom = mom or factor_moments(state, data, rh)
-    noise_mean = float(state.noise.mean)
+    noise_mean, zeta_u0, share = fixed or _cluster_fixed(state, data, rh)
     if kept and kept[0] is theta:
         _, tilde, u, um, value = kept
     else:
         tilde = softmax_rows(theta)
-        u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
+        u = zeta_u0 + share * tilde
         total, um = sq_residual_at(u, data.x_sq, mom)
         value = -0.5 * noise_mean * total
         if kept is not None:
@@ -286,7 +299,7 @@ def cluster_objective_and_grad(theta, state, data, hyper, with_grad=True, mom=No
         return value, None
     d_value_du = noise_mean * (mom.c - um - u * mom.var_load)
     inner = (tilde * d_value_du).sum(axis=1, keepdims=True)
-    grad = (1.0 - rh.zeta) * tilde * (d_value_du - inner)
+    grad = share * tilde * (d_value_du - inner)
     return value, grad
 
 
@@ -300,16 +313,19 @@ def update_cluster(state, data, hyper, mom=None):
         return state.cluster_logits.copy(), False, 0
 
     mom = mom or factor_moments(state, data, rh)
+    fixed = _cluster_fixed(state, data, rh)
     # the gradient at an accepted trial reuses the pass of that trial
     kept = []
 
     def value(theta, _floor):  # the likelihood alone: nothing cheaper to screen by
         return cluster_objective_and_grad(
-            theta, state, data, rh, with_grad=False, mom=mom, kept=kept
+            theta, state, data, rh, with_grad=False, mom=mom, kept=kept, fixed=fixed
         )[0]
 
     def value_and_grad(theta):
-        return cluster_objective_and_grad(theta, state, data, rh, mom=mom, kept=kept)
+        return cluster_objective_and_grad(
+            theta, state, data, rh, mom=mom, kept=kept, fixed=fixed
+        )
 
     return _backtracking_ascent(state.cluster_logits, value, value_and_grad)
 
@@ -318,7 +334,11 @@ class _CouplingProblem:
     """Restriction of the penalized objective to the membership block.
 
     Parameters are packed as [mu_g, log sig_g, mu_pi, log sig_pi]; variances
-    travel in log space so positivity needs no projection.
+    travel in log space so positivity needs no projection. Trial steps may
+    underflow a variance to zero or overflow one; the resulting -inf/nan
+    objective is rejected by the line search, so callers run the block
+    under one ``np.errstate`` that ignores overflow, invalid values and
+    division by zero (see :data:`_COUPLING_ERRSTATE`).
     """
 
     def __init__(self, state, data, rh, lap, mom):
@@ -335,6 +355,7 @@ class _CouplingProblem:
         self.mask_flat = self.mask[0] * data.n_sets + self.mask[1]  # into a D x R array
         self.penalized = self.mask[0].size > 0 and rh.xi > 0
         self.shape = mom.v_mean.shape
+        self.n_g = mom.v_mean.size
         # the gradient's terms that stay fixed through the block
         self.half_a2_v_second = (0.5 * mom.a2_sum) * mom.v_second
         self.half_precision_diag = 0.5 * lap.precision_diag[:, None]
@@ -355,23 +376,16 @@ class _CouplingProblem:
         )
 
     def unpack(self, x):
-        mu_g, mu_pi = self._means(x)
-        n_g, r = mu_g.size, mu_pi.size
+        """(mu_g, sig_g, mu_pi, sig_pi) at ``x``; the means are views of it."""
+        n_g, r = self.n_g, self.shape[1]
+        mu_g, mu_pi = x[:n_g].reshape(self.shape), x[2 * n_g : 2 * n_g + r]
         sig_g = np.exp(x[n_g : 2 * n_g]).reshape(self.shape)
-        sig_pi = np.exp(x[2 * n_g + r :])
-        return mu_g, sig_g, mu_pi, sig_pi
+        return mu_g, sig_g, mu_pi, np.exp(x[2 * n_g + r :])
 
-    def _means(self, x):
-        """mu_g and mu_pi, as views of ``x``."""
-        d, r = self.shape
-        return x[: d * r].reshape(d, r), x[2 * d * r : 2 * d * r + r]
-
-    # trial steps may underflow a variance to zero; the resulting -inf/nan
-    # objective is rejected by the line search
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def value(self, x, floor=-np.inf):
         """The block objective at ``x``, or, when the terms that need no
-        D x R pass already put it below ``floor``, a bound below ``floor``."""
+        Phi(t), P mu or E[W] E[A^T A] already put it below ``floor``, a
+        bound below ``floor``."""
         # the line search asks for a gradient only at the trial point it just
         # accepted, so the last trial's pass is kept for it; the old pass is
         # dropped first, so memory holds one pass
@@ -387,19 +401,16 @@ class _CouplingProblem:
         # residual is small next to its parts only when the fit is near X)
         # and (2 + eps) |mu|^2 / 2 for the prior mean (|P| has norm at most
         # 2 + eps). Only the final additions round differently from the pass.
-        mu_g = self._means(x)[0]
+        mu_g, terms = head[0], head[7]
         mean_cap = _SCREEN_RTOL * 0.5 * (2.0 + self.lap.jitter) * float(np.vdot(mu_g, mu_g))
         bound = self.likelihood_cap
-        for term in head[3].values():
+        for term in terms.values():
             bound += mean_cap if term is None else term
         if bound < floor:
             return bound
         self._kept = (x, *self._forward(x, head))
         return self._kept[1]
 
-    # the gradient closures run under this errstate; decorating each closure
-    # would build a wrapper at every trial step
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def value_and_grad(self, x):
         kept, self._kept = self._kept, None
         # found by identity: the line search's trials are read-only, so the
@@ -411,31 +422,34 @@ class _CouplingProblem:
         return value, gradient()
 
     def _membership(self, x):
-        """The variances at ``x``, the margins at the known entries and its
-        :func:`membership_terms`. The known margins are formed by the same
-        elementwise operations as the full margins in :meth:`_forward`, so
-        they have the same bits either way; the penalty and its gradient
-        read them."""
-        mu_g, sig_g, mu_pi, sig_pi = self.unpack(x)
-        n_g, r = sig_g.size, mu_pi.size
-        cols, flat = self.mask[1], self.mask_flat
-        t_mask = (mu_pi[cols] - mu_g.take(flat)) / np.sqrt(sig_pi[cols] + sig_g.take(flat))
-        # the entropies read the log-variances from x
-        g, pi = (mu_g, sig_g, x[n_g : 2 * n_g]), (mu_pi, sig_pi, x[2 * n_g + r :])
-        return sig_g, sig_pi, t_mask, membership_terms(g, pi, t_mask, self.rh, self.lap)
+        """The head of a pass at ``x``: the means and variances as
+        (mu_g, sig_g, mu_pi, sig_pi), the margins ``t`` and ``root`` =
+        sqrt(sig_pi + sig_g), the margins at the known entries, and
+        :func:`membership_terms` with its grid. Each margin is formed once,
+        so the penalty, the screen and the penalty's gradient read the bits
+        of the full margins at the known entries."""
+        n_g, r = self.n_g, self.shape[1]
+        mu_g = x[:n_g].reshape(self.shape)
+        log_sig_g, log_sig_pi = x[n_g : 2 * n_g], x[2 * n_g + r :]
+        sig_g = np.exp(log_sig_g).reshape(self.shape)
+        mu_pi = x[2 * n_g : 2 * n_g + r]
+        sig_pi = np.exp(log_sig_pi)
+        root = sig_pi + sig_g
+        np.sqrt(root, out=root)
+        t = (mu_pi - mu_g) / root
+        t_mask = t.take(self.mask_flat)
+        terms, grid = membership_terms(
+            (mu_g, sig_g, log_sig_g), (mu_pi, sig_pi, log_sig_pi), t_mask, self.rh, self.lap
+        )
+        return mu_g, sig_g, mu_pi, sig_pi, root, t, t_mask, terms, grid
 
     def _forward(self, x, head):
         """The block objective at ``x``, and a function that computes its
         gradient from this pass's intermediates; ``head`` is
         ``_membership(x)``. Trial steps and gradient points share this body,
-        so the line search compares values summed in one order. Runs under
-        the errstate of its callers, value() and value_and_grad()."""
-        sig_g, sig_pi, t_mask, terms = head
-        mu_g, mu_pi = self._means(x)
-        n_g, r = sig_g.size, mu_pi.size
-        root = sig_pi[None, :] + sig_g
-        np.sqrt(root, out=root)
-        t = (mu_pi[None, :] - mu_g) / root
+        so the line search compares values summed in one order."""
+        mu_g, sig_g, mu_pi, sig_pi, root, t, t_mask, terms, grid = head
+        n_g, r = self.n_g, mu_pi.size
         rho = special.ndtr(t)
         w = rho * self.v_mean
         err = w @ self.gram_a - self.proj  # E[W] E[A^T A] - X^T E[A]
@@ -449,7 +463,7 @@ class _CouplingProblem:
             - float(np.einsum("jr,jr->r", w, w) @ self.a2_sum)
         )
         value = -0.5 * self.noise_mean * residual
-        terms, prec_mu = with_prior_mean(terms, mu_g, self.lap)
+        prec_mu = fill_prior_mean(terms, mu_g, self.lap)
         for term in terms.values():
             value += term
 
@@ -474,7 +488,7 @@ class _CouplingProblem:
             d_mu = np.divide(d_t, root, out=d_t)
             np.negative(d_mu, out=mu_out)
             mu_out -= prec_mu
-            d_eln_mu, d_eln_var = expected_log_ndtr_grad(mu_pi, sig_pi)
+            d_eln_mu, d_eln_var = expected_log_ndtr_grad(grid)
             out[2 * n_g : -r] = d_mu.sum(axis=0) + self.a_beta_less_1 * d_eln_mu - mu_pi
             # d t / d var = -t / (2 root^2) for either variance
             d_var = np.multiply(d_mu, t, out=sig_out)
@@ -496,8 +510,8 @@ def coupling_objective_and_grad(state, data, hyper, lap=None):
     lap = lap or normalized_laplacian(data.graph, rh.epsilon)
     mom = factor_moments(state, data, rh)
     problem = _CouplingProblem(state, data, rh, lap, mom)
-    x = problem.pack(state.coupling, state.sparsity)
-    return problem.value_and_grad(x)
+    with np.errstate(**_COUPLING_ERRSTATE):
+        return problem.value_and_grad(problem.pack(state.coupling, state.sparsity))
 
 
 def update_coupling(state, data, hyper, lap=None, mom=None):
@@ -509,9 +523,10 @@ def update_coupling(state, data, hyper, lap=None, mom=None):
     lap = lap or normalized_laplacian(data.graph, rh.epsilon)
     mom = mom or factor_moments(state, data, rh)
     problem = _CouplingProblem(state, data, rh, lap, mom)
-    x, stalled, evaluations = _backtracking_ascent(
-        problem.pack(state.coupling, state.sparsity), problem.value, problem.value_and_grad
-    )
+    with np.errstate(**_COUPLING_ERRSTATE):
+        x, stalled, evaluations = _backtracking_ascent(
+            problem.pack(state.coupling, state.sparsity), problem.value, problem.value_and_grad
+        )
     mu_g, sig_g, mu_pi, sig_pi = problem.unpack(x)
     return NormalParams(mu_g, sig_g), NormalParams(mu_pi, sig_pi), stalled, evaluations
 

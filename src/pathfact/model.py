@@ -22,6 +22,7 @@ from .dist import (
     TruncatedNormalParams,
     expected_log_ndtr,
     gamma_expectations,
+    gh_grid,
     normal_entropy,
     trunc_norm_moments,
 )
@@ -174,15 +175,17 @@ class Hyperparameters:
         shapes = {"lambda_s0": (k, r), "mu_v0": (d, r), "sigma_v0": (d, r)}
         values = {}
         for f in fields(self):
-            value = getattr(self, f.name)
+            value = self.beta_a_for(r) if f.name == "beta_a" else getattr(self, f.name)
             if f.name in shapes:
                 value = np.broadcast_to(np.asarray(value, dtype=float), shapes[f.name])
             elif value is not None:
                 value = f.type(value)
             values[f.name] = value
-        if values["beta_a"] is None:
-            values["beta_a"] = r / 10.0
         return ResolvedHyperparameters(**values)
+
+    def beta_a_for(self, n_sets):
+        """``beta_a``, or its default ``n_sets / 10`` when unset."""
+        return n_sets / 10.0 if self.beta_a is None else self.beta_a
 
 
 @dataclass(frozen=True)
@@ -374,14 +377,15 @@ def membership_terms(g, pi, t_mask, hyper, lap):
     constant, in the order the membership line search adds them: the
     penalty ``xi * sum log q(Z=1)`` over the known entries, the GMRF prior's
     ``-mu^T P mu / 2`` and ``-diag(P) . var / 2``, the coupling entropy, the
-    sparsity prior and the sparsity entropy.
+    sparsity prior and the sparsity entropy. Also returns the
+    :func:`gh_grid` of q(pi), which the sparsity prior's gradient reads.
 
-    ``g`` and ``pi`` are (mean, variance, log variance) triples and
-    ``t_mask`` is the membership margin at the known entries. The prior-mean
-    term is the one term that needs the D x R product P mu, so it holds None
-    here and :func:`with_prior_mean` fills it in; the line search sums the
-    others first (see ``_CouplingProblem.value``). An entropy whose variance
-    underflowed to zero is -inf, as its log gives.
+    ``g`` and ``pi`` are (mean, variance, log variance) triples of arrays
+    and ``t_mask`` is the membership margin at the known entries. The
+    prior-mean term is the one term that needs the D x R product P mu, so it
+    holds None here and :func:`fill_prior_mean` fills it in; the line search
+    sums the others first (see ``_CouplingProblem.value``). An entropy whose
+    variance underflowed to zero is -inf, as its log gives.
     """
     _, var_g, log_var_g = g
     mu_pi, var_pi, log_var_pi = pi
@@ -391,17 +395,19 @@ def membership_terms(g, pi, t_mask, hyper, lap):
     terms["coupling_prior_var"] = -0.5 * float((lap.precision_diag @ var_g).sum())
     terms["coupling_entropy"] = 0.5 * float(log_var_g.sum()) if var_g.all() else -np.inf
     a = hyper.beta_a / mu_pi.size
-    eln = expected_log_ndtr(mu_pi, var_pi)
+    grid = gh_grid(mu_pi, var_pi)
+    eln = expected_log_ndtr(grid)
     terms["sparsity_prior"] = float(((a - 1.0) * eln - 0.5 * (mu_pi**2 + var_pi)).sum())
     terms["sparsity_entropy"] = 0.5 * float(log_var_pi.sum()) if var_pi.all() else -np.inf
-    return terms
+    return terms, grid
 
 
-def with_prior_mean(terms, mu_g, lap):
-    """:func:`membership_terms` with the GMRF prior-mean term filled in, and
-    ``P mu``."""
+def fill_prior_mean(terms, mu_g, lap):
+    """Fill in the GMRF prior-mean term of :func:`membership_terms`, in
+    place, and return ``P mu``."""
     prec_mu = lap.precision @ mu_g
-    return {**terms, "coupling_prior_mean": -0.5 * float(np.vdot(mu_g, prec_mu))}, prec_mu
+    terms["coupling_prior_mean"] = -0.5 * float(np.vdot(mu_g, prec_mu))
+    return prec_mu
 
 
 def state_membership_terms(state: VariationalState, data: ObservationSet, hyper, lap, mom):
@@ -409,8 +415,9 @@ def state_membership_terms(state: VariationalState, data: ObservationSet, hyper,
     in, the margin read from its moments ``mom``."""
     g, pi = ((q.mean, q.variance, np.log(q.variance)) for q in (state.coupling, state.sparsity))
     rows, cols = data.mask_indices
-    terms = membership_terms(g, pi, mom.t[rows, cols], hyper, lap)
-    return with_prior_mean(terms, state.coupling.mean, lap)[0]
+    terms = membership_terms(g, pi, mom.t[rows, cols], hyper, lap)[0]
+    fill_prior_mean(terms, state.coupling.mean, lap)
+    return terms
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -270,7 +270,9 @@ def generate(
     n, k, d, r = dims
     if min(n, k, d, r) < 1 or k > n:
         raise ValueError("degenerate dimensions")
-    Hyperparameters(beta_a=beta_a, epsilon=epsilon, seed=seed)  # the model's own checks
+    if not 0 <= edge_prob <= 1:
+        raise ValueError("edge_prob must lie in [0, 1]")
+    hyper = Hyperparameters(beta_a=beta_a, epsilon=epsilon, seed=seed)  # the model's own checks
     _check_plant(noise_precision, snr, corruption)
     if min_members > d:
         raise ValueError("min_members cannot exceed the feature count")
@@ -280,9 +282,7 @@ def generate(
     graph = random_graph(ids[2], edge_prob, rng, min_degree=1)
     lap = normalized_laplacian(graph, epsilon)
 
-    if beta_a is None:
-        beta_a = r / 10.0
-    z, g, pi_bar = sample_membership(d, r, beta_a, lap, rng)
+    z, g, pi_bar = sample_membership(d, r, hyper.beta_a_for(r), lap, rng)
     z = _patch_coverage(z, g, pi_bar, min_members=min_members)
 
     return _plant(

@@ -142,13 +142,13 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--beta-a", "-1", "--beta-a must be positive, got -1.0"),
-            ("--beta-a", "0", "--beta-a must be positive, got 0.0"),
-            ("--beta-a", "nan", "--beta-a must be positive, got nan"),
-            ("--edge-prob", "-1", "--edge-prob must lie in [0, 1], got -1.0"),
-            ("--edge-prob", "2", "--edge-prob must lie in [0, 1], got 2.0"),
-            ("--edge-prob", "nan", "--edge-prob must lie in [0, 1], got nan"),
-            ("--seed", "-1", "--seed must be nonnegative, got -1"),
+            ("--beta-a", "-1", "beta_a must be positive"),
+            ("--beta-a", "0", "beta_a must be positive"),
+            ("--beta-a", "nan", "beta_a must be finite"),
+            ("--edge-prob", "-1", "edge_prob must lie in [0, 1]"),
+            ("--edge-prob", "2", "edge_prob must lie in [0, 1]"),
+            ("--edge-prob", "nan", "edge_prob must lie in [0, 1]"),
+            ("--seed", "-1", "seed must be nonnegative"),
         ],
     )
     def test_out_of_range_flag_exit_one(self, tmp_path, capsys, flag, value, message):
@@ -166,6 +166,9 @@ class TestSimulate:
             (["--min-members", "5000"], "min_members cannot exceed the feature count"),
             (["--epsilon", "-1"], "epsilon must be nonnegative"),
             (["--epsilon", "nan"], "epsilon must be finite"),
+            (["--edge-prob", "1.5"], "edge_prob must lie in [0, 1]"),
+            (["--beta-a", "0"], "beta_a must be positive"),
+            (["--seed", "-1"], "seed must be nonnegative"),
         ],
     )
     def test_bad_setting_exits_before_any_draw(
@@ -180,6 +183,30 @@ class TestSimulate:
         assert main(simulate_args(out, extra=extra)) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_default_beta_a_is_the_one_fit_resolves(self, tmp_path, monkeypatch):
+        """Without --beta-a, simulate samples the memberships with the
+        beta_a that fit resolves, and records in run_meta, for the same
+        number of sets."""
+        drawn = []
+        sample = synth.sample_membership
+
+        def recorded(d, r, beta_a, lap, rng):
+            drawn.append(beta_a)
+            return sample(d, r, beta_a, lap, rng)
+
+        monkeypatch.setattr(synth, "sample_membership", recorded)
+        args = simulate_args(tmp_path / "data", r=7)
+        at = args.index("--beta-a")
+        del args[at : at + 2]
+        assert main(args) == EXIT_OK
+        out = tmp_path / "fit"
+        fit = fit_args(tmp_path / "data", out, ["--max-sweeps", "1"])
+        at = fit.index("--beta-a")
+        del fit[at : at + 2]
+        assert main(fit) == EXIT_MAX_SWEEPS
+        meta = (out / "run_meta").read_text().splitlines()
+        assert drawn == [0.7] and f"beta_a = {dataio.format_number(0.7)}" in meta
 
     def test_nan_epsilon_exit_one(self, tmp_path, capsys):
         out = tmp_path / "out"

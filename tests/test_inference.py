@@ -12,6 +12,7 @@ from pathfact.dist import (
     NormalParams,
     TruncatedNormalParams,
     expected_log_ndtr_grad,
+    gh_grid,
     pdf_over_cdf,
 )
 from pathfact import inference, model
@@ -692,14 +693,14 @@ def reference_coupling(state, data, rh, lap, mom, x):
     )
     value = -0.5 * noise_mean * residual
     rows, cols = data.mask_indices
-    terms = model.membership_terms(
+    terms, _ = model.membership_terms(
         (mu_g, sig_g, x[n_g : 2 * n_g]),
         (mu_pi, sig_pi, x[2 * n_g + r :]),
         t[rows, cols],
         rh,
         lap,
     )
-    terms, prec_mu = model.with_prior_mean(terms, mu_g, lap)
+    prec_mu = model.fill_prior_mean(terms, mu_g, lap)
     for term in terms.values():
         value += term
 
@@ -714,7 +715,7 @@ def reference_coupling(state, data, rh, lap, mom, x):
         d_value_dt = d_value_dt + pen
     d_t_dvar = -0.5 * t / total_var
     a_beta = rh.beta_a / r
-    d_eln_mu, d_eln_var = expected_log_ndtr_grad(mu_pi, sig_pi)
+    d_eln_mu, d_eln_var = expected_log_ndtr_grad(gh_grid(mu_pi, sig_pi))
     grad_mu_g = -d_value_dt / root - prec_mu
     grad_sig_g = d_value_dt * d_t_dvar - 0.5 * lap.precision_diag[:, None] + 0.5 / sig_g
     grad_mu_pi = (d_value_dt / root).sum(axis=0) + (a_beta - 1.0) * d_eln_mu - mu_pi
@@ -1021,12 +1022,85 @@ class TestTrialValues:
             x[index] = -800.0  # exp(-800) is 0.0 in float64
             assert problem.value(x) == -np.inf
 
+    def test_known_margins_are_the_full_margins_at_the_mask(self, monkeypatch):
+        """The margins that the penalty, and so the screen, reads are the
+        pass's full margins at the known entries, bit for bit, and both have
+        the bits of the margin formula (mu_pi - mu_g) / sqrt(sig_pi + sig_g)."""
+        data, _, _, _, problem, _, _, points = self.coupling_setup(50)
+        rows, cols = data.mask_indices
+        read, heads = [], []
+        terms = inference.membership_terms
+
+        def recorded(g, pi, t_mask, *args):
+            read.append(t_mask)
+            return terms(g, pi, t_mask, *args)
+
+        forward = problem._forward
+
+        def kept_head(x, head):
+            heads.append(head)
+            return forward(x, head)
+
+        monkeypatch.setattr(inference, "membership_terms", recorded)
+        problem._forward = kept_head
+        for x in points:
+            for floor in (np.inf, -np.inf):  # screened, then a full pass
+                read.clear()
+                heads.clear()
+                problem.value(x, floor)
+                mu_g, sig_g, mu_pi, sig_pi = problem.unpack(x)
+                t = (mu_pi[None, :] - mu_g) / np.sqrt(sig_pi[None, :] + sig_g)
+                assert len(read) == 1 and read[0].tobytes() == t[rows, cols].tobytes()
+                if heads:
+                    full = heads[0][5]
+                    assert full.tobytes() == t.tobytes()
+                    assert full.take(problem.mask_flat).tobytes() == read[0].tobytes()
+            assert len(heads) == 1
+
+    def test_coupling_pass_forms_the_grid_once(self, monkeypatch):
+        """Each pass forms the Gauss-Hermite grid of q(pi) once, in its
+        membership terms, and its gradient reads that grid: a search forms
+        one grid per trial plus one for its start, whose gradient has no
+        kept pass."""
+        rng, data, state, rh, _ = self.points(51)
+        grids, trials = [], []
+        grid = model.gh_grid
+
+        def counted(*args):
+            grids.append(args)
+            return grid(*args)
+
+        monkeypatch.setattr(model, "gh_grid", counted)
+        monkeypatch.setattr("pathfact.dist.gh_grid", counted)
+        monkeypatch.setattr(inference, "gh_grid", counted, raising=False)
+        lap = normalized_laplacian(data.graph, rh.epsilon)
+        problem = _CouplingProblem(state, data, rh, lap, factor_moments(state, data, rh))
+        x = problem.pack(state.coupling, state.sparsity)
+        problem.value(x)
+        problem.value_and_grad(x)
+        assert len(grids) == 1
+        problem.value_and_grad(x.copy())  # no kept pass: a pass of its own
+        assert len(grids) == 2
+
+        value = _CouplingProblem.value
+
+        def trial(self, x, floor=-np.inf):
+            trials.append(x)
+            return value(self, x, floor)
+
+        grids.clear()
+        monkeypatch.setattr(_CouplingProblem, "value", trial)
+        update_coupling(state, data, rh, lap=lap)
+        assert len(trials) > 1 and len(grids) == len(trials) + 1
+
     def test_screened_decisions_are_exact(self):
         """value(x, floor) falls below the floor exactly when value(x) does,
         and where it runs the full pass it returns value(x) bit for bit, at
         floors far off and within 1e-12 of the value, and at points whose
-        variances underflow to zero or overflow to infinity."""
+        variances underflow to zero or overflow to infinity. Like the
+        block, the test calls the problem under the block's errstate."""
         screened = unscreened = 0
+        errstate = inference._COUPLING_ERRSTATE
         for seed in (46, 47, 48):
             data, _, _, _, problem, passes, _, points = self.coupling_setup(seed)
             n_g, r = data.n_features * data.n_sets, data.n_sets
@@ -1036,7 +1110,8 @@ class TestTrialValues:
                     x[index] = log_var
                     points.append(x)
             for x in points:
-                exact = problem.value(x)
+                with np.errstate(**errstate):
+                    exact = problem.value(x)
                 floors = [-1e300, -1e7, 1e7]
                 if np.isfinite(exact):
                     size = abs(exact)
@@ -1044,7 +1119,8 @@ class TestTrialValues:
                     floors += [exact - 1e3 * size, exact + 1e3 * size]
                 for floor in floors:
                     passes.clear()
-                    got = problem.value(x, floor)
+                    with np.errstate(**errstate):
+                        got = problem.value(x, floor)
                     assert (got < floor) == (exact < floor)
                     assert (np.isfinite(got) and got >= floor) == (
                         np.isfinite(exact) and exact >= floor

@@ -23,12 +23,12 @@ from pathfact.model import (
     expected_reconstruction,
     expected_sq_residual,
     factor_moments,
+    fill_prior_mean,
     membership_terms,
     mix_cluster,
     rank_row,
     regularized_objective,
     summarize,
-    with_prior_mean,
     z_marginal,
 )
 
@@ -476,14 +476,14 @@ def gmrf_expectation(mu, var, lap):
     """E[g^T P g], summed over the columns of q(g) = N(mu, var), from the
     GMRF prior's two parts in the shared membership terms."""
     r = mu.shape[1]
-    terms = membership_terms(
+    terms, _ = membership_terms(
         (mu, var, np.log(var)),
         (np.zeros(r), np.ones(r), np.zeros(r)),
         np.array([]),
         default_hyper(),
         lap,
     )
-    terms, _ = with_prior_mean(terms, mu, lap)
+    fill_prior_mean(terms, mu, lap)
     return -2.0 * (terms["coupling_prior_mean"] + terms["coupling_prior_var"])
 
 
@@ -523,7 +523,7 @@ class TestGmrfPrior:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            with_prior_mean({}, np.zeros((3, 1)), self.small_operator())
+            fill_prior_mean({}, np.zeros((3, 1)), self.small_operator())
 
     def test_zero_mean_gives_trace(self):
         g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0})
