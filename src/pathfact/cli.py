@@ -243,8 +243,14 @@ def cmd_fit(argv) -> int:
     args = parser.parse_args(argv)
     config = build_config(args)
     for key in _PATH_KEYS:
-        if not getattr(config, key):
+        path = getattr(config, key)
+        if not path:
             raise UsageError(f"missing required setting {key!r}")
+        # run_meta must read back as this run (see parse_config_file)
+        if "#" in path or path.splitlines() != [path]:
+            raise UsageError(
+                f"setting {key!r} holds '#' or a line break, which run_meta cannot record"
+            )
     try:
         hyper = config.hyperparameters()
     except ValueError as exc:

@@ -36,8 +36,8 @@ class InteractionGraph:
                 raise ValueError(f"self-loop on node {a!r}")
             if a not in known or b not in known:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
-            if w < 0:
-                raise ValueError(f"negative weight on edge ({a!r}, {b!r})")
+            if not 0 <= w < np.inf:  # NaN fails both
+                raise ValueError(f"weight {w} on edge ({a!r}, {b!r}) is not finite and nonnegative")
             key = (a, b) if a <= b else (b, a)
             canonical[key] = float(w)
         object.__setattr__(self, "edges", canonical)

@@ -215,12 +215,13 @@ def _backtracking_ascent(x, value, value_and_grad):
     every accepted step is a sufficient ascent.
 
     Each trial is evaluated as ``value(x, floor)``, with ``floor`` its
-    Armijo floor ``f + _ARMIJO_C * s * |g|^2``. Only the test against the
-    floor reads a trial's value, so ``value`` may return any number below
-    the floor in place of the value of a trial that falls below it. Each
-    trial is a new read-only array, so ``value`` may keep it, or views of
-    it, without a copy; the accepted trial is the array handed to
-    ``value_and_grad`` next, and the one returned.
+    Armijo floor ``f + _ARMIJO_C * s * |g|^2``, and returns (value, pass).
+    Only the test against the floor reads a trial's value, so ``value`` may
+    return any number below the floor, and no pass, in place of those of a
+    trial that falls below it. The accepted trial and its pass go to
+    ``value_and_grad(x, kept=pass)``, which then need not form the pass
+    again; the start point goes without one. A pass is dropped before the
+    next trial is evaluated, so memory holds one pass at a time.
 
     Returns (x, stalled, evaluations): stalled means not a single step was
     accepted even at machine-precision step sizes; evaluations counts the
@@ -242,13 +243,13 @@ def _backtracking_ascent(x, value, value_and_grad):
         while s > 1e-20:
             cand = s * g
             cand += x  # x + s * g, without a second temporary
-            cand.flags.writeable = False
             floor = f + _ARMIJO_C * s * gnorm_sq
-            fc = value(cand, floor)
+            kept = None  # the last pass goes before value forms the next
+            fc, kept = value(cand, floor)
             evaluations += 1
             if math.isfinite(fc) and fc >= floor:
                 x = cand
-                f, g_new = value_and_grad(cand)
+                f, g_new = value_and_grad(cand, kept=kept)
                 evaluations += 1
                 step = _next_step(s, g, g_new, max_step)
                 g = g_new
@@ -278,25 +279,20 @@ def cluster_objective_and_grad(
     moments and ``fixed`` its :func:`_cluster_fixed` terms; each is
     computed when absent. Only ``c``, ``m`` and ``var_load`` of ``mom``,
     which do not depend on theta, are read, so an evaluation costs O(NK^2).
-    ``kept``, a list the caller owns, carries one pass from a call to the
-    next: each call leaves its pass there, and a call at the very array the
-    last one saw reuses it. Key by identity only arrays nobody writes to,
-    as the line search's read-only trials.
+    Returns (value, gradient), or with ``with_grad=False`` (value, pass);
+    given ``kept``, the pass of a call at theta, the gradient reuses it.
     """
     rh = hyper.resolve(data)
     mom = mom or factor_moments(state, data, rh)
     noise_mean, zeta_u0, share = fixed or _cluster_fixed(state, data, rh)
-    if kept and kept[0] is theta:
-        _, tilde, u, um, value = kept
-    else:
+    if kept is None:
         tilde = softmax_rows(theta)
         u = zeta_u0 + share * tilde
         total, um = sq_residual_at(u, data.x_sq, mom)
-        value = -0.5 * noise_mean * total
-        if kept is not None:
-            kept[:] = theta, tilde, u, um, value
+        kept = -0.5 * noise_mean * total, tilde, u, um
+    value, tilde, u, um = kept
     if not with_grad:
-        return value, None
+        return value, kept
     d_value_du = noise_mean * (mom.c - um - u * mom.var_load)
     inner = (tilde * d_value_du).sum(axis=1, keepdims=True)
     grad = share * tilde * (d_value_du - inner)
@@ -314,15 +310,13 @@ def update_cluster(state, data, hyper, mom=None):
 
     mom = mom or factor_moments(state, data, rh)
     fixed = _cluster_fixed(state, data, rh)
-    # the gradient at an accepted trial reuses the pass of that trial
-    kept = []
 
     def value(theta, _floor):  # the likelihood alone: nothing cheaper to screen by
         return cluster_objective_and_grad(
-            theta, state, data, rh, with_grad=False, mom=mom, kept=kept, fixed=fixed
-        )[0]
+            theta, state, data, rh, with_grad=False, mom=mom, fixed=fixed
+        )
 
-    def value_and_grad(theta):
+    def value_and_grad(theta, kept=None):
         return cluster_objective_and_grad(
             theta, state, data, rh, mom=mom, kept=kept, fixed=fixed
         )
@@ -363,7 +357,6 @@ class _CouplingProblem:
         self.x_sq = data.x_sq
         # how far rounding can lift the likelihood above zero (see value())
         self.likelihood_cap = _SCREEN_RTOL * 0.5 * self.noise_mean * self.x_sq
-        self._kept = None  # (point, value, gradient) of the last value() call
 
     def pack(self, coupling: NormalParams, sparsity: NormalParams):
         return np.concatenate(
@@ -383,13 +376,10 @@ class _CouplingProblem:
         return mu_g, sig_g, mu_pi, np.exp(x[2 * n_g + r :])
 
     def value(self, x, floor=-np.inf):
-        """The block objective at ``x``, or, when the terms that need no
-        Phi(t), P mu or E[W] E[A^T A] already put it below ``floor``, a
-        bound below ``floor``."""
-        # the line search asks for a gradient only at the trial point it just
-        # accepted, so the last trial's pass is kept for it; the old pass is
-        # dropped first, so memory holds one pass
-        self._kept = None
+        """(value, pass) at ``x``: the block objective and the pass that
+        :meth:`value_and_grad` at ``x`` can reuse, or, when the terms that
+        need no Phi(t), P mu or E[W] E[A^T A] already put the objective
+        below ``floor``, a bound below ``floor`` and no pass."""
         head = self._membership(x)
         # The screen. The likelihood -E[gamma]/2 E||X - A (Z o V)^T||^2 and the
         # prior-mean term -mu^T P mu / 2 (P positive definite) are never
@@ -407,18 +397,14 @@ class _CouplingProblem:
         for term in terms.values():
             bound += mean_cap if term is None else term
         if bound < floor:
-            return bound
-        self._kept = (x, *self._forward(x, head))
-        return self._kept[1]
+            return bound, None
+        kept = self._forward(x, head)
+        return kept[0], kept
 
-    def value_and_grad(self, x):
-        kept, self._kept = self._kept, None
-        # found by identity: the line search's trials are read-only, so the
-        # array value() saw still holds the point its pass was made at
-        if kept is not None and kept[0] is x:
-            _, value, gradient = kept
-        else:
-            value, gradient = self._forward(x, self._membership(x))
+    def value_and_grad(self, x, kept=None):
+        """(value, gradient) at ``x``. ``kept``, the pass of :meth:`value`
+        at ``x``, is reused; without it a pass is formed here."""
+        value, gradient = kept or self._forward(x, self._membership(x))
         return value, gradient()
 
     def _membership(self, x):

@@ -59,10 +59,9 @@ class ObservationSet:
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
         U0 = np.asarray(self.U0, dtype=float)
-        Z0 = np.asarray(self.Z0, dtype=np.int8)
+        Z0 = np.asarray(self.Z0)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "U0", U0)
-        object.__setattr__(self, "Z0", Z0)
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
         object.__setattr__(self, "feature_ids", tuple(self.feature_ids))
         object.__setattr__(self, "cluster_ids", tuple(self.cluster_ids))
@@ -78,6 +77,7 @@ class ObservationSet:
             raise ValueError("Z0 shape does not match features x sets")
         if not np.all((Z0 == 0) | (Z0 == 1)):
             raise ValueError("Z0 must be binary")
+        object.__setattr__(self, "Z0", Z0.astype(np.int8, copy=False))
         if len(self.sample_ids) != n or len(self.feature_ids) != d:
             raise ValueError("label list lengths do not match matrix dimensions")
         if len(set(self.sample_ids)) != n or len(set(self.feature_ids)) != d:

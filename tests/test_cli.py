@@ -423,6 +423,35 @@ class TestFit:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [
+            ("--out", "hash#dir"),
+            ("--out", "line\nbreak"),
+            ("--out", "carriage\rreturn"),
+            ("--expression", "hash#dir"),
+            ("--edges", "line\nbreak"),
+        ],
+    )
+    def test_path_run_meta_cannot_record_exit_one_before_any_read(
+        self, dataset, tmp_path, capsys, monkeypatch, flag, name
+    ):
+        """run_meta reads '#' as a comment and splits lines, so such a path
+        would not read back; the run stops before it reads an input."""
+        def read(*args):
+            raise AssertionError("an input was read")
+
+        monkeypatch.setattr(dataio, "load_observations", read)
+        out = tmp_path / "out"
+        args = fit_args(dataset, out)
+        args[args.index(flag) + 1] = str(tmp_path / name / "run")
+        assert main(args) == EXIT_DATA
+        key = flag[2:]
+        assert capsys.readouterr().err == (
+            f"error: setting {key!r} holds '#' or a line break, which run_meta cannot record\n"
+        )
+        assert not out.exists() and not (tmp_path / name).exists()
+
     def test_top_m_below_one_exit_one(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(fit_args(dataset, out, extra=["--top-m", "0"])) == EXIT_DATA

@@ -28,6 +28,11 @@ class TestInteractionGraph:
         with pytest.raises(ValueError):
             InteractionGraph(node_labels=("a", "a"))
 
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_weight_not_finite_and_nonnegative(self, w):
+        with pytest.raises(ValueError, match=r"on edge \('a', 'b'\) is not finite and nonnegative"):
+            InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): w})
+
     def test_edges_stored_symmetrically(self):
         g = InteractionGraph(node_labels=("b", "a"), edges={("b", "a"): 2.0})
         assert g.edges == {("a", "b"): 2.0}

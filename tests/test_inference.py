@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -407,7 +408,7 @@ def doubling_ascent(x0, value, value_and_grad):
         while s > 1e-20:
             cand = x + s * g
             floor = f + inference._ARMIJO_C * s * gnorm_sq
-            if value(cand, floor) >= floor:
+            if value(cand, floor)[0] >= floor:
                 x = cand
                 f, g = value_and_grad(cand)
                 step = min(s * 2.0, inference._INIT_STEP * 1024.0)
@@ -418,24 +419,39 @@ def doubling_ascent(x0, value, value_and_grad):
     return x
 
 
+class Pass:
+    """A fake trial's pass, weak-referenceable: the point it was formed at."""
+
+    def __init__(self, x):
+        self.x = x
+
+
 class RecordedObjective:
     """f(x) = -x.H.x / 2 + b.x (H = 0: linear), recording each trial point
     and floor passed to ``value``, with the (x, f, g) the trial steps from,
-    and each (x, f, g) of ``value_and_grad``."""
+    and each (x, f, g) of ``value_and_grad``. Each trial forms a
+    :class:`Pass`, held here only by a weak reference. Recorded too: at each
+    trial, how many earlier passes were still alive, and at each gradient,
+    the point of the pass it was handed (None without one)."""
 
     def __init__(self, h, b):
         self.h, self.b = np.asarray(h, dtype=float), np.asarray(b, dtype=float)
         self.trials, self.floors, self.points = [], [], []
+        self.passes, self.alive, self.handed = [], [], []
 
     def f(self, x):
         return float(-0.5 * x @ self.h @ x + self.b @ x)
 
     def value(self, x, floor):
+        self.alive.append(sum(ref() is not None for ref in self.passes))
         self.trials.append(x.copy())
         self.floors.append((floor, self.points[-1]))
-        return self.f(x)
+        kept = Pass(x.copy())
+        self.passes.append(weakref.ref(kept))
+        return self.f(x), kept
 
-    def value_and_grad(self, x):
+    def value_and_grad(self, x, kept=None):
+        self.handed.append(None if kept is None else kept.x)
         out = (self.f(x), self.b - self.h @ x)
         self.points.append((x.copy(), *out))
         return out
@@ -512,6 +528,20 @@ class TestBacktrackingAscent:
             shrunk += obj.f(trial) < floor
         assert shrunk > 0  # some trials were rejected and shrunk
 
+    def test_hands_each_accepted_pass_to_its_gradient_and_holds_one(self):
+        """The gradient at each accepted trial gets that trial's pass, the
+        gradient at the start none, and every pass is dropped before the
+        next trial forms its own: memory holds one pass at a time."""
+        rng = np.random.default_rng(2)
+        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        obj = RecordedObjective((q * np.logspace(0, 2, 6)) @ q.T, rng.standard_normal(6))
+        inference._backtracking_ascent(np.zeros(6), obj.value, obj.value_and_grad)
+        assert len(obj.points) > 2 and len(obj.trials) > len(obj.points)
+        assert obj.alive == [0] * len(obj.trials)
+        assert obj.handed[0] is None
+        for (x, _, _), handed in zip(obj.points[1:], obj.handed[1:]):
+            assert handed.tobytes() == x.tobytes()
+
 
 class TestUpdateCluster:
     @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.9])
@@ -529,8 +559,8 @@ class TestUpdateCluster:
             np.testing.assert_allclose(
                 grad, want_grad, rtol=0, atol=1e-10 * np.abs(want_grad).max()
             )
-            trial, none = cluster_objective_and_grad(theta, state, data, hyper, with_grad=False)
-            assert none is None and trial == val
+            trial, _ = cluster_objective_and_grad(theta, state, data, hyper, with_grad=False)
+            assert trial == val
 
     def test_reads_only_cluster_space_statistics(self):
         """Given moments that hold only c, m and var_load, an evaluation and
@@ -542,17 +572,16 @@ class TestUpdateCluster:
         mom = factor_moments(state, data, hyper)
         lean = SimpleNamespace(c=mom.c, m=mom.m, var_load=mom.var_load)
         theta = rng.normal(size=state.cluster_logits.shape)
-        for with_grad in (True, False):
-            val, grad = cluster_objective_and_grad(
+        for with_grad in (True, False):  # the gradient, then the pass
+            val, out = cluster_objective_and_grad(
                 theta, state, data, hyper, with_grad=with_grad, mom=mom
             )
-            lean_val, lean_grad = cluster_objective_and_grad(
+            lean_val, lean_out = cluster_objective_and_grad(
                 theta, state, data, hyper, with_grad=with_grad, mom=lean
             )
             assert lean_val == val
-            assert (lean_grad is None) == (grad is None) == (not with_grad)
-            if with_grad:
-                assert lean_grad.tobytes() == grad.tobytes()
+            for a, b in [(out, lean_out)] if with_grad else zip(out, lean_out):
+                assert np.asarray(b).tobytes() == np.asarray(a).tobytes()
         full = update_cluster(state, data, hyper, mom=mom)
         only = update_cluster(state, data, hyper, mom=lean)
         assert only[0].tobytes() == full[0].tobytes() and only[1:] == full[1:]
@@ -560,7 +589,7 @@ class TestUpdateCluster:
     def test_one_softmax_per_trial_and_one_at_the_start(self, monkeypatch):
         """The gradient at an accepted trial reuses that trial's pass, so the
         block forms one softmax per trial plus one for its first gradient,
-        and returns the bits of an ascent that keeps no pass."""
+        and returns the bits of an ascent that hands over no pass."""
         rng = np.random.default_rng(26)
         data = make_dataset(rng, n=9, d=7, k=3, r=4)
         state = make_state(rng, data)
@@ -585,32 +614,10 @@ class TestUpdateCluster:
 
         fresh = inference._backtracking_ascent(
             state.cluster_logits,
-            lambda th, _floor: evaluate(th, state, data, rh, with_grad=False, mom=mom)[0],
-            lambda th: evaluate(th, state, data, rh, mom=mom),
+            lambda th, _floor: (evaluate(th, state, data, rh, with_grad=False, mom=mom)[0], None),
+            lambda th, kept=None: evaluate(th, state, data, rh, mom=mom),
         )
         assert theta.tobytes() == fresh[0].tobytes() and evaluations == fresh[2]
-
-    def test_pass_is_kept_for_the_same_array_only(self):
-        """A call reuses the kept pass only at the very array the last call
-        saw; an equal copy gets a pass of its own. Either way the value and
-        gradient have the bits of a call that keeps nothing."""
-        rng = np.random.default_rng(27)
-        data = make_dataset(rng, n=9, d=7, k=3, r=4)
-        state = make_state(rng, data)
-        rh = default_hyper(zeta=0.4).resolve(data)
-        mom = factor_moments(state, data, rh)
-        kept = []
-        for _ in range(4):
-            theta = rng.normal(size=state.cluster_logits.shape)
-            want = cluster_objective_and_grad(theta, state, data, rh, mom=mom)
-            trial = cluster_objective_and_grad(
-                theta, state, data, rh, with_grad=False, mom=mom, kept=kept
-            )
-            assert trial[0] == want[0] and kept[0] is theta
-            for point in (theta, theta.copy()):
-                val, grad = cluster_objective_and_grad(point, state, data, rh, mom=mom, kept=kept)
-                assert val == want[0] and grad.tobytes() == want[1].tobytes()
-                assert kept[0] is point
 
     def test_zeta_one_leaves_logits(self):
         rng = np.random.default_rng(8)
@@ -902,9 +909,9 @@ class TestUpdateCoupling:
 
 class TestTrialValues:
     """The values the line searches compare: a trial step's value equals the
-    value at a gradient point, and both track the full objective. The
-    coupling block keeps the forward pass of its last trial step, so its
-    values and gradients are compared bit for bit with a fresh problem's.
+    value at a gradient point, and both track the full objective. A
+    gradient handed a trial's pass is compared bit for bit with one that
+    forms its own.
     It also screens a trial against its Armijo floor, which must leave every
     accept/reject decision as the exact value makes it."""
 
@@ -917,7 +924,7 @@ class TestTrialValues:
 
     def coupling_setup(self, seed):
         """A problem whose forward passes are counted, and a reference that
-        evaluates each point on a fresh problem, which has no kept pass."""
+        evaluates each point on a fresh problem, with a pass of its own."""
         rng, data, state, rh, n_points = self.points(seed)
         lap = normalized_laplacian(data.graph, rh.epsilon)
         mom = factor_moments(state, data, rh)
@@ -947,10 +954,10 @@ class TestTrialValues:
         data, state, rh, lap, problem, passes, fresh, points = self.coupling_setup(41)
         gaps, scale = [], 0.0
         for x in points:
-            value = problem.value(x)
+            value, kept = problem.value(x)
             want = fresh(x)
             assert value == want[0]
-            self.assert_same(problem.value_and_grad(x), want)
+            self.assert_same(problem.value_and_grad(x, kept), want)
             mu_g, sig_g, mu_pi, sig_pi = problem.unpack(x)
             moved = state.updated(
                 coupling=NormalParams(mu_g, sig_g), sparsity=NormalParams(mu_pi, sig_pi)
@@ -959,7 +966,7 @@ class TestTrialValues:
             gaps.append(obj - value)
             scale = max(scale, abs(obj))
         np.testing.assert_allclose(gaps, gaps[0], rtol=0, atol=1e-9 * scale)
-        # the gradient at an evaluated point reuses that point's pass
+        # the gradient handed a point's pass reuses it
         assert len(passes) == len(points)
 
     def test_coupling_gradient_at_another_point_is_fresh(self):
@@ -970,7 +977,7 @@ class TestTrialValues:
         assert len(passes) == len(points)
 
     def test_coupling_gradient_reads_only_block_invariants(self):
-        """The gradient of a kept pass reads the block's fixed terms formed
+        """The gradient of a handed pass reads the block's fixed terms formed
         once, and the known margins of that pass, not the moments, the
         Laplacian or the mask they come from, and gives the bits of a fresh
         problem's gradient."""
@@ -978,38 +985,11 @@ class TestTrialValues:
         assert problem.penalized
         raw = {name: vars(problem).get(name) for name in ("v_second", "lap", "mask", "a_beta")}
         for x in points:
-            problem.value(x)
+            _, kept = problem.value(x)
             vars(problem).update(dict.fromkeys(raw))
-            self.assert_same(problem.value_and_grad(x), fresh(x))
+            self.assert_same(problem.value_and_grad(x, kept), fresh(x))
             vars(problem).update(raw)
         assert len(passes) == len(points)
-
-    def test_coupling_pass_is_kept_for_the_same_array_only(self):
-        """The kept pass is found by identity: an equal but different array
-        gets a pass of its own. Identity is safe because every trial the
-        ascent hands out is read-only, so a write into one raises."""
-        data, state, rh, _, problem, passes, fresh, points = self.coupling_setup(44)
-        for x in points:
-            problem.value(x)
-            passes.clear()
-            twin = x.copy()
-            self.assert_same(problem.value_and_grad(twin), fresh(twin))
-            assert len(passes) == 1 and passes[0] is twin
-
-        trials = []
-
-        def value(x, floor):
-            trials.append(x)
-            return problem.value(x, floor)
-
-        x, _, _ = inference._backtracking_ascent(points[0], value, problem.value_and_grad)
-        assert len(trials) > 1 and not any(t.flags.writeable for t in trials)
-        assert any(x is t for t in trials)
-        with pytest.raises(ValueError, match="read-only"):
-            trials[0][0] += 1.0
-        # the fitted state holds copies, which may be written
-        coupling, sparsity, _, _ = update_coupling(state, data, rh)
-        assert coupling.mean.flags.writeable and sparsity.variance.flags.writeable
 
     def test_coupling_underflowed_variance_is_rejected(self):
         """A trial variance that underflows to zero makes the value -inf,
@@ -1018,9 +998,9 @@ class TestTrialValues:
         n_g = data.n_features * data.n_sets
         for index in (n_g, 2 * n_g - 1, 2 * n_g + data.n_sets, points[0].size - 1):
             x = points[0].copy()
-            assert np.isfinite(problem.value(x))
+            assert np.isfinite(problem.value(x)[0])
             x[index] = -800.0  # exp(-800) is 0.0 in float64
-            assert problem.value(x) == -np.inf
+            assert problem.value(x)[0] == -np.inf
 
     def test_known_margins_are_the_full_margins_at_the_mask(self, monkeypatch):
         """The margins that the penalty, and so the screen, reads are the
@@ -1060,8 +1040,8 @@ class TestTrialValues:
     def test_coupling_pass_forms_the_grid_once(self, monkeypatch):
         """Each pass forms the Gauss-Hermite grid of q(pi) once, in its
         membership terms, and its gradient reads that grid: a search forms
-        one grid per trial plus one for its start, whose gradient has no
-        kept pass."""
+        one grid per trial plus one for its start, whose gradient is handed
+        no pass."""
         rng, data, state, rh, _ = self.points(51)
         grids, trials = [], []
         grid = model.gh_grid
@@ -1076,10 +1056,10 @@ class TestTrialValues:
         lap = normalized_laplacian(data.graph, rh.epsilon)
         problem = _CouplingProblem(state, data, rh, lap, factor_moments(state, data, rh))
         x = problem.pack(state.coupling, state.sparsity)
-        problem.value(x)
-        problem.value_and_grad(x)
+        _, kept = problem.value(x)
+        problem.value_and_grad(x, kept)
         assert len(grids) == 1
-        problem.value_and_grad(x.copy())  # no kept pass: a pass of its own
+        problem.value_and_grad(x)  # no pass handed: a pass of its own
         assert len(grids) == 2
 
         value = _CouplingProblem.value
@@ -1111,7 +1091,7 @@ class TestTrialValues:
                     points.append(x)
             for x in points:
                 with np.errstate(**errstate):
-                    exact = problem.value(x)
+                    exact = problem.value(x)[0]
                 floors = [-1e300, -1e7, 1e7]
                 if np.isfinite(exact):
                     size = abs(exact)
@@ -1120,7 +1100,8 @@ class TestTrialValues:
                 for floor in floors:
                     passes.clear()
                     with np.errstate(**errstate):
-                        got = problem.value(x, floor)
+                        got, kept = problem.value(x, floor)
+                    assert (kept is None) == (not passes)
                     assert (got < floor) == (exact < floor)
                     assert (np.isfinite(got) and got >= floor) == (
                         np.isfinite(exact) and exact >= floor
@@ -1139,11 +1120,14 @@ class TestTrialValues:
         gaps, scale = [], 0.0
         for _ in range(n_points):
             theta = state.cluster_logits + rng.standard_normal(state.cluster_logits.shape)
-            value, none = cluster_objective_and_grad(
+            value, kept = cluster_objective_and_grad(
                 theta, state, data, rh, with_grad=False, mom=mom
             )
-            assert none is None
-            assert value == cluster_objective_and_grad(theta, state, data, rh, mom=mom)[0]
+            want = cluster_objective_and_grad(theta, state, data, rh, mom=mom)
+            assert value == want[0]
+            self.assert_same(
+                cluster_objective_and_grad(theta, state, data, rh, mom=mom, kept=kept), want
+            )
             obj = regularized_objective(state.updated(cluster_logits=theta), data, rh)[0]
             gaps.append(obj - value)
             scale = max(scale, abs(obj))

@@ -739,6 +739,26 @@ class TestObservationSetValidation:
                 set_ids=data.set_ids,
             )
 
+    @pytest.mark.parametrize("bad", [0.5, 1.9, 256, -1])
+    def test_rejects_non_binary_z0_before_the_cast(self, bad):
+        """Z0 is checked as given: a cast to int8 first would turn 0.5 into
+        0, 1.9 into 1 and 256 into 0."""
+        rng = np.random.default_rng(17)
+        data = make_dataset(rng)
+        bad_z0 = data.Z0.astype(float if isinstance(bad, float) else int)
+        bad_z0[0, 0] = bad
+        with pytest.raises(ValueError, match="^Z0 must be binary$"):
+            ObservationSet(
+                X=data.X,
+                U0=data.U0,
+                Z0=bad_z0,
+                graph=data.graph,
+                sample_ids=data.sample_ids,
+                feature_ids=data.feature_ids,
+                cluster_ids=data.cluster_ids,
+                set_ids=data.set_ids,
+            )
+
     def test_rejects_mismatched_graph_order(self):
         rng = np.random.default_rng(18)
         data = make_dataset(rng)
