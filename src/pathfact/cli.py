@@ -247,9 +247,10 @@ def cmd_fit(argv) -> int:
         if not path:
             raise UsageError(f"missing required setting {key!r}")
         # run_meta must read back as this run (see parse_config_file)
-        if "#" in path or path.splitlines() != [path]:
+        if "#" in path or path.splitlines() != [path] or path.strip() != path:
             raise UsageError(
-                f"setting {key!r} holds '#' or a line break, which run_meta cannot record"
+                f"setting {key!r} holds '#', a line break or surrounding whitespace,"
+                " which run_meta cannot record"
             )
     try:
         hyper = config.hyperparameters()

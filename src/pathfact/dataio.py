@@ -219,24 +219,42 @@ def _parse_cell(token, lineno, column_name):
     return value
 
 
-def _parse_row(tokens, lineno, column_names):
-    """The row's cells as a float array, converted in one numpy call.
+# a block of rows goes to np.loadtxt once it holds this many characters of
+# values: bounded by text, not rows, so its memory does not grow with the
+# number of columns. Parse speed is flat from 128 KiB to 1 MiB.
+_BLOCK_CHARS = 1 << 18
+# np.loadtxt strips these around a number; float() rejects them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
-    numpy converts each string as ``float()`` does, so :func:`_parse_cell`
-    accepts every row numpy accepts, with the same values. Any other row,
-    or one holding a non-finite value, is read again cell by cell: that
+
+def _parse_block(tails, linenos, column_names):
+    """The rows' values as one float array; ``tails`` holds each row's text
+    after its id.
+
+    One ``np.loadtxt`` call converts the block. It reads a cell as
+    ``float()`` does, but strips the ``_SEPARATORS`` around a number and
+    rejects some spellings that ``float()`` takes, such as ``1_000``. So a
+    block holding a separator, one that call rejects or reads into another
+    shape, or one with a non-finite value is read again cell by cell: that
     gives the values :func:`_parse_cell` gives, or its error naming the
     first bad cell's line and column.
     """
-    try:
-        row = np.array(tokens, dtype=float)
-    except ValueError:
-        pass
-    else:
-        if np.isfinite(row).all():
-            return row
+    # np.loadtxt skips an empty row, and warns when every row is empty
+    if "" not in tails and not any(sep in tail for tail in tails for sep in _SEPARATORS):
+        try:
+            values = np.loadtxt(
+                tails, delimiter="\t", dtype=float, ndmin=2, comments=None, quotechar=None
+            )
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(tails), len(column_names)) and all_finite(values):
+                return values
     return np.array(
-        [_parse_cell(tok, lineno, column_names[c]) for c, tok in enumerate(tokens)],
+        [
+            [_parse_cell(tok, lineno, column_names[c]) for c, tok in enumerate(tail.split("\t"))]
+            for tail, lineno in zip(tails, linenos)
+        ],
         dtype=float,
     )
 
@@ -354,60 +372,88 @@ def write_labeled_matrix(out, row_ids, col_ids, matrix, corner="row_id"):
         out.write(f"{rid}\t{template % tuple(row.tolist())}\n")
 
 
+def _parse_header(line, lineno, keep):
+    """The column ids, and the stored columns' positions when ``keep`` does
+    not hold every id (else None)."""
+    col_ids = tuple(f.strip() for f in line.split("\t")[1:])
+    if not col_ids:
+        raise FormatError("header row declares no columns", line=lineno)
+    seen = set()
+    for col in col_ids:
+        if not col:
+            raise FormatError("empty column id in header", line=lineno)
+        if col in seen:
+            raise FormatError(f"duplicate column id {col!r} in header", line=lineno)
+        seen.add(col)
+    stored = [j for j, col in enumerate(col_ids) if keep is None or col in keep]
+    if len(stored) == len(col_ids):
+        return col_ids, None
+    return col_ids, np.array(stored, dtype=np.intp)
+
+
 def parse_labeled_matrix(lines, keep=None):
     """Inverse of :func:`write_labeled_matrix`: (row_ids, col_ids, matrix).
 
     Blank lines are skipped. Ids are trimmed; there must be at least one
     column, and no id may be empty or repeat among the columns or among
-    the rows. A ragged row or a bad cell is an error naming its line. With
-    ``keep``, a set of ids, only the columns whose id it holds are stored
-    and returned, in file order; every id and cell is still checked.
+    the rows. A ragged row or a bad cell is an error naming its line; errors
+    come in file order. With ``keep``, a set of ids, only the columns whose
+    id it holds are stored and returned, in file order; every id and cell is
+    still checked. Rows are converted a block at a time (:func:`_parse_block`).
     """
     col_ids = None
     take = None  # the stored columns' positions, when some column is not stored
     rows = {}  # row id -> its row of ``matrix``, in file order
     matrix = None
+    tails, linenos = [], []  # the rows not yet converted: values text, line
+    chars = 0
+
+    def store():
+        """Convert the pending rows into the last rows of ``matrix``."""
+        if not tails:
+            return
+        values = _parse_block(tails, linenos, col_ids)
+        end = len(rows)
+        if end > len(matrix):
+            # grows by an eighth in place: realloc moves the pages of a large
+            # buffer instead of copying them, so the file's values are held once
+            grown = max(end, len(matrix) + len(matrix) // 8 + 8)
+            matrix.resize((grown, matrix.shape[1]), refcheck=False)
+        matrix[end - len(tails) : end] = values if take is None else values[:, take]
+        tails.clear()
+        linenos.clear()
+
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        fields = line.split("\t")
         if col_ids is None:
-            col_ids = tuple(f.strip() for f in fields[1:])
-            if not col_ids:
-                raise FormatError("header row declares no columns", line=lineno)
-            seen = set()
-            for col in col_ids:
-                if not col:
-                    raise FormatError("empty column id in header", line=lineno)
-                if col in seen:
-                    raise FormatError(f"duplicate column id {col!r} in header", line=lineno)
-                seen.add(col)
-            stored = [j for j, col in enumerate(col_ids) if keep is None or col in keep]
-            if len(stored) < len(col_ids):
-                take = np.array(stored, dtype=np.intp)
-            matrix = np.empty((0, len(stored)))
+            col_ids, take = _parse_header(line, lineno, keep)
+            matrix = np.empty((0, len(col_ids) if take is None else len(take)))
             continue
-        row_id = fields[0].strip()
-        if not row_id:
-            raise FormatError("missing row id", line=lineno)
-        if row_id in rows:
-            raise FormatError(f"duplicate row id {row_id!r}", line=lineno)
-        if len(fields) != len(col_ids) + 1:
+        row_id, _, tail = line.partition("\t")
+        row_id = row_id.strip()
+        n_values = line.count("\t")
+        if not row_id or row_id in rows or n_values != len(col_ids):
+            store()  # a bad cell on an earlier line is reported first
+            if not row_id:
+                raise FormatError("missing row id", line=lineno)
+            if row_id in rows:
+                raise FormatError(f"duplicate row id {row_id!r}", line=lineno)
             raise FormatError(
-                f"row for {row_id!r} has {len(fields) - 1} values, expected {len(col_ids)}",
+                f"row for {row_id!r} has {n_values} values, expected {len(col_ids)}",
                 line=lineno,
             )
-        row = len(rows)
-        if row == len(matrix):
-            # grows by an eighth in place: realloc moves the pages of a large
-            # buffer instead of copying them, so the file's values are held once
-            matrix.resize((row + row // 8 + 8, matrix.shape[1]), refcheck=False)
-        values = _parse_row(fields[1:], lineno, col_ids)
-        matrix[row] = values if take is None else values[take]
-        rows[row_id] = row
+        rows[row_id] = len(rows)
+        tails.append(tail)
+        linenos.append(lineno)
+        chars += len(tail)
+        if chars >= _BLOCK_CHARS:
+            store()
+            chars = 0
     if col_ids is None:
         raise FormatError("empty matrix file")
+    store()
     matrix.resize((len(rows), matrix.shape[1]), refcheck=False)
     if take is not None:
         col_ids = tuple(col_ids[j] for j in take)

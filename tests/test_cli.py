@@ -424,33 +424,40 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flag, name",
+        "flag, lead, name, trail",
         [
-            ("--out", "hash#dir"),
-            ("--out", "line\nbreak"),
-            ("--out", "carriage\rreturn"),
-            ("--expression", "hash#dir"),
-            ("--edges", "line\nbreak"),
+            ("--out", "", "hash#dir", ""),
+            ("--out", "", "line\nbreak", ""),
+            ("--out", "", "carriage\rreturn", ""),
+            ("--expression", "", "hash#dir", ""),
+            ("--edges", "", "line\nbreak", ""),
+            ("--out", "", "dir", " "),
+            ("--out", " ", "dir", ""),
+            ("--out", "", "dir", "\t"),
+            ("--labels", "\u3000", "dir", ""),
         ],
     )
     def test_path_run_meta_cannot_record_exit_one_before_any_read(
-        self, dataset, tmp_path, capsys, monkeypatch, flag, name
+        self, dataset, tmp_path, capsys, monkeypatch, flag, lead, name, trail
     ):
-        """run_meta reads '#' as a comment and splits lines, so such a path
-        would not read back; the run stops before it reads an input."""
+        """run_meta reads '#' as a comment, splits lines and strips each
+        value, so such a path would not read back; the run stops before it
+        reads an input."""
         def read(*args):
             raise AssertionError("an input was read")
 
         monkeypatch.setattr(dataio, "load_observations", read)
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out"
         args = fit_args(dataset, out)
-        args[args.index(flag) + 1] = str(tmp_path / name / "run")
+        args[args.index(flag) + 1] = lead + str(tmp_path / name / "run") + trail
         assert main(args) == EXIT_DATA
         key = flag[2:]
         assert capsys.readouterr().err == (
-            f"error: setting {key!r} holds '#' or a line break, which run_meta cannot record\n"
+            f"error: setting {key!r} holds '#', a line break or surrounding whitespace,"
+            " which run_meta cannot record\n"
         )
-        assert not out.exists() and not (tmp_path / name).exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_top_m_below_one_exit_one(self, dataset, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import render_expression, render_matrix, traced_peak
 
+from pathfact import dataio
 from pathfact.dataio import (
     AlignmentError,
     FormatError,
@@ -174,11 +175,11 @@ def _conversion(convert, token):
         return "ValueError"
 
 
-def _parse_with(parser, lines):
+def _parse_with(parser, lines, keep=None):
     """The matrix ``parser`` reads from ``lines``; samples S0-S2 are labelled."""
     if parser == "expression":
-        return parse_expression(lines, ["S0\tk\n", "S1\tk\n", "S2\tk\n"]).matrix
-    return parse_labeled_matrix(lines)[2]
+        return parse_expression(lines, ["S0\tk\n", "S1\tk\n", "S2\tk\n"], keep).matrix
+    return parse_labeled_matrix(lines, keep)[2]
 
 
 def _parse_row_with(parser, row):
@@ -187,16 +188,15 @@ def _parse_row_with(parser, row):
 
 
 class TestNumericRows:
-    """Rows are converted by one numpy call; a row it cannot take is read
-    again cell by cell, which gives the values or the error."""
+    """A block of rows is converted by one np.loadtxt call; a block it cannot
+    take is read again cell by cell, which gives the values or the error."""
 
-    @pytest.mark.parametrize(
-        "token",
-        [
-            "1_000", "infinity", "nan", "1e400", "-1e400", "1e-400", "-0", "+.5",
-            "0x10", "1d3", "", " 2 ", "\xa01.5", "\u0661\u0662", "\uff11\uff12",
-        ],
-    )
+    TOKENS = [
+        "1_000", "infinity", "nan", "1e400", "-1e400", "1e-400", "-0", "+.5",
+        "0x10", "1d3", "", " 2 ", "\xa01.5", "\u0661\u0662", "\uff11\uff12",
+    ]
+
+    @pytest.mark.parametrize("token", TOKENS)
     def test_numpy_conversion_agrees_with_float(self, token):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -244,6 +244,87 @@ class TestNumericRows:
             assert str(caught.value) == f"line 3: non-numeric value {sep + '-0'!r} in column 'G2'"
             assert caught.value.line == 3
 
+    SEPARATED = [f"{sep}1.5" for sep in "\x1c\x1d\x1e\x1f"] + [
+        f"-2{sep}" for sep in "\x1c\x1d\x1e\x1f"
+    ]
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    @pytest.mark.parametrize("token", TOKENS + SEPARATED)
+    def test_block_conversion_agrees_with_float(self, parser, token):
+        """The cell of line 3, column G2 is a number exactly when float()
+        takes the token and gives a finite value, and then it is that value."""
+        expected = _conversion(float, token)
+        if expected == "ValueError" or not np.isfinite(np.frombuffer(expected)[0]):
+            with pytest.raises(FormatError) as caught:
+                _parse_row_with(parser, f"1\t{token}\t3")
+            assert caught.value.line == 3
+            assert str(caught.value).endswith(" in column 'G2'")
+            if token in self.SEPARATED:
+                assert str(caught.value) == f"line 3: non-numeric value {token!r} in column 'G2'"
+        else:
+            matrix = _parse_row_with(parser, f"1\t{token}\t3")
+            assert matrix[1, 1].tobytes() == expected
+            assert matrix.tobytes() == np.array([[1, 2, 3], [1, matrix[1, 1], 3]]).tobytes()
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_empty_rows_of_one_column_warn_nothing(self, parser):
+        """np.loadtxt would skip an empty row, and warn when every row is."""
+        for tails in (["", ""], ["1", ""]):
+            lines = ["id\tG1\n"] + [f"S{i}\t{t}\n" for i, t in enumerate(tails)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(FormatError) as caught:
+                    _parse_with(parser, lines)
+            assert str(caught.value) == f"line {2 + tails.index('')}: empty cell in column 'G1'"
+
+    def test_block_np_loadtxt_misreads_takes_the_cell_path(self, monkeypatch):
+        """A block whose np.loadtxt result has another shape than its rows
+        and columns is read cell by cell."""
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda rows, **kwargs: loadtxt(rows[1:], **kwargs))
+        matrix = _parse_row_with("labeled_matrix", "4\t5\t6")
+        assert matrix.tobytes() == np.array([[1.0, 2, 3], [4, 5, 6]]).tobytes()
+
+    @pytest.mark.parametrize("token", ["1_000", "\u0661\u0662", "\uff11\uff12"])
+    def test_spellings_loadtxt_rejects_parse_as_float_does(self, token):
+        with pytest.raises(ValueError):
+            np.loadtxt([token], delimiter="\t", comments=None, quotechar=None)
+        for parser in self.PARSERS:
+            matrix = _parse_row_with(parser, f"{token}\t2\t3")
+            assert matrix[1].tobytes() == np.array([float(token), 2, 3]).tobytes()
+
+    # the largest double rounds up to an overflow at 10 digits
+    LARGEST = {"%.17g": 1.7976931348623157e308, "%.10g": 1.797693134e308}
+
+    @pytest.mark.parametrize("number_format", ["%.17g", "%.10g"])
+    def test_blocks_give_the_cell_path_bits(self, number_format, monkeypatch):
+        """Fuzzed matrices, read a few rows per block, hold the bits that
+        _parse_cell gives each cell, and no block takes the cell path."""
+        rng = np.random.default_rng(29)
+        n, d = 60, 24
+        magnitude = rng.uniform(1, 10, size=(n, d)) * 10.0 ** rng.integers(-330, 308, size=(n, d))
+        matrix = np.where(rng.random((n, d)) < 0.5, rng.standard_normal((n, d)), magnitude)
+        matrix *= rng.choice([-1.0, 1.0], size=(n, d))
+        largest = self.LARGEST[number_format]
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
+                    2.2250738585072014e-308, largest, -largest]
+        matrix[0, : len(specials)] = specials
+        cells = [[number_format % v for v in row] for row in matrix]
+        expected = np.array([[dataio._parse_cell(c, 0, "G") for c in row] for row in cells])
+        lines = ["id\t" + "\t".join(f"G{j}" for j in range(d)) + "\n"] + [
+            f"S{i}\t" + "\t".join(row) + "\n" for i, row in enumerate(cells)
+        ]
+
+        def cell_path(*args):
+            raise AssertionError("a block took the cell path")
+
+        monkeypatch.setattr(dataio, "_BLOCK_CHARS", 2000)
+        monkeypatch.setattr(dataio, "_parse_cell", cell_path)
+        for keep in (None, {f"G{j}" for j in range(0, d, 3)}):
+            _, col_ids, parsed = parse_labeled_matrix(lines, keep)
+            cols = [int(c[1:]) for c in col_ids]
+            assert parsed.tobytes() == expected[:, cols].tobytes()
+
 
 class TestLabeledMatrixIds:
     """Every labeled matrix, the expression matrix among them, follows one
@@ -277,6 +358,30 @@ class TestLabeledMatrixIds:
     def test_id_rule_message(self, parser, lines, message):
         with pytest.raises(FormatError) as caught:
             _parse_with(parser, lines)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("parser", TestNumericRows.PARSERS)
+    @pytest.mark.parametrize("keep", [None, {"G1", "G3"}])
+    @pytest.mark.parametrize(
+        "later, message",
+        [
+            ("S0\t4\t5\t6\n", "line 5: duplicate row id 'S0'"),
+            ("\t4\t5\t6\n", "line 5: missing row id"),
+            ("S2\t4\t5\n", "line 5: row for 'S2' has 2 values, expected 3"),
+        ],
+        ids=["duplicate_row", "missing_row_id", "short_row"],
+    )
+    def test_errors_come_in_file_order_across_a_block(self, parser, keep, later, message):
+        """A bad cell in a block not yet converted is reported before an id
+        or length error on a later line, also in a column not kept."""
+        lines = ["id\tG1\tG2\tG3\n", "S0\t1\t2\t3\n", "S1\t1\tabc\t3\n", "\n", later]
+        assert sum(map(len, lines)) < dataio._BLOCK_CHARS
+        with pytest.raises(FormatError) as caught:
+            _parse_with(parser, lines, keep)
+        assert str(caught.value) == "line 3: non-numeric value 'abc' in column 'G2'"
+        lines[2] = "S1\t1\t2\t3\n"
+        with pytest.raises(FormatError) as caught:
+            _parse_with(parser, lines, keep)
         assert str(caught.value) == message
 
     def test_header_only_matrix_is_two_dimensional(self):
@@ -564,6 +669,40 @@ class TestMatrixHeldOnce:
         for field in ("sample_ids", "feature_ids", "cluster_ids", "set_ids"):
             assert getattr(data, field) == getattr(whole, field)
         assert data.graph.edges == whole.graph.edges
+
+    def test_one_loadtxt_call_per_block(self, monkeypatch):
+        """Rows are converted a block of text at a time: a return to one
+        conversion per row fails."""
+        matrix = np.random.default_rng(7).standard_normal((500, 2000))
+        text = render_matrix(
+            [f"S{i}" for i in range(500)], [f"G{j}" for j in range(2000)], matrix
+        )
+        blocks = []
+        loadtxt = np.loadtxt
+
+        def counted(rows, **kwargs):
+            blocks.append(len(rows))
+            return loadtxt(rows, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counted)
+        parsed = parse_labeled_matrix(text.splitlines(keepends=True))[2]
+        assert parsed.tobytes() == matrix.tobytes()
+        assert sum(blocks) == 500
+        assert len(blocks) <= len(text) // dataio._BLOCK_CHARS + 1
+
+    def test_block_memory_does_not_grow_with_the_columns(self):
+        """A block is bounded by its text, not by a number of rows, so at
+        20,000 columns it holds one or two rows."""
+        matrix = np.random.default_rng(8).standard_normal((16, 20000))
+        lines = render_matrix(
+            [f"S{i}" for i in range(16)], [f"G{j}" for j in range(20000)], matrix
+        ).splitlines(keepends=True)
+        (_, _, parsed), peak = traced_peak(parse_labeled_matrix, lines)
+        assert parsed.tobytes() == matrix.tobytes()
+        # the 6 MB cover a block's 0.4 MB rows, np.loadtxt's 4-byte-per-
+        # character copy of one, the copies of the current line and the
+        # column ids; all 16 rows in one block peak 10.7 MB above the matrix
+        assert peak <= matrix.nbytes + 6e6
 
     def test_align_passes_the_matrix_on_when_every_column_survives(self):
         expr = LabeledExpression(
