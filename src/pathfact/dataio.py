@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InteractionGraph
+from .graph import InteractionGraph, label_ranks
 from .model import ObservationSet, all_finite
 
 
@@ -155,48 +155,55 @@ def write_gmt(collection: GeneSetCollection) -> str:
 def parse_edge_list(lines) -> InteractionGraph:
     """Parse an undirected edge list; '#' lines are comments.
 
-    Self-loops are dropped with a warning; repeated edges keep the maximum
-    weight. Node order is first appearance.
+    Self-loops are dropped with a warning, but their labels stay nodes;
+    repeated edges keep the maximum weight. Node order is first appearance.
+    One pass over the lines collects the labels and weights, which numpy
+    then indexes and merges.
     """
-    nodes = []
-    seen = set()
-    edges = {}
+    ends = []  # both labels of each edge line, in file order
+    weights = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
-        if len(fields) not in (2, 3):
+        if len(fields) == 2:
+            weight = 1.0
+        elif len(fields) == 3:
+            try:
+                weight = float(fields[2]) + 0.0  # -0.0 reads as 0.0
+            except ValueError:
+                raise FormatError(f"non-numeric edge weight {fields[2]!r}", line=lineno)
+            if not 0 <= weight < np.inf:  # NaN fails both
+                raise FormatError(f"invalid edge weight {fields[2]!r}", line=lineno)
+        else:
             raise FormatError(
                 f"expected two labels and an optional weight, got {len(fields)} fields",
                 line=lineno,
             )
-        a, b = fields[0].strip(), fields[1].strip()
-        weight = 1.0
-        if len(fields) == 3:
-            try:
-                weight = float(fields[2])
-            except ValueError:
-                raise FormatError(f"non-numeric edge weight {fields[2]!r}", line=lineno)
-            if not np.isfinite(weight) or weight < 0:
-                raise FormatError(f"invalid edge weight {fields[2]!r}", line=lineno)
-        for label in (a, b):
-            if label not in seen:
-                seen.add(label)
-                nodes.append(label)
-        if a == b:
-            warnings.warn(f"line {lineno}: self-loop on {a!r} dropped")
-            continue
-        key = (a, b) if a <= b else (b, a)
-        edges[key] = max(edges.get(key, 0.0), weight)
-    return InteractionGraph(node_labels=tuple(nodes), edges=edges)
+        if fields[0] == fields[1]:
+            warnings.warn(f"line {lineno}: self-loop on {fields[0]!r} dropped")
+        ends += fields[:2]
+        weights.append(weight)
+    nodes = tuple(dict.fromkeys(ends))
+    index = dict(zip(nodes, range(len(nodes))))
+    pairs = np.fromiter(map(index.__getitem__, ends), np.intp, len(ends)).reshape(-1, 2)
+    kept = pairs[:, 0] != pairs[:, 1]
+    return InteractionGraph.from_arrays(
+        nodes, pairs[kept, 0], pairs[kept, 1], np.array(weights)[kept]
+    )
 
 
 def write_edge_list(graph: InteractionGraph) -> str:
-    lines = [
-        f"{a}\t{b}\t{format_number(w)}\n" for (a, b), w in sorted(graph.edges.items())
-    ]
-    return "".join(lines)
+    """One ``label<TAB>label<TAB>weight`` line per edge, sorted by labels."""
+    labels = graph.node_labels
+    ranks = label_ranks(labels)
+    order = np.lexsort((ranks[graph.tails], ranks[graph.heads]))
+    return "".join(
+        f"{labels[i]}\t{labels[j]}\t{format_number(w)}\n"
+        for i, j, w in zip(
+            graph.heads[order].tolist(), graph.tails[order].tolist(), graph.weights[order].tolist()
+        )
+    )
 
 
 # what float() strips around a number: every str.isspace() character (all
@@ -227,7 +234,7 @@ _BLOCK_CHARS = 1 << 18
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
-def _parse_block(tails, linenos, column_names):
+def _parse_block(tails, linenos, row_ids, column_names):
     """The rows' values as one float array; ``tails`` holds each row's text
     after its id.
 
@@ -235,9 +242,13 @@ def _parse_block(tails, linenos, column_names):
     ``float()`` does, but strips the ``_SEPARATORS`` around a number and
     rejects some spellings that ``float()`` takes, such as ``1_000``. So a
     block holding a separator, one that call rejects or reads into another
-    shape, or one with a non-finite value is read again cell by cell: that
-    gives the values :func:`_parse_cell` gives, or its error naming the
-    first bad cell's line and column.
+    shape, or one with a non-finite value is read again row by row, in file
+    order. A row with another number of values than columns is an error.
+    ``np.array(tokens, dtype=float)``, which reads a token as ``float()``
+    does, converts a row; a row it rejects, with a non-finite value or with
+    a separator is read cell by cell. That gives the values
+    :func:`_parse_cell` gives, or its error naming the first bad cell's line
+    and column.
     """
     # np.loadtxt skips an empty row, and warns when every row is empty
     if "" not in tails and not any(sep in tail for tail in tails for sep in _SEPARATORS):
@@ -250,13 +261,22 @@ def _parse_block(tails, linenos, column_names):
         else:
             if values.shape == (len(tails), len(column_names)) and all_finite(values):
                 return values
-    return np.array(
-        [
-            [_parse_cell(tok, lineno, column_names[c]) for c, tok in enumerate(tail.split("\t"))]
-            for tail, lineno in zip(tails, linenos)
-        ],
-        dtype=float,
-    )
+    values = np.empty((len(tails), len(column_names)))
+    for r, (tail, lineno, row_id) in enumerate(zip(tails, linenos, row_ids)):
+        tokens = tail.split("\t")
+        if len(tokens) != len(column_names):
+            raise FormatError(
+                f"row for {row_id!r} has {len(tokens)} values, expected {len(column_names)}",
+                line=lineno,
+            )
+        try:
+            row = np.array(tokens, dtype=float)
+        except ValueError:
+            row = None
+        if row is None or not all_finite(row) or any(sep in tail for sep in _SEPARATORS):
+            row = [_parse_cell(tok, lineno, column_names[c]) for c, tok in enumerate(tokens)]
+        values[r] = row
+    return values
 
 
 def parse_expression(matrix_lines, label_lines, keep=None) -> LabeledExpression:
@@ -405,14 +425,14 @@ def parse_labeled_matrix(lines, keep=None):
     take = None  # the stored columns' positions, when some column is not stored
     rows = {}  # row id -> its row of ``matrix``, in file order
     matrix = None
-    tails, linenos = [], []  # the rows not yet converted: values text, line
+    tails, linenos, ids = [], [], []  # the rows not yet converted: values text, line, id
     chars = 0
 
     def store():
         """Convert the pending rows into the last rows of ``matrix``."""
         if not tails:
             return
-        values = _parse_block(tails, linenos, col_ids)
+        values = _parse_block(tails, linenos, ids, col_ids)
         end = len(rows)
         if end > len(matrix):
             # grows by an eighth in place: realloc moves the pages of a large
@@ -422,6 +442,7 @@ def parse_labeled_matrix(lines, keep=None):
         matrix[end - len(tails) : end] = values if take is None else values[:, take]
         tails.clear()
         linenos.clear()
+        ids.clear()
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
@@ -431,22 +452,22 @@ def parse_labeled_matrix(lines, keep=None):
             col_ids, take = _parse_header(line, lineno, keep)
             matrix = np.empty((0, len(col_ids) if take is None else len(take)))
             continue
-        row_id, _, tail = line.partition("\t")
+        row_id, tab, tail = line.partition("\t")
         row_id = row_id.strip()
-        n_values = line.count("\t")
-        if not row_id or row_id in rows or n_values != len(col_ids):
+        # the row length is checked where a block is read row by row
+        if not row_id or row_id in rows or not tab:
             store()  # a bad cell on an earlier line is reported first
             if not row_id:
                 raise FormatError("missing row id", line=lineno)
             if row_id in rows:
                 raise FormatError(f"duplicate row id {row_id!r}", line=lineno)
             raise FormatError(
-                f"row for {row_id!r} has {n_values} values, expected {len(col_ids)}",
-                line=lineno,
+                f"row for {row_id!r} has 0 values, expected {len(col_ids)}", line=lineno
             )
         rows[row_id] = len(rows)
         tails.append(tail)
         linenos.append(lineno)
+        ids.append(row_id)
         chars += len(tail)
         if chars >= _BLOCK_CHARS:
             store()

@@ -6,41 +6,100 @@ connected features are pulled together while isolated features fall back
 to an independent unit-variance prior.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 
-@dataclass(frozen=True)
+def label_ranks(labels):
+    """Each label's position in the sorted order of ``labels`` (distinct)."""
+    ranks = np.empty(len(labels), dtype=np.intp)
+    ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    return ranks
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class InteractionGraph:
     """Undirected weighted graph over an ordered feature universe.
 
-    ``edges`` maps label pairs (stored in sorted order) to positive weights.
-    Self-loops are disallowed; endpoints must be known labels.
+    Edge k joins nodes ``heads[k]`` and ``tails[k]``, indices into
+    ``node_labels`` with the head's label the smaller, and weighs
+    ``weights[k]``. The three arrays are read-only. No pair repeats, there
+    are no self-loops, and weights are finite and nonnegative.
     """
 
     node_labels: tuple
-    edges: dict = field(default_factory=dict)
+    heads: np.ndarray
+    tails: np.ndarray
+    weights: np.ndarray
 
-    def __post_init__(self):
-        labels = tuple(self.node_labels)
-        object.__setattr__(self, "node_labels", labels)
-        if len(set(labels)) != len(labels):
+    def __init__(self, node_labels, edges=None):
+        """``edges`` maps label pairs, in either order, to weights; each
+        endpoint must be a node."""
+        pairs = dict(edges or {})
+        labels = tuple(node_labels)
+        index = dict(zip(labels, range(len(labels))))
+        ends = np.fromiter(
+            map(index.get, chain.from_iterable(pairs), repeat(-1)), np.intp, 2 * len(pairs)
+        ).reshape(-1, 2)
+        weights = np.fromiter(pairs.values(), float, len(pairs))
+        self._hold(labels, ends[:, 0], ends[:, 1], weights, list(pairs))
+
+    @classmethod
+    def from_arrays(cls, node_labels, heads, tails, weights):
+        """The graph whose edge k joins nodes ``heads[k]`` and ``tails[k]``,
+        in either order, with weight ``weights[k]``."""
+        graph = cls.__new__(cls)
+        graph._hold(tuple(node_labels), heads, tails, weights)
+        return graph
+
+    def _hold(self, labels, heads, tails, weights, pairs=None):
+        """Check the edges, orient each pair in label order and merge a
+        repeated pair into its first position with its largest weight.
+        ``pairs`` holds the label pairs as given, for error messages."""
+        n = len(labels)
+        if len(set(labels)) != n:
             raise ValueError("duplicate node labels in interaction graph")
-        known = set(labels)
-        canonical = {}
-        for (a, b), w in dict(self.edges).items():
+        heads = np.asarray(heads, dtype=np.intp)
+        tails = np.asarray(tails, dtype=np.intp)
+        weights = np.array(weights, dtype=float)
+        unknown = (np.minimum(heads, tails) < 0) | (np.maximum(heads, tails) >= n)
+        bad = unknown | (heads == tails) | ~((weights >= 0) & (weights < np.inf))
+        if bad.any():
+            k = int(np.argmax(bad))
+            if pairs is not None:
+                a, b = pairs[k]
+            else:
+                a, b = (labels[i] if 0 <= i < n else int(i) for i in (heads[k], tails[k]))
             if a == b:
                 raise ValueError(f"self-loop on node {a!r}")
-            if a not in known or b not in known:
+            if unknown[k]:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
-            if not 0 <= w < np.inf:  # NaN fails both
-                raise ValueError(f"weight {w} on edge ({a!r}, {b!r}) is not finite and nonnegative")
-            key = (a, b) if a <= b else (b, a)
-            canonical[key] = float(w)
-        object.__setattr__(self, "edges", canonical)
+            w = float(weights[k])
+            raise ValueError(f"weight {w} on edge ({a!r}, {b!r}) is not finite and nonnegative")
+        ranks = label_ranks(labels)
+        swap = ranks[heads] > ranks[tails]
+        heads, tails = np.where(swap, tails, heads), np.where(swap, heads, tails)
+        key = heads * n + tails
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        repeated = key[1:] == key[:-1]
+        if repeated.any():
+            starts = np.flatnonzero(~np.concatenate(([False], repeated)))
+            first = order[starts]  # the stable sort keeps each pair's first position
+            weights = np.maximum.reduceat(weights[order], starts)
+            by_position = np.argsort(first)
+            first, weights = first[by_position], weights[by_position]
+            heads, tails = heads[first], tails[first]
+        for array in (heads, tails, weights):
+            array.flags.writeable = False
+        object.__setattr__(self, "node_labels", labels)
+        object.__setattr__(self, "heads", heads)
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_nodes(self):
@@ -48,30 +107,37 @@ class InteractionGraph:
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.weights)
+
+    @property
+    def edges(self):
+        """A new mapping from label pairs, the smaller label first, to
+        weights, in edge order."""
+        at = self.node_labels.__getitem__
+        pairs = zip(map(at, self.heads.tolist()), map(at, self.tails.tolist()))
+        return dict(zip(pairs, self.weights.tolist()))
 
     def adjacency(self):
         """Symmetric sparse adjacency in node-label order."""
-        index = {lbl: i for i, lbl in enumerate(self.node_labels)}
         n = self.n_nodes
-        rows, cols, vals = [], [], []
-        for (a, b), w in self.edges.items():
-            i, j = index[a], index[b]
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        rows = np.concatenate([self.heads, self.tails])
+        cols = np.concatenate([self.tails, self.heads])
+        data = np.concatenate([self.weights, self.weights])
+        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
     def subgraph(self, labels):
         """Induced subgraph on ``labels``, which become the new node order."""
-        keep = set(labels)
-        missing = keep - set(self.node_labels)
-        if missing:
+        labels = tuple(labels)
+        index = dict(zip(self.node_labels, range(self.n_nodes)))
+        old = np.fromiter(map(index.get, labels, repeat(-1)), np.intp, len(labels))
+        if (old < 0).any():
+            missing = {lbl for lbl in labels if lbl not in index}
             raise ValueError(f"labels not in graph: {sorted(missing)[:5]}")
-        edges = {
-            pair: w for pair, w in self.edges.items() if pair[0] in keep and pair[1] in keep
-        }
-        return InteractionGraph(node_labels=tuple(labels), edges=edges)
+        new = np.full(self.n_nodes, -1, dtype=np.intp)
+        new[old] = np.arange(len(labels))
+        heads, tails = new[self.heads], new[self.tails]
+        kept = (heads >= 0) & (tails >= 0)
+        return InteractionGraph.from_arrays(labels, heads[kept], tails[kept], self.weights[kept])
 
 
 @dataclass(frozen=True)

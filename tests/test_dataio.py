@@ -1,3 +1,4 @@
+import gc
 import warnings
 
 import numpy as np
@@ -115,6 +116,66 @@ class TestParseEdgeList:
         g = parse_edge_list(["A B\n"])
         assert g.edges[("A", "B")] == 1.0
 
+    def test_label_seen_only_on_a_self_loop_stays_a_node(self):
+        with pytest.warns(UserWarning) as caught:
+            g = parse_edge_list(["B C\n", "# A A\n", "A A 2\n", "C D\n", "E\tE\n"])
+        assert [str(w.message) for w in caught] == [
+            "line 3: self-loop on 'A' dropped",
+            "line 5: self-loop on 'E' dropped",
+        ]
+        assert g.node_labels == ("B", "C", "A", "D", "E")
+        assert g.edges == {("B", "C"): 1.0, ("C", "D"): 1.0}
+        degrees = np.asarray(g.adjacency().sum(axis=1)).ravel()
+        np.testing.assert_array_equal(degrees, [1, 2, 0, 1, 0])
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            ["A B 1\n", "C A 5\n", "B A 3\n", "A C 0.5\n"],
+            ["B A 3\n", "A C 0.5\n", "A B 1\n", "C A 5\n"],
+            ["A C 5\n", "B A 1\n", "A B 3\n", "C A 0.5\n"],
+        ],
+    )
+    def test_pair_in_both_orientations_keeps_its_maximum(self, lines):
+        g = parse_edge_list(lines)
+        assert g.n_edges == 2
+        assert g.edges[("A", "B")] == 3.0 and g.edges[("A", "C")] == 5.0
+
+    def test_repeated_pairs_keep_first_appearance_order(self):
+        g = parse_edge_list(["C D 1\n", "B A 2\n", "D C 4\n", "A B 0\n", "B D\n"])
+        assert list(g.edges.items()) == [(("C", "D"), 4.0), (("A", "B"), 2.0), (("B", "D"), 1.0)]
+
+    def test_negative_zero_weight_reads_as_zero(self):
+        g = parse_edge_list(["A B -0\n", "B C -0.0\n", "C A 0\n", "A C -0\n"])
+        assert np.signbit(g.weights).sum() == 0
+        assert write_edge_list(g) == "A\tB\t0\nA\tC\t0\nB\tC\t0\n"
+
+    def test_bad_line_is_reported_after_the_warnings_before_it(self):
+        with pytest.warns(UserWarning, match="line 1: self-loop"):
+            with pytest.raises(FormatError, match=r"^line 2: invalid edge weight 'nan'$"):
+                parse_edge_list(["A A\n", "A B nan\n", "A B C D\n"])
+        with pytest.raises(FormatError, match=r"^line 2: expected two labels"):
+            parse_edge_list(["A B\n", "A B 1 2\n", "A B x\n"])
+
+    def test_graph_is_held_in_arrays_not_per_edge_objects(self):
+        """10^4 edges leave fewer than 1,000 objects for the garbage
+        collector to track: a dict keyed by label-pair tuples would leave one
+        tuple per edge, and its allocations would start collections."""
+        rng = np.random.default_rng(3)
+        lines = [f"G{a}\tG{b}\t{w}\n" for a, b, w in zip(
+            rng.integers(0, 2000, 10_000), rng.integers(2000, 4000, 10_000), rng.random(10_000)
+        )]
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            graph = parse_edge_list(lines)
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert graph.n_edges > 9_900
+        assert added < 1_000
+
 
 class TestParseExpression:
     MATRIX = ["sample_id\tG1\tG2\n", "S1\t0.5\t-1.25\n", "S2\t2\t3\n"]
@@ -189,7 +250,9 @@ def _parse_row_with(parser, row):
 
 class TestNumericRows:
     """A block of rows is converted by one np.loadtxt call; a block it cannot
-    take is read again cell by cell, which gives the values or the error."""
+    take is read again row by row with np.array(tokens, dtype=float), and a
+    row that call cannot take cell by cell, which gives the values or the
+    error."""
 
     TOKENS = [
         "1_000", "infinity", "nan", "1e400", "-1e400", "1e-400", "-0", "+.5",
@@ -292,6 +355,47 @@ class TestNumericRows:
         for parser in self.PARSERS:
             matrix = _parse_row_with(parser, f"{token}\t2\t3")
             assert matrix[1].tobytes() == np.array([float(token), 2, 3]).tobytes()
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_block_fallback_reads_only_its_odd_rows_cell_by_cell(self, parser, monkeypatch):
+        """A block np.loadtxt rejects is converted a row at a time, and only
+        a row holding a separator goes through _parse_cell."""
+        calls = []
+        parse_cell = dataio._parse_cell
+
+        def counted(token, lineno, column_name):
+            calls.append(lineno)
+            return parse_cell(token, lineno, column_name)
+
+        monkeypatch.setattr(dataio, "_parse_cell", counted)
+        rows = ["1_000\t2\t3", "4\t\u0661\u0662\t6", "7\t\x1c8\t9"]
+        lines = ["id\tG1\tG2\tG3\n"] + [f"S{i}\t{row}\n" for i, row in enumerate(rows)]
+        with pytest.raises(FormatError, match=r"^line 4: non-numeric value '\\x1c8'"):
+            _parse_with(parser, lines)
+        assert calls == [4, 4]
+        calls.clear()
+        lines[3] = "S2\t7\t8\t9\n"
+        matrix = _parse_with(parser, lines)
+        assert calls == []
+        assert matrix.tobytes() == np.array([[1000.0, 2, 3], [4, 12, 6], [7, 8, 9]]).tobytes()
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_row_length_is_checked_before_the_rows_cells(self, parser):
+        head = ["id\tG1\tG2\tG3\n", "S0\t1\t2\t3\n"]
+        for rows, message in [
+            (["S1\tabc\t2\n"], "line 3: row for 'S1' has 2 values, expected 3"),
+            (
+                ["S1\t1\t2\t3\t4\n", "S2\tabc\t2\t3\n"],
+                "line 3: row for 'S1' has 4 values, expected 3",
+            ),
+            (
+                ["S1\t1\t2\t3\n", "S2\t1\tabc\t3\n", "S3\t1\n"],
+                "line 4: non-numeric value 'abc' in column 'G2'",
+            ),
+        ]:
+            with pytest.raises(FormatError) as caught:
+                _parse_with(parser, head + rows)
+            assert str(caught.value) == message
 
     # the largest double rounds up to an overflow at 10 digits
     LARGEST = {"%.17g": 1.7976931348623157e308, "%.10g": 1.797693134e308}

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from pathfact.graph import InteractionGraph, normalized_laplacian
@@ -46,6 +47,57 @@ class TestInteractionGraph:
         sub = g.subgraph(["c", "b"])
         assert sub.node_labels == ("c", "b")
         assert sub.edges == {("b", "c"): 1.0}
+
+    def test_subgraph_remaps_indices_and_keeps_edge_order(self):
+        g = InteractionGraph(
+            node_labels=("d", "a", "c", "b"),
+            edges={("c", "d"): 4.0, ("a", "b"): 1.0, ("b", "d"): 2.0, ("a", "c"): 3.0},
+        )
+        sub = g.subgraph(["b", "d", "c"])
+        assert list(sub.edges.items()) == [(("c", "d"), 4.0), (("b", "d"), 2.0)]
+        np.testing.assert_array_equal(sub.heads, [2, 0])
+        np.testing.assert_array_equal(sub.tails, [1, 1])
+        with pytest.raises(ValueError, match=r"labels not in graph: \['x', 'y'\]"):
+            g.subgraph(["y", "a", "x"])
+        with pytest.raises(ValueError, match="duplicate node labels"):
+            g.subgraph(["a", "b", "a"])
+
+    def test_arrays_are_read_only_and_edges_a_new_mapping(self):
+        g = InteractionGraph(node_labels=("b", "a", "c"), edges={("b", "a"): 2.0, ("c", "b"): 1})
+        for array in (g.heads, g.tails, g.weights):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        assert g.weights.dtype == float and g.heads.dtype == np.intp
+        edges = g.edges
+        edges[("a", "b")] = 9.0
+        assert g.edges == {("a", "b"): 2.0, ("b", "c"): 1.0}
+        assert g.n_edges == 2 and g.n_nodes == 3
+
+    def test_pair_given_in_both_orientations_is_one_edge(self):
+        g = InteractionGraph(
+            node_labels=("a", "b", "c"), edges={("b", "c"): 1.0, ("b", "a"): 2.0, ("a", "b"): 0.5}
+        )
+        assert list(g.edges.items()) == [(("b", "c"), 1.0), (("a", "b"), 2.0)]
+        assert g.adjacency().nnz == 4
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ({("a", "b"): 1.0, ("x", "x"): -1.0}, "self-loop on node 'x'"),
+            ({("a", "b"): np.nan, ("a", "a"): 1.0}, r"weight nan on edge \('a', 'b'\)"),
+            ({("a", "x"): np.nan}, r"edge \('a', 'x'\) references unknown node"),
+            ({("x", "y"): 1.0}, r"edge \('x', 'y'\) references unknown node"),
+        ],
+    )
+    def test_first_bad_edge_is_reported(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            InteractionGraph(node_labels=("a", "b"), edges=edges)
+
+    def test_from_arrays_orients_and_merges(self):
+        g = InteractionGraph.from_arrays(("c", "a", "b"), [0, 1, 2, 0], [1, 2, 0, 2], [1, 2, 0, 5])
+        assert list(g.edges.items()) == [(("a", "c"), 1.0), (("a", "b"), 2.0), (("b", "c"), 5.0)]
+        with pytest.raises(ValueError, match=r"edge \('c', 3\) references unknown node"):
+            InteractionGraph.from_arrays(("c", "a", "b"), [0], [3], [1.0])
 
 
 class TestNormalizedLaplacian:
@@ -135,6 +187,36 @@ class TestNormalizedLaplacian:
         sign, dense = np.linalg.slogdet(lap.precision.toarray())
         assert sign == 1.0
         assert lap.log_det_precision == pytest.approx(dense, rel=1e-12)
+
+    def test_precision_matches_a_per_edge_build(self):
+        """The precision's CSR arrays equal those of an adjacency built one
+        edge at a time from the label-pair mapping, on a weighted graph whose
+        pairs were given in both orientations."""
+        rng = np.random.default_rng(8)
+        labels = tuple(f"g{i}" for i in rng.permutation(400))
+        edges = {}
+        for _ in range(3000):
+            a, b = rng.choice(len(labels), size=2, replace=False)
+            edges[(labels[a], labels[b])] = float(rng.uniform(0.0, 4.0))
+        graph = InteractionGraph(node_labels=labels, edges=edges)
+        index = {lbl: i for i, lbl in enumerate(labels)}
+        rows, cols, vals = [], [], []
+        for (a, b), w in graph.edges.items():
+            i, j = index[a], index[b]
+            rows += [i, j]
+            cols += [j, i]
+            vals += [w, w]
+        adj = sparse.csr_matrix((vals, (rows, cols)), shape=(400, 400)).tocoo()
+        degrees = np.asarray(adj.sum(axis=1)).ravel()
+        inv_root = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-300)), 0.0)
+        scaled = sparse.coo_matrix(
+            (adj.data * inv_root[adj.row] * inv_root[adj.col], (adj.row, adj.col)), shape=adj.shape
+        )
+        eye = sparse.identity(400, format="csr")
+        want = ((eye - scaled.tocsr()).tocsr() + 0.05 * eye).tocsr()
+        got = normalized_laplacian(graph, jitter=0.05).precision
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_jitter_required_with_edges(self):
         g = InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): 1.0})
