@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InteractionGraph, label_ranks
+from .graph import InteractionGraph
 from .model import ObservationSet, all_finite
 
 
@@ -194,16 +194,10 @@ def parse_edge_list(lines) -> InteractionGraph:
 
 
 def write_edge_list(graph: InteractionGraph) -> str:
-    """One ``label<TAB>label<TAB>weight`` line per edge, sorted by labels."""
-    labels = graph.node_labels
-    ranks = label_ranks(labels)
-    order = np.lexsort((ranks[graph.tails], ranks[graph.heads]))
-    return "".join(
-        f"{labels[i]}\t{labels[j]}\t{format_number(w)}\n"
-        for i, j, w in zip(
-            graph.heads[order].tolist(), graph.tails[order].tolist(), graph.weights[order].tolist()
-        )
-    )
+    lines = [
+        f"{a}\t{b}\t{format_number(w)}\n" for (a, b), w in sorted(graph.edges.items())
+    ]
+    return "".join(lines)
 
 
 # what float() strips around a number: every str.isspace() character (all
@@ -243,12 +237,9 @@ def _parse_block(tails, linenos, row_ids, column_names):
     rejects some spellings that ``float()`` takes, such as ``1_000``. So a
     block holding a separator, one that call rejects or reads into another
     shape, or one with a non-finite value is read again row by row, in file
-    order. A row with another number of values than columns is an error.
-    ``np.array(tokens, dtype=float)``, which reads a token as ``float()``
-    does, converts a row; a row it rejects, with a non-finite value or with
-    a separator is read cell by cell. That gives the values
-    :func:`_parse_cell` gives, or its error naming the first bad cell's line
-    and column.
+    order. A row with another number of values than columns is an error;
+    its cells are read one by one. That gives the values :func:`_parse_cell`
+    gives, or its error naming the first bad cell's line and column.
     """
     # np.loadtxt skips an empty row, and warns when every row is empty
     if "" not in tails and not any(sep in tail for tail in tails for sep in _SEPARATORS):
@@ -269,13 +260,7 @@ def _parse_block(tails, linenos, row_ids, column_names):
                 f"row for {row_id!r} has {len(tokens)} values, expected {len(column_names)}",
                 line=lineno,
             )
-        try:
-            row = np.array(tokens, dtype=float)
-        except ValueError:
-            row = None
-        if row is None or not all_finite(row) or any(sep in tail for sep in _SEPARATORS):
-            row = [_parse_cell(tok, lineno, column_names[c]) for c, tok in enumerate(tokens)]
-        values[r] = row
+        values[r] = [_parse_cell(tok, lineno, column_names[c]) for c, tok in enumerate(tokens)]
     return values
 
 

@@ -14,7 +14,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 
-def label_ranks(labels):
+def _label_ranks(labels):
     """Each label's position in the sorted order of ``labels`` (distinct)."""
     ranks = np.empty(len(labels), dtype=np.intp)
     ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
@@ -80,7 +80,7 @@ class InteractionGraph:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown node")
             w = float(weights[k])
             raise ValueError(f"weight {w} on edge ({a!r}, {b!r}) is not finite and nonnegative")
-        ranks = label_ranks(labels)
+        ranks = _label_ranks(labels)
         swap = ranks[heads] > ranks[tails]
         heads, tails = np.where(swap, tails, heads), np.where(swap, heads, tails)
         key = heads * n + tails

@@ -250,9 +250,7 @@ def _parse_row_with(parser, row):
 
 class TestNumericRows:
     """A block of rows is converted by one np.loadtxt call; a block it cannot
-    take is read again row by row with np.array(tokens, dtype=float), and a
-    row that call cannot take cell by cell, which gives the values or the
-    error."""
+    take is read again cell by cell, which gives the values or the error."""
 
     TOKENS = [
         "1_000", "infinity", "nan", "1e400", "-1e400", "1e-400", "-0", "+.5",
@@ -355,29 +353,6 @@ class TestNumericRows:
         for parser in self.PARSERS:
             matrix = _parse_row_with(parser, f"{token}\t2\t3")
             assert matrix[1].tobytes() == np.array([float(token), 2, 3]).tobytes()
-
-    @pytest.mark.parametrize("parser", PARSERS)
-    def test_block_fallback_reads_only_its_odd_rows_cell_by_cell(self, parser, monkeypatch):
-        """A block np.loadtxt rejects is converted a row at a time, and only
-        a row holding a separator goes through _parse_cell."""
-        calls = []
-        parse_cell = dataio._parse_cell
-
-        def counted(token, lineno, column_name):
-            calls.append(lineno)
-            return parse_cell(token, lineno, column_name)
-
-        monkeypatch.setattr(dataio, "_parse_cell", counted)
-        rows = ["1_000\t2\t3", "4\t\u0661\u0662\t6", "7\t\x1c8\t9"]
-        lines = ["id\tG1\tG2\tG3\n"] + [f"S{i}\t{row}\n" for i, row in enumerate(rows)]
-        with pytest.raises(FormatError, match=r"^line 4: non-numeric value '\\x1c8'"):
-            _parse_with(parser, lines)
-        assert calls == [4, 4]
-        calls.clear()
-        lines[3] = "S2\t7\t8\t9\n"
-        matrix = _parse_with(parser, lines)
-        assert calls == []
-        assert matrix.tobytes() == np.array([[1000.0, 2, 3], [4, 12, 6], [7, 8, 9]]).tobytes()
 
     @pytest.mark.parametrize("parser", PARSERS)
     def test_row_length_is_checked_before_the_rows_cells(self, parser):
