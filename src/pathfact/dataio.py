@@ -188,9 +188,7 @@ def parse_edge_list(lines) -> InteractionGraph:
     index = dict(zip(nodes, range(len(nodes))))
     pairs = np.fromiter(map(index.__getitem__, ends), np.intp, len(ends)).reshape(-1, 2)
     kept = pairs[:, 0] != pairs[:, 1]
-    return InteractionGraph.from_arrays(
-        nodes, pairs[kept, 0], pairs[kept, 1], np.array(weights)[kept]
-    )
+    return InteractionGraph(nodes, pairs[kept, 0], pairs[kept, 1], np.array(weights)[kept])
 
 
 def write_edge_list(graph: InteractionGraph) -> str:

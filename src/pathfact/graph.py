@@ -7,7 +7,7 @@ to an independent unit-variance prior.
 """
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 from scipy import sparse
@@ -36,30 +36,12 @@ class InteractionGraph:
     tails: np.ndarray
     weights: np.ndarray
 
-    def __init__(self, node_labels, edges=None):
-        """``edges`` maps label pairs, in either order, to weights; each
-        endpoint must be a node."""
-        pairs = dict(edges or {})
+    def __init__(self, node_labels, heads=(), tails=(), weights=()):
+        """Edge k joins nodes ``heads[k]`` and ``tails[k]``, in either order,
+        with weight ``weights[k]``. Each pair is oriented in label order and a
+        repeated pair is merged into its first position with its largest
+        weight."""
         labels = tuple(node_labels)
-        index = dict(zip(labels, range(len(labels))))
-        ends = np.fromiter(
-            map(index.get, chain.from_iterable(pairs), repeat(-1)), np.intp, 2 * len(pairs)
-        ).reshape(-1, 2)
-        weights = np.fromiter(pairs.values(), float, len(pairs))
-        self._hold(labels, ends[:, 0], ends[:, 1], weights, list(pairs))
-
-    @classmethod
-    def from_arrays(cls, node_labels, heads, tails, weights):
-        """The graph whose edge k joins nodes ``heads[k]`` and ``tails[k]``,
-        in either order, with weight ``weights[k]``."""
-        graph = cls.__new__(cls)
-        graph._hold(tuple(node_labels), heads, tails, weights)
-        return graph
-
-    def _hold(self, labels, heads, tails, weights, pairs=None):
-        """Check the edges, orient each pair in label order and merge a
-        repeated pair into its first position with its largest weight.
-        ``pairs`` holds the label pairs as given, for error messages."""
         n = len(labels)
         if len(set(labels)) != n:
             raise ValueError("duplicate node labels in interaction graph")
@@ -70,10 +52,7 @@ class InteractionGraph:
         bad = unknown | (heads == tails) | ~((weights >= 0) & (weights < np.inf))
         if bad.any():
             k = int(np.argmax(bad))
-            if pairs is not None:
-                a, b = pairs[k]
-            else:
-                a, b = (labels[i] if 0 <= i < n else int(i) for i in (heads[k], tails[k]))
+            a, b = (labels[i] if 0 <= i < n else int(i) for i in (heads[k], tails[k]))
             if a == b:
                 raise ValueError(f"self-loop on node {a!r}")
             if unknown[k]:
@@ -117,14 +96,6 @@ class InteractionGraph:
         pairs = zip(map(at, self.heads.tolist()), map(at, self.tails.tolist()))
         return dict(zip(pairs, self.weights.tolist()))
 
-    def adjacency(self):
-        """Symmetric sparse adjacency in node-label order."""
-        n = self.n_nodes
-        rows = np.concatenate([self.heads, self.tails])
-        cols = np.concatenate([self.tails, self.heads])
-        data = np.concatenate([self.weights, self.weights])
-        return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-
     def subgraph(self, labels):
         """Induced subgraph on ``labels``, which become the new node order."""
         labels = tuple(labels)
@@ -137,7 +108,7 @@ class InteractionGraph:
         new[old] = np.arange(len(labels))
         heads, tails = new[self.heads], new[self.tails]
         kept = (heads >= 0) & (tails >= 0)
-        return InteractionGraph.from_arrays(labels, heads[kept], tails[kept], self.weights[kept])
+        return InteractionGraph(labels, heads[kept], tails[kept], self.weights[kept])
 
 
 @dataclass(frozen=True)
@@ -169,17 +140,8 @@ def normalized_laplacian(graph: InteractionGraph, jitter: float = 0.05) -> Lapla
     # L itself is singular on any graph with edges; precision needs jitter
     if graph.n_edges and not jitter > 0:
         raise ValueError("jitter must be positive for a graph with edges")
-    adj = graph.adjacency().tocoo()
-    degrees = np.asarray(adj.sum(axis=1)).ravel()
-    inv_root = np.zeros_like(degrees)
-    nz = degrees > 0
-    inv_root[nz] = 1.0 / np.sqrt(degrees[nz])
-    scaled = sparse.coo_matrix(
-        (adj.data * inv_root[adj.row] * inv_root[adj.col], (adj.row, adj.col)),
-        shape=adj.shape,
-    )
+    lap = _laplacian(graph)  # its temporaries are freed before the sparse LU
     n = graph.n_nodes
-    lap = (sparse.identity(n, format="csr") - scaled.tocsr()).tocsr()
     prec = (lap + jitter * sparse.identity(n, format="csr")).tocsr()
     try:
         log_det = _sparse_log_det(prec)
@@ -193,6 +155,29 @@ def normalized_laplacian(graph: InteractionGraph, jitter: float = 0.05) -> Lapla
         precision_diag=prec.diagonal().copy(),
         log_det_precision=log_det,
     )
+
+
+def _laplacian(graph):
+    """L = I - D^{-1/2} A D^{-1/2} in CSR form, from the edge arrays."""
+    n = graph.n_nodes
+    rows = np.concatenate((graph.heads, graph.tails))
+    cols = np.concatenate((graph.tails, graph.heads))
+    # each degree sums its row in column order, whatever the edge order
+    order = np.argsort(rows * n + cols, kind="stable")
+    degrees = np.bincount(rows[order], np.tile(graph.weights, 2)[order], n)
+    inv_root = np.zeros_like(degrees)
+    nz = degrees > 0
+    inv_root[nz] = 1.0 / np.sqrt(degrees[nz])
+    # one product per edge, stored at (h, t) and at (t, h), keeps L exactly symmetric
+    off = -(graph.weights * inv_root[graph.heads] * inv_root[graph.tails])
+    diag = np.arange(n)
+    lap = sparse.csr_matrix(
+        (np.concatenate((off, off, np.ones(n))),
+         (np.concatenate((rows, diag)), np.concatenate((cols, diag)))),
+        shape=(n, n),
+    )
+    lap.eliminate_zeros()  # a zero-weight edge stores no entry
+    return lap
 
 
 def _sparse_log_det(matrix) -> float:

@@ -45,55 +45,48 @@ class RecoveryMetrics:
     sign_agreement: float
 
 
-def _draw_edges(feature_ids, rng, edge_prob):
-    """Independent unit-weight edges over the pairs i < j in row-major order.
+def _draw_edges(d, rng, edge_prob):
+    """Heads and tails of independent edges over the pairs i < j of ``d``
+    nodes, in row-major order.
 
     ``edge_prob(rows, cols)`` gives each pair's probability. One uniform is
     drawn per pair in that order, ``_EDGE_BLOCK_ROWS`` rows at a time, so the
-    edges, their insertion order and the generator's state afterwards equal
-    those of a nested loop that calls ``rng.random()`` once per pair.
+    edges, their order and the generator's state afterwards equal those of
+    a nested loop that calls ``rng.random()`` once per pair.
     """
-    d = len(feature_ids)
-    edges = {}
+    heads, tails = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     for start in range(0, d, _EDGE_BLOCK_ROWS):
         rows, cols = np.triu_indices(min(_EDGE_BLOCK_ROWS, d - start), start + 1, d)
         rows += start
         hit = rng.random(rows.size) < edge_prob(rows, cols)
-        edges.update(
-            ((feature_ids[i], feature_ids[j]), 1.0)
-            for i, j in zip(rows[hit].tolist(), cols[hit].tolist())
-        )
-    return edges
+        heads.append(rows[hit])
+        tails.append(cols[hit])
+    return np.concatenate(heads), np.concatenate(tails)
 
 
-def _join_isolated(feature_ids, edges, partner):
-    """Join each node the edges leave isolated, in node order, to the node
-    ``partner(i)`` so the edge-list serialization stays lossless. A single
-    node has no partner and stays alone."""
-    if len(feature_ids) < 2:
-        return
-    degree = {f: 0 for f in feature_ids}
-    for a, b in edges:
-        degree[a] += 1
-        degree[b] += 1
-    for i, f in enumerate(feature_ids):
-        if degree[f] == 0:
-            g = feature_ids[partner(i)]
-            key = (f, g) if f <= g else (g, f)
-            edges[key] = 1.0
-            degree[f] += 1
-            degree[g] += 1
+def _join_isolated(d, heads, tails, partner):
+    """``heads`` and ``tails`` with each of the ``d`` nodes they leave
+    isolated, in node order, joined to node ``partner(i)`` so the edge-list
+    serialization stays lossless. A single node has no partner and stays
+    alone."""
+    degree = np.bincount(np.concatenate((heads, tails)), minlength=d)
+    joined = []
+    for i in np.flatnonzero(degree == 0).tolist():
+        if degree[i] == 0 and d > 1:  # an earlier join may have reached node i
+            j = partner(i)
+            joined.append((i, j))
+            degree[[i, j]] += 1
+    joined = np.array(joined, dtype=np.intp).reshape(-1, 2)
+    return np.concatenate((heads, joined[:, 0])), np.concatenate((tails, joined[:, 1]))
 
 
-def random_graph(feature_ids, edge_prob, rng, min_degree=1) -> InteractionGraph:
-    """Erdos-Renyi graph over the features; with ``min_degree`` >= 1 isolated
-    nodes are joined to their ring neighbor."""
-    feature_ids = tuple(feature_ids)
+def random_graph(feature_ids, edge_prob, rng) -> InteractionGraph:
+    """Erdos-Renyi graph over the features; isolated nodes are joined to
+    their ring neighbor."""
     d = len(feature_ids)
-    edges = _draw_edges(feature_ids, rng, lambda rows, cols: edge_prob)
-    if min_degree >= 1:
-        _join_isolated(feature_ids, edges, lambda i: (i + 1) % d)
-    return InteractionGraph(node_labels=feature_ids, edges=edges)
+    heads, tails = _draw_edges(d, rng, lambda rows, cols: edge_prob)
+    heads, tails = _join_isolated(d, heads, tails, lambda i: (i + 1) % d)
+    return InteractionGraph(feature_ids, heads, tails, np.ones(len(heads)))
 
 
 def community_graph(feature_ids, assignment, p_in, p_out, rng) -> InteractionGraph:
@@ -102,13 +95,10 @@ def community_graph(feature_ids, assignment, p_in, p_out, rng) -> InteractionGra
     Isolated nodes are joined to their first community mate, or to their
     ring neighbor when they have none.
     """
-    feature_ids = tuple(feature_ids)
     assignment = np.asarray(assignment)
     d = len(feature_ids)
-    edges = _draw_edges(
-        feature_ids,
-        rng,
-        lambda rows, cols: np.where(assignment[rows] == assignment[cols], p_in, p_out),
+    heads, tails = _draw_edges(
+        d, rng, lambda rows, cols: np.where(assignment[rows] == assignment[cols], p_in, p_out)
     )
 
     def mate(i):
@@ -116,8 +106,8 @@ def community_graph(feature_ids, assignment, p_in, p_out, rng) -> InteractionGra
         mates = mates[mates != i]
         return mates[0] if mates.size else (i + 1) % d
 
-    _join_isolated(feature_ids, edges, mate)
-    return InteractionGraph(node_labels=feature_ids, edges=edges)
+    heads, tails = _join_isolated(d, heads, tails, mate)
+    return InteractionGraph(feature_ids, heads, tails, np.ones(len(heads)))
 
 
 def sample_membership(n_features, n_sets, beta_a, lap: LaplacianOperator, rng):
@@ -279,7 +269,7 @@ def generate(
     rng = np.random.default_rng(seed)
     ids = _ids(dims)
 
-    graph = random_graph(ids[2], edge_prob, rng, min_degree=1)
+    graph = random_graph(ids[2], edge_prob, rng)
     lap = normalized_laplacian(graph, epsilon)
 
     z, g, pi_bar = sample_membership(d, r, hyper.beta_a_for(r), lap, rng)

@@ -10,12 +10,23 @@ from scipy import optimize
 
 from pathfact import dataio
 from pathfact.dist import GammaParams, NormalParams, TruncatedNormalParams
+from pathfact.graph import InteractionGraph
 from pathfact.model import Hyperparameters, ObservationSet, VariationalState
-from pathfact.synth import random_graph
+from pathfact.synth import _draw_edges
+
+
+def labeled_graph(labels, edges):
+    """The graph on ``labels`` whose edges join the label pairs that key the
+    mapping ``edges``, weighted by its values."""
+    index = {label: i for i, label in enumerate(labels)}
+    ends = [index[label] for pair in edges for label in pair]
+    return InteractionGraph(labels, ends[0::2], ends[1::2], list(edges.values()))
 
 
 def make_graph(rng, feature_ids, edge_prob=0.3):
-    return random_graph(feature_ids, edge_prob, rng, min_degree=0)
+    """Unit-weight Erdos-Renyi graph; isolated nodes stay isolated."""
+    heads, tails = _draw_edges(len(feature_ids), rng, lambda rows, cols: edge_prob)
+    return InteractionGraph(feature_ids, heads, tails, np.ones(len(heads)))
 
 
 def make_dataset(rng, n=6, d=5, k=2, r=3, edge_prob=0.3, mask_prob=0.4):

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     default_hyper,
+    labeled_graph,
     make_dataset,
     make_state,
     polished_minimum,
@@ -270,24 +271,21 @@ def test_criterion_6_laplacian_spectrum():
             for j in range(i + 1, d):
                 if rng.random() < prob:
                     edges[(labels[i], labels[j])] = 1.0
-        lap = normalized_laplacian(InteractionGraph(node_labels=labels, edges=edges), 0.05)
+        lap = normalized_laplacian(labeled_graph(labels, edges), 0.05)
         eigs = np.linalg.eigvalsh(lap.laplacian.toarray())
         worst_low = min(worst_low, eigs.min())
         worst_high = max(worst_high, eigs.max())
         assert eigs.min() >= -1e-10 and eigs.max() <= 2.0 + 1e-10
 
     path = normalized_laplacian(
-        InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0, ("b", "c"): 1.0}),
+        labeled_graph(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0}),
         0.05,
     ).laplacian.toarray()
     assert np.allclose(np.diag(path), 1.0)
     assert path[0, 1] == pytest.approx(-1.0 / np.sqrt(2.0))
     assert path[0, 2] == 0.0
     tri = normalized_laplacian(
-        InteractionGraph(
-            node_labels=("a", "b", "c"),
-            edges={("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0},
-        ),
+        labeled_graph(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0}),
         0.05,
     ).laplacian.toarray()
     assert np.allclose(tri[~np.eye(3, dtype=bool)], -0.5)

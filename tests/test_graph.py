@@ -3,27 +3,29 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+from conftest import labeled_graph
+
 from pathfact.graph import InteractionGraph, normalized_laplacian
 
 
-def random_graph(n_nodes, edge_prob, rng):
+def random_graph(n_nodes, edge_prob, rng, weighted=False):
+    """Erdos-Renyi graph over labels g000, g001, ...; with ``weighted`` its
+    weights are uniform on [0.1, 5)."""
+    heads, tails = np.triu_indices(n_nodes, 1)
+    hit = rng.random(heads.size) < edge_prob
+    weights = rng.uniform(0.1, 5.0, hit.sum()) if weighted else np.ones(hit.sum())
     labels = tuple(f"g{i:03d}" for i in range(n_nodes))
-    edges = {}
-    for i in range(n_nodes):
-        for j in range(i + 1, n_nodes):
-            if rng.random() < edge_prob:
-                edges[(labels[i], labels[j])] = 1.0
-    return InteractionGraph(node_labels=labels, edges=edges)
+    return InteractionGraph(labels, heads[hit], tails[hit], weights)
 
 
 class TestInteractionGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
-            InteractionGraph(node_labels=("a", "b"), edges={("a", "a"): 1.0})
+            InteractionGraph(("a", "b"), [0], [0], [1.0])
 
     def test_rejects_unknown_node(self):
         with pytest.raises(ValueError):
-            InteractionGraph(node_labels=("a",), edges={("a", "b"): 1.0})
+            InteractionGraph(("a",), [0], [1], [1.0])
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError):
@@ -32,26 +34,23 @@ class TestInteractionGraph:
     @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf, -1.0])
     def test_rejects_weight_not_finite_and_nonnegative(self, w):
         with pytest.raises(ValueError, match=r"on edge \('a', 'b'\) is not finite and nonnegative"):
-            InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): w})
+            InteractionGraph(("a", "b"), [0], [1], [w])
 
-    def test_edges_stored_symmetrically(self):
-        g = InteractionGraph(node_labels=("b", "a"), edges={("b", "a"): 2.0})
+    def test_edges_stored_in_label_order(self):
+        g = InteractionGraph(("b", "a"), [0], [1], [2.0])
         assert g.edges == {("a", "b"): 2.0}
-        adj = g.adjacency().toarray()
-        np.testing.assert_array_equal(adj, adj.T)
+        assert (g.heads.tolist(), g.tails.tolist()) == ([1], [0])
 
     def test_subgraph_induced(self):
-        g = InteractionGraph(
-            node_labels=("a", "b", "c"), edges={("a", "b"): 1.0, ("b", "c"): 1.0}
-        )
+        g = labeled_graph(("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0})
         sub = g.subgraph(["c", "b"])
         assert sub.node_labels == ("c", "b")
         assert sub.edges == {("b", "c"): 1.0}
 
     def test_subgraph_remaps_indices_and_keeps_edge_order(self):
-        g = InteractionGraph(
-            node_labels=("d", "a", "c", "b"),
-            edges={("c", "d"): 4.0, ("a", "b"): 1.0, ("b", "d"): 2.0, ("a", "c"): 3.0},
+        g = labeled_graph(
+            ("d", "a", "c", "b"),
+            {("c", "d"): 4.0, ("a", "b"): 1.0, ("b", "d"): 2.0, ("a", "c"): 3.0},
         )
         sub = g.subgraph(["b", "d", "c"])
         assert list(sub.edges.items()) == [(("c", "d"), 4.0), (("b", "d"), 2.0)]
@@ -63,7 +62,7 @@ class TestInteractionGraph:
             g.subgraph(["a", "b", "a"])
 
     def test_arrays_are_read_only_and_edges_a_new_mapping(self):
-        g = InteractionGraph(node_labels=("b", "a", "c"), edges={("b", "a"): 2.0, ("c", "b"): 1})
+        g = labeled_graph(("b", "a", "c"), {("b", "a"): 2.0, ("c", "b"): 1})
         for array in (g.heads, g.tails, g.weights):
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -74,30 +73,31 @@ class TestInteractionGraph:
         assert g.n_edges == 2 and g.n_nodes == 3
 
     def test_pair_given_in_both_orientations_is_one_edge(self):
-        g = InteractionGraph(
-            node_labels=("a", "b", "c"), edges={("b", "c"): 1.0, ("b", "a"): 2.0, ("a", "b"): 0.5}
-        )
+        g = labeled_graph(("a", "b", "c"), {("b", "c"): 1.0, ("b", "a"): 2.0, ("a", "b"): 0.5})
         assert list(g.edges.items()) == [(("b", "c"), 1.0), (("a", "b"), 2.0)]
-        assert g.adjacency().nnz == 4
+        assert (g.heads.tolist(), g.tails.tolist()) == ([1, 0], [2, 1])
 
     @pytest.mark.parametrize(
         "edges, message",
         [
-            ({("a", "b"): 1.0, ("x", "x"): -1.0}, "self-loop on node 'x'"),
-            ({("a", "b"): np.nan, ("a", "a"): 1.0}, r"weight nan on edge \('a', 'b'\)"),
-            ({("a", "x"): np.nan}, r"edge \('a', 'x'\) references unknown node"),
-            ({("x", "y"): 1.0}, r"edge \('x', 'y'\) references unknown node"),
+            (([0, 2], [1, 2], [1.0, -1.0]), "self-loop on node 'x'"),
+            (([0, 0], [1, 0], [np.nan, 1.0]), r"weight nan on edge \('a', 'b'\)"),
+            (([0], [3], [np.nan]), r"edge \('a', 3\) references unknown node"),
+            (([1], [-1], [1.0]), r"edge \('b', -1\) references unknown node"),
+            (([3, 4], [4, 3], [1.0, 1.0]), r"edge \(3, 4\) references unknown node"),
         ],
     )
     def test_first_bad_edge_is_reported(self, edges, message):
+        """``edges`` holds the heads, the tails and the weights."""
         with pytest.raises(ValueError, match=message):
-            InteractionGraph(node_labels=("a", "b"), edges=edges)
+            InteractionGraph(("a", "b", "x"), *edges)
 
-    def test_from_arrays_orients_and_merges(self):
-        g = InteractionGraph.from_arrays(("c", "a", "b"), [0, 1, 2, 0], [1, 2, 0, 2], [1, 2, 0, 5])
+    def test_orients_and_merges(self):
+        """Each pair is oriented in label order; a repeated pair keeps its
+        first position and its largest weight."""
+        g = InteractionGraph(("c", "a", "b"), [0, 1, 2, 0], [1, 2, 0, 2], [1, 2, 0, 5])
         assert list(g.edges.items()) == [(("a", "c"), 1.0), (("a", "b"), 2.0), (("b", "c"), 5.0)]
-        with pytest.raises(ValueError, match=r"edge \('c', 3\) references unknown node"):
-            InteractionGraph.from_arrays(("c", "a", "b"), [0], [3], [1.0])
+        assert (g.heads.tolist(), g.tails.tolist()) == ([1, 1, 2], [0, 2, 0])
 
 
 class TestNormalizedLaplacian:
@@ -107,8 +107,8 @@ class TestNormalizedLaplacian:
         np.testing.assert_array_equal(lap.laplacian.toarray(), np.eye(3))
 
     def test_path_graph(self):
-        g = InteractionGraph(
-            node_labels=("a", "b", "c"), edges={("a", "b"): 1.0, ("b", "c"): 1.0}
+        g = labeled_graph(
+            ("a", "b", "c"), {("a", "b"): 1.0, ("b", "c"): 1.0}
         )
         lap = normalized_laplacian(g, jitter=0.05)
         L = lap.laplacian.toarray()
@@ -119,9 +119,9 @@ class TestNormalizedLaplacian:
         assert L[0, 2] == 0.0
 
     def test_triangle_graph(self):
-        g = InteractionGraph(
-            node_labels=("a", "b", "c"),
-            edges={("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0},
+        g = labeled_graph(
+            ("a", "b", "c"),
+            {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0},
         )
         lap = normalized_laplacian(g, jitter=0.05)
         L = lap.laplacian.toarray()
@@ -130,24 +130,26 @@ class TestNormalizedLaplacian:
         np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(L)), [0.0, 1.5, 1.5], atol=1e-12)
 
     def test_isolated_node_row(self):
-        g = InteractionGraph(node_labels=("a", "b", "iso"), edges={("a", "b"): 1.0})
+        g = labeled_graph(("a", "b", "iso"), {("a", "b"): 1.0})
         L = normalized_laplacian(g, jitter=0.1).laplacian.toarray()
         np.testing.assert_array_equal(L[2], [0.0, 0.0, 1.0])
         np.testing.assert_array_equal(L[:, 2], [0.0, 0.0, 1.0])
 
     def test_weighted_degrees(self):
-        g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 4.0, ("b", "c"): 1.0})
+        g = labeled_graph(("a", "b", "c"), {("a", "b"): 4.0, ("b", "c"): 1.0})
         L = normalized_laplacian(g, jitter=0.05).laplacian.toarray()
         # degrees: a=4, b=5, c=1
         assert L[0, 1] == pytest.approx(-4.0 / np.sqrt(4.0 * 5.0))
         assert L[1, 2] == pytest.approx(-1.0 / np.sqrt(5.0))
 
-    def test_exact_symmetry_random(self):
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_exact_symmetry_random(self, weighted):
         rng = np.random.default_rng(0)
         for _ in range(5):
-            g = random_graph(30, 0.1, rng)
-            L = normalized_laplacian(g, jitter=0.05).laplacian
-            assert (L != L.T).nnz == 0
+            g = random_graph(30, 0.1, rng, weighted)
+            lap = normalized_laplacian(g, jitter=0.05)
+            for matrix in (lap.laplacian, lap.precision):
+                assert (matrix != matrix.T).nnz == 0
 
     def test_eigenvalues_in_zero_two_random(self):
         rng = np.random.default_rng(1)
@@ -180,7 +182,7 @@ class TestNormalizedLaplacian:
             for j in range(i + 1, 300):
                 if community[i] >= 0 and community[i] == community[j] and rng.random() < 0.05:
                     edges[(labels[i], labels[j])] = float(rng.uniform(0.1, 5.0))
-        lap = normalized_laplacian(InteractionGraph(node_labels=labels, edges=edges), 0.05)
+        lap = normalized_laplacian(labeled_graph(labels, edges), 0.05)
         sizes = np.bincount(connected_components(lap.laplacian, directed=False)[1])
         assert np.count_nonzero(sizes > 1) >= 2
         assert np.count_nonzero(sizes == 1) >= 20
@@ -189,37 +191,37 @@ class TestNormalizedLaplacian:
         assert lap.log_det_precision == pytest.approx(dense, rel=1e-12)
 
     def test_precision_matches_a_per_edge_build(self):
-        """The precision's CSR arrays equal those of an adjacency built one
+        """The precision's CSR arrays equal those of a dense matrix built one
         edge at a time from the label-pair mapping, on a weighted graph whose
-        pairs were given in both orientations."""
+        pairs were given in both orientations and some of whose weights are
+        zero: each degree sums its row in column order, each edge's entry is
+        one product stored at both of its places, and a zero-weight edge
+        stores no entry."""
         rng = np.random.default_rng(8)
         labels = tuple(f"g{i}" for i in rng.permutation(400))
         edges = {}
         for _ in range(3000):
             a, b = rng.choice(len(labels), size=2, replace=False)
-            edges[(labels[a], labels[b])] = float(rng.uniform(0.0, 4.0))
-        graph = InteractionGraph(node_labels=labels, edges=edges)
+            edges[(labels[a], labels[b])] = float(rng.uniform(0.0, 4.0)) * (rng.random() < 0.9)
+        graph = labeled_graph(labels, edges)
+        assert (graph.weights == 0).sum() > 100
         index = {lbl: i for i, lbl in enumerate(labels)}
-        rows, cols, vals = [], [], []
-        for (a, b), w in graph.edges.items():
-            i, j = index[a], index[b]
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        adj = sparse.csr_matrix((vals, (rows, cols)), shape=(400, 400)).tocoo()
-        degrees = np.asarray(adj.sum(axis=1)).ravel()
+        pairs = [(index[a], index[b], w) for (a, b), w in graph.edges.items()]
+        adj = np.zeros((400, 400))
+        for i, j, w in pairs:
+            adj[i, j] = adj[j, i] = w
+        degrees = np.cumsum(adj, axis=1)[:, -1]
         inv_root = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1e-300)), 0.0)
-        scaled = sparse.coo_matrix(
-            (adj.data * inv_root[adj.row] * inv_root[adj.col], (adj.row, adj.col)), shape=adj.shape
-        )
-        eye = sparse.identity(400, format="csr")
-        want = ((eye - scaled.tocsr()).tocsr() + 0.05 * eye).tocsr()
+        lap = np.eye(400)
+        for i, j, w in pairs:
+            lap[i, j] = lap[j, i] = -(w * inv_root[i] * inv_root[j])
+        want = sparse.csr_matrix(lap + 0.05 * np.eye(400))
         got = normalized_laplacian(graph, jitter=0.05).precision
         for name in ("indptr", "indices", "data"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_jitter_required_with_edges(self):
-        g = InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): 1.0})
+        g = labeled_graph(("a", "b"), {("a", "b"): 1.0})
         with pytest.raises(ValueError):
             normalized_laplacian(g, jitter=0.0)
         with pytest.raises(ValueError):

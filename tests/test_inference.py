@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from conftest import default_hyper, make_dataset, make_state, polished_minimum
+from conftest import default_hyper, labeled_graph, make_dataset, make_state, polished_minimum
 
 from pathfact.dist import (
     GammaParams,
@@ -784,7 +784,7 @@ class TestUpdateCoupling:
             set_ids=("SET0",),
         )
         with_edge = ObservationSet(
-            graph=InteractionGraph(node_labels=feature_ids, edges={("G0", "G1"): 1.0}),
+            graph=labeled_graph(feature_ids, {("G0", "G1"): 1.0}),
             **base,
         )
         without_edge = ObservationSet(

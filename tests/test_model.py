@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import default_hyper, make_dataset, make_state, traced_peak
+from conftest import default_hyper, labeled_graph, make_dataset, make_state, traced_peak
 
 from pathfact.dist import (
     GammaParams,
@@ -370,7 +370,7 @@ class TestElbo:
     def test_importance_sampling_upper_bounds_elbo(self):
         rng = np.random.default_rng(10)
         feature_ids = ("G0", "G1")
-        graph = InteractionGraph(node_labels=feature_ids, edges={("G0", "G1"): 1.0})
+        graph = labeled_graph(feature_ids, {("G0", "G1"): 1.0})
         data = ObservationSet(
             X=rng.normal(size=(2, 2)),
             U0=np.array([[1.0], [1.0]]),
@@ -494,7 +494,7 @@ def quadratic_form(g, lap):
 
 class TestGmrfPrior:
     def small_operator(self):
-        g = InteractionGraph(node_labels=("a", "b"), edges={("a", "b"): 1.0})
+        g = labeled_graph(("a", "b"), {("a", "b"): 1.0})
         return normalized_laplacian(g, jitter=0.1)
 
     def test_zero_vector_is_mode(self):
@@ -515,7 +515,7 @@ class TestGmrfPrior:
     def test_smooth_beats_alternating_on_connected_graph(self):
         labels = tuple(f"n{i}" for i in range(6))
         edges = {(labels[i], labels[i + 1]): 1.0 for i in range(5)}
-        lap = normalized_laplacian(InteractionGraph(node_labels=labels, edges=edges), 0.05)
+        lap = normalized_laplacian(labeled_graph(labels, edges), 0.05)
         const = np.ones(6)
         alternating = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
         alternating *= np.linalg.norm(const) / np.linalg.norm(alternating)
@@ -526,14 +526,14 @@ class TestGmrfPrior:
             fill_prior_mean({}, np.zeros((3, 1)), self.small_operator())
 
     def test_zero_mean_gives_trace(self):
-        g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0})
+        g = labeled_graph(("a", "b", "c"), {("a", "b"): 1.0})
         lap = normalized_laplacian(g, jitter=0.2)
         c = 0.7
         out = gmrf_expectation(np.zeros((3, 4)), np.full((3, 4), c), lap)
         assert out == pytest.approx(4 * c * lap.precision.diagonal().sum(), rel=1e-14)
 
     def test_vanishing_variance_reduces_to_quadratic_form(self):
-        g = InteractionGraph(node_labels=("a", "b", "c"), edges={("a", "b"): 1.0})
+        g = labeled_graph(("a", "b", "c"), {("a", "b"): 1.0})
         lap = normalized_laplacian(g, jitter=0.2)
         dense = lap.precision.toarray()
         mu = np.random.default_rng(4).normal(size=(3, 2))
@@ -544,10 +544,7 @@ class TestGmrfPrior:
 
     def test_monte_carlo_oracle(self):
         rng = np.random.default_rng(5)
-        g = InteractionGraph(
-            node_labels=("a", "b", "c", "d"),
-            edges={("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0},
-        )
+        g = labeled_graph(("a", "b", "c", "d"), {("a", "b"): 1.0, ("b", "c"): 1.0, ("c", "d"): 1.0})
         lap = normalized_laplacian(g, jitter=0.1)
         mu = rng.normal(size=(4, 1))
         var = rng.uniform(0.2, 2.0, size=(4, 1))
