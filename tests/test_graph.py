@@ -99,6 +99,28 @@ class TestInteractionGraph:
         assert list(g.edges.items()) == [(("a", "c"), 1.0), (("a", "b"), 2.0), (("b", "c"), 5.0)]
         assert (g.heads.tolist(), g.tails.tolist()) == ([1, 1, 2], [0, 2, 0])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_mapping_filled_edge_by_edge(self, seed):
+        """On random index arrays that repeat pairs in both orientations, the
+        edges, in order, are those of a mapping filled one edge at a time:
+        each pair keyed with the smaller label first, at its first position,
+        with the largest weight it was given."""
+        rng = np.random.default_rng(seed)
+        labels = tuple(f"g{i}" for i in rng.permutation(12))
+        heads, tails = rng.integers(0, 12, (2, 60))
+        distinct = heads != tails
+        heads, tails = heads[distinct], tails[distinct]
+        weights = rng.choice([0.0, 0.5, 1.0, 2.0], heads.size)
+        want = {}
+        for h, t, w in zip(heads.tolist(), tails.tolist(), weights.tolist()):
+            pair = tuple(sorted((labels[h], labels[t])))
+            want[pair] = max(want.get(pair, w), w)
+        g = InteractionGraph(labels, heads, tails, weights)
+        assert len(want) < heads.size  # some pairs repeat
+        assert list(g.edges.items()) == list(want.items())
+        at = labels.__getitem__
+        assert list(zip(map(at, g.heads), map(at, g.tails))) == list(want)
+
 
 class TestNormalizedLaplacian:
     def test_empty_graph_is_identity(self):
@@ -150,6 +172,32 @@ class TestNormalizedLaplacian:
             lap = normalized_laplacian(g, jitter=0.05)
             for matrix in (lap.laplacian, lap.precision):
                 assert (matrix != matrix.T).nnz == 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("weights", ["unit", "random", "some zero"])
+    def test_matches_the_dense_formula(self, weights, seed):
+        """L equals I - D^{-1/2} A D^{-1/2} formed densely, an isolated node's
+        row and column those of I, and P = L + eps*I; L and P are exactly
+        symmetric and a zero-weight edge stores no entry."""
+        rng = np.random.default_rng(seed)
+        g = random_graph(40, 0.08, rng, weighted=weights != "unit")
+        if weights == "some zero":
+            w = np.where(rng.random(g.n_edges) < 0.3, 0.0, g.weights)
+            g = InteractionGraph(g.node_labels, g.heads, g.tails, w)
+        adj = np.zeros((40, 40))
+        adj[g.heads, g.tails] = adj[g.tails, g.heads] = g.weights
+        degrees = adj.sum(axis=1)
+        inv_root = np.divide(1.0, np.sqrt(degrees), out=np.zeros(40), where=degrees > 0)
+        want = np.eye(40) - inv_root[:, None] * adj * inv_root[None, :]
+        lap = normalized_laplacian(g, jitter=0.05)
+        np.testing.assert_allclose(lap.laplacian.toarray(), want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(
+            lap.precision.toarray(), want + 0.05 * np.eye(40), rtol=1e-13, atol=0
+        )
+        np.testing.assert_array_equal(lap.precision_diag, lap.precision.diagonal())
+        assert lap.laplacian.nnz == 40 + 2 * np.count_nonzero(g.weights)
+        for matrix in (lap.laplacian, lap.precision):
+            assert (matrix != matrix.T).nnz == 0
 
     def test_eigenvalues_in_zero_two_random(self):
         rng = np.random.default_rng(1)

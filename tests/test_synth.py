@@ -289,6 +289,26 @@ class TestRandomGraph:
             degree[b] += 1
         assert min(degree.values()) >= 1
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_isolated_nodes_joined_to_their_ring_neighbor(self, seed):
+        """After the drawn edges, each node still isolated, in node order, is
+        joined to node i + 1 (mod d), unless an earlier join reached it."""
+        ids = tuple(f"G{i:02d}" for i in range(30))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_graph(ids, 0.03, rng)
+        want = loop_edges(ids, ref_rng, lambda i, j: 0.03)
+        degree = np.zeros(30, dtype=int)
+        for a, b in want:
+            degree[[ids.index(a), ids.index(b)]] += 1
+        assert (degree == 0).sum() >= 3
+        for i in range(30):
+            if degree[i] == 0:
+                j = (i + 1) % 30
+                want[tuple(sorted((ids[i], ids[j])))] = 1.0
+                degree[[i, j]] += 1
+        assert list(got.edges.items()) == list(want.items())
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestRankingAuc:
     def test_perfect_and_chance(self):
