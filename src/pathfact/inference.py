@@ -190,44 +190,57 @@ def _basis_sweep(state, data, rh, mom) -> NormalParams:
     return NormalParams(mean, var)
 
 
-def _next_step(s, g_old, g_new, max_step):
-    """Start of the search after the accepted step ``s * g_old`` (the rule
+def _steepest(v):
+    """The Euclidean metric M = I, under which the ascent is steepest ascent."""
+    return v
+
+
+def _next_step(s, d_old, y, metric, max_step):
+    """Start of the search after the accepted step ``s * d_old``, with ``y``
+    the change of the gradient and ``metric`` M at the new point (the rule
     is in :func:`_backtracking_ascent`). A function of its own, so that
-    ``y`` is freed before the next search runs."""
-    y = g_new - g_old
-    curvature = -s * float(np.vdot(g_old, y))
-    y_sq = float(np.vdot(y, y))
-    if curvature > 0 and y_sq > 0:
-        return min(curvature / y_sq, max_step)
+    ``y`` and ``My`` are freed before the next search runs."""
+    curvature = -s * float(np.vdot(d_old, y))
+    y_metric = float(np.vdot(y, metric(y)))
+    if curvature > 0 and y_metric > 0:
+        return min(curvature / y_metric, max_step)
     return min(s * 2.0, max_step)
 
 
 def _backtracking_ascent(x, value, value_and_grad):
-    """Maximize by steepest ascent with Armijo backtracking.
+    """Maximize along a metric's ascent direction with Armijo backtracking.
 
-    The first search starts at ``_INIT_STEP``. After a step ``s * g_old`` is
+    ``value_and_grad(x)`` returns the value, the gradient ``g`` and the
+    metric at ``x``: a function that applies a positive definite M to a
+    vector shaped like ``g``. The search direction is ``d = M g``. M = I
+    (:func:`_steepest`) gives steepest ascent, and the inverse Fisher
+    information of a variational factor gives its natural gradient. The
+    search ends early once ``sqrt(g.d)`` is at most ``_GRAD_TOL``.
+
+    The first search starts at ``_INIT_STEP``. After a step ``s * d_old`` is
     accepted, the next search starts at the Barzilai-Borwein short step
-    ``-s * g_old.y / y.y`` with ``y = g_new - g_old``, the inverse of a
-    scalar fit to the curvature along the step; when that curvature or
-    ``y.y`` is not positive (a linear objective, say) it starts at twice
-    the accepted step instead. Either start is capped at
-    ``_INIT_STEP * 1024`` and then shrunk until the Armijo test passes, so
-    every accepted step is a sufficient ascent.
+    ``-s * d_old.y / y.My``, with ``y = g_new - g_old`` and M at the new
+    point: the inverse of a scalar fit, in that metric, to the curvature
+    along the step. When that curvature or ``y.My`` is not positive (a
+    linear objective, say) it starts at twice the accepted step instead.
+    Either start is capped at ``_INIT_STEP * 1024`` and then shrunk until
+    the Armijo test passes, so every accepted step is a sufficient ascent.
 
-    Each trial is evaluated as ``value(x, floor)``, with ``floor`` its
-    Armijo floor ``f + _ARMIJO_C * s * |g|^2``, and returns (value, pass).
-    Only the test against the floor reads a trial's value, so ``value`` may
-    return any number below the floor, and no pass, in place of those of a
-    trial that falls below it. The accepted trial and its pass go to
-    ``value_and_grad(x, kept=pass)``, which then need not form the pass
-    again; the start point goes without one. A pass is dropped before the
-    next trial is evaluated, so memory holds one pass at a time.
+    Each trial ``x + s * d`` is evaluated as ``value(x, floor)``, with
+    ``floor`` its Armijo floor ``f + _ARMIJO_C * s * g.d``, and returns
+    (value, pass). Only the test against the floor reads a trial's value, so
+    ``value`` may return any number below the floor, and no pass, in place
+    of those of a trial that falls below it. The accepted trial and its pass
+    go to ``value_and_grad(x, kept=pass)``, which then need not form the
+    pass again; the start point goes without one. A pass is dropped before
+    the next trial is evaluated, so memory holds one pass at a time.
 
     Returns (x, stalled, evaluations): stalled means not a single step was
     accepted even at machine-precision step sizes; evaluations counts the
     calls of ``value`` and ``value_and_grad``.
     """
-    f, g = value_and_grad(x)
+    f, g, metric = value_and_grad(x)
+    d, metric = metric(g), None  # its arrays go before the next gradient forms its own
     evaluations = 1
     if not math.isfinite(f):
         raise NumericalError("gradient block started from a non-finite objective")
@@ -235,31 +248,32 @@ def _backtracking_ascent(x, value, value_and_grad):
     step = _INIT_STEP
     max_step = _INIT_STEP * 1024.0
     for _ in range(_MAX_ITERS):
-        gnorm_sq = float(np.vdot(g, g))
-        if math.sqrt(gnorm_sq) <= _GRAD_TOL:
+        slope = float(np.vdot(g, d))
+        if math.sqrt(slope) <= _GRAD_TOL:
             break
         s = step
         accepted = False
         while s > 1e-20:
-            cand = s * g
-            cand += x  # x + s * g, without a second temporary
-            floor = f + _ARMIJO_C * s * gnorm_sq
+            cand = s * d
+            cand += x  # x + s * d, without a second temporary
+            floor = f + _ARMIJO_C * s * slope
             kept = None  # the last pass goes before value forms the next
             fc, kept = value(cand, floor)
             evaluations += 1
             if math.isfinite(fc) and fc >= floor:
                 x = cand
-                f, g_new = value_and_grad(cand, kept=kept)
+                f, g_new, metric = value_and_grad(cand, kept=kept)
+                kept = None  # the pass goes before the step rule forms y and My
                 evaluations += 1
-                step = _next_step(s, g, g_new, max_step)
-                g = g_new
+                step = _next_step(s, d, g_new - g, metric, max_step)
+                g, d, metric = g_new, metric(g_new), None
                 accepted = True
                 accepted_any = True
                 break
             s *= _SHRINK
         if not accepted:
             break
-    stalled = not accepted_any and math.sqrt(float(np.vdot(g, g))) > _GRAD_TOL
+    stalled = not accepted_any and math.sqrt(float(np.vdot(g, d))) > _GRAD_TOL
     return x, stalled, evaluations
 
 
@@ -317,18 +331,36 @@ def update_cluster(state, data, hyper, mom=None):
         )
 
     def value_and_grad(theta, kept=None):
-        return cluster_objective_and_grad(
+        value, grad = cluster_objective_and_grad(
             theta, state, data, rh, mom=mom, kept=kept, fixed=fixed
         )
+        return value, grad, _steepest
 
     return _backtracking_ascent(state.cluster_logits, value, value_and_grad)
+
+
+def _fisher_metric(sig_g, sig_pi):
+    """The inverse Fisher information of q(g) and q(pi) in the coupling
+    block's packing, as a metric for :func:`_backtracking_ascent`: a mean
+    entry's variance for each mean entry, 2 for each log-variance entry."""
+    n_g, r = sig_g.size, sig_pi.size
+
+    def metric(v):
+        out = np.multiply(v, 2.0)
+        np.multiply(v[:n_g], sig_g.reshape(-1), out=out[:n_g])
+        np.multiply(v[2 * n_g : -r], sig_pi, out=out[2 * n_g : -r])
+        return out
+
+    return metric
 
 
 class _CouplingProblem:
     """Restriction of the penalized objective to the membership block.
 
     Parameters are packed as [mu_g, log sig_g, mu_pi, log sig_pi]; variances
-    travel in log space so positivity needs no projection. Trial steps may
+    travel in log space so positivity needs no projection. The block ascends
+    along the natural gradient, in the metric of :func:`_fisher_metric`
+    that each gradient point's variances give. Trial steps may
     underflow a variance to zero or overflow one; the resulting -inf/nan
     objective is rejected by the line search, so callers run the block
     under one ``np.errstate`` that ignores overflow, invalid values and
@@ -402,10 +434,12 @@ class _CouplingProblem:
         return kept[0], kept
 
     def value_and_grad(self, x, kept=None):
-        """(value, gradient) at ``x``. ``kept``, the pass of :meth:`value`
-        at ``x``, is reused; without it a pass is formed here."""
+        """(value, gradient, metric) at ``x``, the metric the
+        :func:`_fisher_metric` of its variances. ``kept``, the pass of
+        :meth:`value` at ``x``, is reused; without it a pass is formed
+        here."""
         value, gradient = kept or self._forward(x, self._membership(x))
-        return value, gradient()
+        return value, *gradient()
 
     def _membership(self, x):
         """The head of a pass at ``x``: the means and variances as
@@ -429,9 +463,20 @@ class _CouplingProblem:
         )
         return mu_g, sig_g, mu_pi, sig_pi, root, t, t_mask, terms, grid
 
+    def _w_variance(self, rho, w):
+        """The excess of <E[A^T A], E[W^T W]> over <E[A^T A], W^T W>, with
+        ``w`` = E[W] and ``rho`` = Phi(t): sum_r a2_r sum_j var W_jr, each
+        variance formed as rho (E[V^2] - rho E[V]^2), which is
+        rho (var V + (1 - rho) E[V]^2). No entry of E[W] is squared: far in
+        the tail one falls below sqrt(tiny), and its square would be a
+        subnormal number, which the CPU multiplies slowly."""
+        excess = w * self.v_mean
+        np.subtract(self.v_second, excess, out=excess)
+        return float(np.einsum("jr,jr->r", rho, excess) @ self.a2_sum)
+
     def _forward(self, x, head):
         """The block objective at ``x``, and a function that computes its
-        gradient from this pass's intermediates; ``head`` is
+        gradient and metric from this pass's intermediates; ``head`` is
         ``_membership(x)``. Trial steps and gradient points share this body,
         so the line search compares values summed in one order."""
         mu_g, sig_g, mu_pi, sig_pi, root, t, t_mask, terms, grid = head
@@ -445,8 +490,7 @@ class _CouplingProblem:
             self.x_sq
             + float(np.vdot(w, err))
             - float(np.vdot(w, self.proj))
-            + float(np.einsum("jr,jr->r", rho, self.v_second) @ self.a2_sum)
-            - float(np.einsum("jr,jr->r", w, w) @ self.a2_sum)
+            + self._w_variance(rho, w)
         )
         value = -0.5 * self.noise_mean * residual
         prec_mu = fill_prior_mean(terms, mu_g, self.lap)
@@ -484,7 +528,7 @@ class _CouplingProblem:
             sig_out -= self.half_precision_diag
             sig_out *= sig_g
             sig_out += 0.5
-            return out
+            return out, _fisher_metric(sig_g, sig_pi)
 
         return value, gradient
 
@@ -497,7 +541,7 @@ def coupling_objective_and_grad(state, data, hyper, lap=None):
     mom = factor_moments(state, data, rh)
     problem = _CouplingProblem(state, data, rh, lap, mom)
     with np.errstate(**_COUPLING_ERRSTATE):
-        return problem.value_and_grad(problem.pack(state.coupling, state.sparsity))
+        return problem.value_and_grad(problem.pack(state.coupling, state.sparsity))[:2]
 
 
 def update_coupling(state, data, hyper, lap=None, mom=None):

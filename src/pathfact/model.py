@@ -303,6 +303,21 @@ def z_marginal(coupling: NormalParams, sparsity: NormalParams):
     return special.ndtr(membership_logit(coupling, sparsity))
 
 
+# entries of E[W] below this, which lie far in the tail of q(Z), are left out
+# of the products in E[W]^T E[W]: the product of two of them would be a
+# subnormal number, which the CPU multiplies slowly, and each product left
+# out is below sqrt(tiny) times an entry of E[W]
+_ROOT_TINY = math.sqrt(np.finfo(float).tiny)
+
+
+def _gram(w):
+    """``w^T w``, without the products of two entries below sqrt(tiny)."""
+    small = np.abs(w) < _ROOT_TINY
+    if small.any():
+        w = np.where(small, 0.0, w)
+    return w.T @ w
+
+
 def factor_moments(state: VariationalState, data: ObservationSet, hyper, side=None, prev=None):
     """Moments shared by the objective and the coordinate updates.
 
@@ -342,7 +357,7 @@ def factor_moments(state: VariationalState, data: ObservationSet, hyper, side=No
             mom.v_second = state.basis.variance + v_mean**2
             mom.w = w = rho * v_mean
             mom.w2_sum = (rho * mom.v_second).sum(axis=0)
-            mom.ww = w.T @ w
+            mom.ww = _gram(w)
             mom.xw = data.X @ w
         np.fill_diagonal(mom.ww, mom.w2_sum)
     mom.c = mom.xw @ mom.s_mean.T

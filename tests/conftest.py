@@ -76,6 +76,26 @@ def make_state(rng, data, spread=1.0):
     )
 
 
+def deep_tail_state(rng, data):
+    """A state whose membership margins lie near -20 in every set but the
+    first, with the basis means there of the order of q(Z=1), as the basis
+    update leaves them far in the tail: the entries of E[W] fall far below
+    sqrt(tiny), and most of their squares underflow."""
+    state = make_state(rng, data)
+    d, r = data.n_features, data.n_sets
+    margins = rng.uniform(-21.0, -19.0, size=(d, r - 1))
+    mean_g = state.coupling.mean.copy()
+    mean_g[:, 1:] = -margins  # q(g) and q(pi) have variance 1/2, so root = 1
+    var_g = np.full((d, r), 0.5)
+    mean_v = state.basis.mean.copy()
+    mean_v[:, 1:] *= np.exp(-0.5 * margins**2) / 20.0
+    return state.updated(
+        coupling=NormalParams(mean_g, var_g),
+        sparsity=NormalParams(np.zeros(r), np.full(r, 0.5)),
+        basis=NormalParams(mean_v, state.basis.variance),
+    )
+
+
 def oracle_state(truth, data):
     """State whose moments reproduce the planted truth almost exactly."""
     k, r = truth.associations.shape

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy import special
 
-from conftest import default_hyper, labeled_graph, make_dataset, make_state, polished_minimum
+from conftest import (
+    deep_tail_state,
+    default_hyper,
+    labeled_graph,
+    make_dataset,
+    make_state,
+    polished_minimum,
+)
 
 from pathfact.dist import (
     GammaParams,
@@ -394,23 +401,70 @@ def direct_cluster_objective_and_grad(theta, state, data, hyper):
     return value, (1.0 - rh.zeta) * tilde * (d_value_du - inner)
 
 
-def doubling_ascent(x0, value, value_and_grad):
-    """Reference: the same Armijo ascent, but each search starts at twice the
-    last accepted step."""
-    x = x0
+def steepest_ascent(x, value, value_and_grad):
+    """Reference: steepest ascent with Barzilai-Borwein starts, written out
+    with no metric. ``value_and_grad`` returns (value, gradient)."""
+
+    def next_step(s, g_old, g_new, max_step):
+        y = g_new - g_old
+        curvature = -s * float(np.vdot(g_old, y))
+        y_sq = float(np.vdot(y, y))
+        if curvature > 0 and y_sq > 0:
+            return min(curvature / y_sq, max_step)
+        return min(s * 2.0, max_step)
+
     f, g = value_and_grad(x)
+    evaluations = 1
+    accepted_any = False
     step = inference._INIT_STEP
+    max_step = inference._INIT_STEP * 1024.0
     for _ in range(inference._MAX_ITERS):
-        gnorm_sq = float((g * g).sum())
+        gnorm_sq = float(np.vdot(g, g))
         if np.sqrt(gnorm_sq) <= inference._GRAD_TOL:
             break
         s = step
+        accepted = False
         while s > 1e-20:
-            cand = x + s * g
+            cand = s * g
+            cand += x
             floor = f + inference._ARMIJO_C * s * gnorm_sq
+            kept = None
+            fc, kept = value(cand, floor)
+            evaluations += 1
+            if np.isfinite(fc) and fc >= floor:
+                x = cand
+                f, g_new = value_and_grad(cand, kept=kept)
+                evaluations += 1
+                step = next_step(s, g, g_new, max_step)
+                g = g_new
+                accepted = accepted_any = True
+                break
+            s *= inference._SHRINK
+        if not accepted:
+            break
+    stalled = not accepted_any and np.sqrt(float(np.vdot(g, g))) > inference._GRAD_TOL
+    return x, stalled, evaluations
+
+
+def doubling_ascent(x0, value, value_and_grad):
+    """Reference: the same Armijo ascent along d = M g, but each search
+    starts at twice the last accepted step."""
+    x = x0
+    f, g, metric = value_and_grad(x)
+    d = metric(g)
+    step = inference._INIT_STEP
+    for _ in range(inference._MAX_ITERS):
+        slope = float((g * d).sum())
+        if np.sqrt(slope) <= inference._GRAD_TOL:
+            break
+        s = step
+        while s > 1e-20:
+            cand = x + s * d
+            floor = f + inference._ARMIJO_C * s * slope
             if value(cand, floor)[0] >= floor:
                 x = cand
-                f, g = value_and_grad(cand)
+                f, g, metric = value_and_grad(cand)
+                d = metric(g)
                 step = min(s * 2.0, inference._INIT_STEP * 1024.0)
                 break
             s *= inference._SHRINK
@@ -428,19 +482,25 @@ class Pass:
 
 class RecordedObjective:
     """f(x) = -x.H.x / 2 + b.x (H = 0: linear), recording each trial point
-    and floor passed to ``value``, with the (x, f, g) the trial steps from,
-    and each (x, f, g) of ``value_and_grad``. Each trial forms a
-    :class:`Pass`, held here only by a weak reference. Recorded too: at each
-    trial, how many earlier passes were still alive, and at each gradient,
-    the point of the pass it was handed (None without one)."""
+    and floor passed to ``value``, with the (x, f, g, d) the trial steps
+    from, and each (x, f, g, d) of ``value_and_grad``. The metric is the
+    diagonal ``metric``, or with None the identity (:func:`_steepest`), and
+    d = M g. Each trial forms a :class:`Pass`, held here only by a weak
+    reference. Recorded too: at each trial, how many earlier passes were
+    still alive, and at each gradient, the point of the pass it was handed
+    (None without one)."""
 
-    def __init__(self, h, b):
+    def __init__(self, h, b, metric=None):
         self.h, self.b = np.asarray(h, dtype=float), np.asarray(b, dtype=float)
+        self.diag = None if metric is None else np.asarray(metric, dtype=float)
         self.trials, self.floors, self.points = [], [], []
         self.passes, self.alive, self.handed = [], [], []
 
     def f(self, x):
         return float(-0.5 * x @ self.h @ x + self.b @ x)
+
+    def metric(self, v):
+        return inference._steepest(v) if self.diag is None else self.diag * v
 
     def value(self, x, floor):
         self.alive.append(sum(ref() is not None for ref in self.passes))
@@ -452,94 +512,135 @@ class RecordedObjective:
 
     def value_and_grad(self, x, kept=None):
         self.handed.append(None if kept is None else kept.x)
-        out = (self.f(x), self.b - self.h @ x)
-        self.points.append((x.copy(), *out))
-        return out
+        value, grad = self.f(x), self.b - self.h @ x
+        self.points.append((x.copy(), value, grad, self.metric(grad)))
+        return value, grad, self.metric
+
+    def steepest(self, x, kept=None):
+        """``value_and_grad`` without the metric, for :func:`steepest_ascent`."""
+        return self.value_and_grad(x, kept)[:2]
 
 
-def step_of(x_from, x_to, g):
-    return float((x_to - x_from) @ g / (g @ g))
+def step_of(x_from, x_to, d):
+    return float((x_to - x_from) @ d / (d @ d))
 
 
+def ascend(make, x0):
+    """Run the ascent on ``make()`` from ``x0``. Under the identity metric,
+    check that every trial point, floor, gradient point and handed pass and
+    the result have the bits of :func:`steepest_ascent` on a second
+    ``make()``. Returns (objective, result)."""
+    obj = make()
+    got = inference._backtracking_ascent(x0, obj.value, obj.value_and_grad)
+    if obj.diag is None:
+        ref = make()
+        want = steepest_ascent(x0, ref.value, ref.steepest)
+
+        def bits(o):
+            points = [(x.tobytes(), f, g.tobytes(), d.tobytes()) for x, f, g, d in o.points]
+            floors = [(floor, x.tobytes()) for floor, (x, *_) in o.floors]
+            handed = [None if x is None else x.tobytes() for x in o.handed]
+            return [t.tobytes() for t in o.trials], floors, points, handed, o.alive
+
+        assert bits(obj) == bits(ref)
+        assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+    return obj, got
+
+
+# the metric of each case, by dimension: the identity, and a diagonal
+# spread over two decades
+@pytest.mark.parametrize(
+    "metric_of",
+    [lambda n: None, lambda n: np.logspace(-1.0, 1.0, n)],
+    ids=["identity", "diagonal"],
+)
 class TestBacktrackingAscent:
-    """The step rule of the shared line search: a Barzilai-Borwein start
-    after each accepted step, doubling where the curvature is not positive,
-    the _INIT_STEP * 1024 cap, and the Armijo test on every accepted step."""
+    """The step rule of the shared line search, under the identity and a
+    diagonal metric: steps along d = M g, a Barzilai-Borwein start after
+    each accepted step, doubling where the curvature is not positive, the
+    _INIT_STEP * 1024 cap, and the Armijo test on g.d for every accepted
+    step. Under the identity every case has the bits of steepest ascent."""
 
-    def test_second_trial_is_barzilai_borwein_step(self, monkeypatch):
+    def test_second_trial_is_barzilai_borwein_step(self, monkeypatch, metric_of):
         h = np.array([[2.0, 0.5], [0.5, 1.0]])
-        obj = RecordedObjective(h, [1.0, -1.0])
+        m = metric_of(2)
         monkeypatch.setattr(inference, "_MAX_ITERS", 2)
         monkeypatch.setattr(inference, "_INIT_STEP", 0.1)
-        inference._backtracking_ascent(np.zeros(2), obj.value, obj.value_and_grad)
-        (x0, _, g0), (x1, _, g1) = obj.points[:2]
+        obj, _ = ascend(lambda: RecordedObjective(h, [1.0, -1.0], m), np.zeros(2))
+        (x0, _, g0, d0), (x1, _, g1, d1) = obj.points[:2]
         np.testing.assert_array_equal(obj.trials[0], x1)  # the first trial was accepted
+        mm = np.eye(2) if m is None else np.diag(m)
         s, y = x1 - x0, g1 - g0
-        # ascent form of s.y / y.y; on a quadratic y = -H s, so it is g.H.g / g.H^2.g
-        expected = -(s @ y) / (y @ y)
-        np.testing.assert_allclose(expected, (g0 @ h @ g0) / (g0 @ h @ h @ g0), rtol=1e-12)
+        # ascent form of s.y / y.My; on a quadratic y = -H s and s = 0.1 M g0,
+        # so it is d0.H.d0 / d0.H.M.H.d0
+        expected = -(s @ y) / (y @ mm @ y)
+        np.testing.assert_allclose(
+            expected, (d0 @ h @ d0) / (d0 @ h @ mm @ h @ d0), rtol=1e-12
+        )
         assert expected != pytest.approx(0.2)  # not the doubled step
-        np.testing.assert_allclose(step_of(x1, obj.trials[1], g1), expected, rtol=1e-12)
+        np.testing.assert_allclose(step_of(x1, obj.trials[1], d1), expected, rtol=1e-12)
 
-    def test_linear_objective_doubles_up_to_cap(self, monkeypatch):
-        obj = RecordedObjective(np.zeros((2, 2)), [3.0, -4.0])
+    def test_linear_objective_doubles_up_to_cap(self, monkeypatch, metric_of):
+        m = metric_of(2)
         monkeypatch.setattr(inference, "_MAX_ITERS", 14)
         monkeypatch.setattr(inference, "_INIT_STEP", 0.5)
-        x, stalled, evaluations = inference._backtracking_ascent(
-            np.zeros(2), obj.value, obj.value_and_grad
+        obj, (x, stalled, evaluations) = ascend(
+            lambda: RecordedObjective(np.zeros((2, 2)), [3.0, -4.0], m), np.zeros(2)
         )
+        d = obj.metric(obj.b)
         starts = [np.zeros(2)] + obj.trials[:-1]
-        steps = [step_of(a, b, obj.b) for a, b in zip(starts, obj.trials)]
+        steps = [step_of(a, b, d) for a, b in zip(starts, obj.trials)]
         np.testing.assert_allclose(steps, [0.5 * min(2.0**k, 1024.0) for k in range(14)])
         np.testing.assert_array_equal(x, obj.trials[-1])
         assert not stalled
         assert evaluations == 1 + 2 * 14
 
-    def test_ill_conditioned_quadratic_ascends_with_fewer_evaluations(self):
+    def test_ill_conditioned_quadratic_ascends_with_fewer_evaluations(self, metric_of):
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
         h = (q * np.logspace(0, 3, 10)) @ q.T
         b = rng.standard_normal(10)
-        obj = RecordedObjective(h, b)
-        x, _, evaluations = inference._backtracking_ascent(
-            np.zeros(10), obj.value, obj.value_and_grad
-        )
+        m = metric_of(10)
+        obj, (x, _, evaluations) = ascend(lambda: RecordedObjective(h, b, m), np.zeros(10))
         assert evaluations == len(obj.trials) + len(obj.points)
         assert len(obj.points) == inference._MAX_ITERS + 1
-        for (xa, fa, ga), (xb, fb, _) in zip(obj.points, obj.points[1:]):
-            margin = inference._ARMIJO_C * step_of(xa, xb, ga) * (ga @ ga)
+        for (xa, fa, ga, da), (xb, fb, _, _) in zip(obj.points, obj.points[1:]):
+            margin = inference._ARMIJO_C * step_of(xa, xb, da) * (ga @ da)
             assert fb - fa >= margin * (1.0 - 1e-9)
-        ref = RecordedObjective(h, b)
+        ref = RecordedObjective(h, b, m)
         x_ref = doubling_ascent(np.zeros(10), ref.value, ref.value_and_grad)
         assert len(obj.trials) < len(ref.trials)
         assert obj.f(x) > ref.f(x_ref)
 
-    def test_each_trial_gets_its_armijo_floor(self):
-        """value(x, floor) receives f + _ARMIJO_C * s * |g|^2 for the step s
-        of that trial from the point (x, f, g) it steps from."""
+    def test_each_trial_gets_its_armijo_floor(self, metric_of):
+        """value(x, floor) receives f + _ARMIJO_C * s * g.d for the step s
+        of that trial from the point (x, f, g, d) it steps from, and the
+        trial is that point plus s * d."""
         rng = np.random.default_rng(1)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        obj = RecordedObjective((q * np.logspace(0, 2, 6)) @ q.T, rng.standard_normal(6))
-        inference._backtracking_ascent(np.zeros(6), obj.value, obj.value_and_grad)
+        h, b, m = (q * np.logspace(0, 2, 6)) @ q.T, rng.standard_normal(6), metric_of(6)
+        obj, _ = ascend(lambda: RecordedObjective(h, b, m), np.zeros(6))
         shrunk = 0
-        for trial, (floor, (x, f, g)) in zip(obj.trials, obj.floors):
-            s = step_of(x, trial, g)
-            assert floor == pytest.approx(f + inference._ARMIJO_C * s * (g @ g), rel=1e-12, abs=0)
+        for trial, (floor, (x, f, g, d)) in zip(obj.trials, obj.floors):
+            np.testing.assert_array_equal(d, obj.metric(g))
+            s = step_of(x, trial, d)
+            np.testing.assert_allclose(trial, x + s * d, rtol=1e-14, atol=1e-14)
+            assert floor == pytest.approx(f + inference._ARMIJO_C * s * (g @ d), rel=1e-12, abs=0)
             shrunk += obj.f(trial) < floor
         assert shrunk > 0  # some trials were rejected and shrunk
 
-    def test_hands_each_accepted_pass_to_its_gradient_and_holds_one(self):
+    def test_hands_each_accepted_pass_to_its_gradient_and_holds_one(self, metric_of):
         """The gradient at each accepted trial gets that trial's pass, the
         gradient at the start none, and every pass is dropped before the
         next trial forms its own: memory holds one pass at a time."""
         rng = np.random.default_rng(2)
         q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        obj = RecordedObjective((q * np.logspace(0, 2, 6)) @ q.T, rng.standard_normal(6))
-        inference._backtracking_ascent(np.zeros(6), obj.value, obj.value_and_grad)
+        h, b, m = (q * np.logspace(0, 2, 6)) @ q.T, rng.standard_normal(6), metric_of(6)
+        obj, _ = ascend(lambda: RecordedObjective(h, b, m), np.zeros(6))
         assert len(obj.points) > 2 and len(obj.trials) > len(obj.points)
         assert obj.alive == [0] * len(obj.trials)
         assert obj.handed[0] is None
-        for (x, _, _), handed in zip(obj.points[1:], obj.handed[1:]):
+        for (x, _, _, _), handed in zip(obj.points[1:], obj.handed[1:]):
             assert handed.tobytes() == x.tobytes()
 
 
@@ -615,9 +716,33 @@ class TestUpdateCluster:
         fresh = inference._backtracking_ascent(
             state.cluster_logits,
             lambda th, _floor: (evaluate(th, state, data, rh, with_grad=False, mom=mom)[0], None),
-            lambda th, kept=None: evaluate(th, state, data, rh, mom=mom),
+            lambda th, kept=None: (*evaluate(th, state, data, rh, mom=mom), inference._steepest),
         )
         assert theta.tobytes() == fresh[0].tobytes() and evaluations == fresh[2]
+
+    @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.9])
+    def test_is_steepest_ascent_bit_for_bit(self, zeta):
+        """The block ascends along the gradient itself: it returns the logit
+        bytes, stalled flag and evaluation count of the steepest-ascent
+        reference, which takes no metric."""
+        rng = np.random.default_rng(27)
+        for _ in range(3):
+            data = make_dataset(rng, n=12, d=7, k=3, r=4)
+            state = make_state(rng, data)
+            rh = default_hyper(zeta=zeta).resolve(data)
+            mom = factor_moments(state, data, rh)
+            theta, stalled, evaluations = update_cluster(state, data, rh, mom=mom)
+            want = steepest_ascent(
+                state.cluster_logits,
+                lambda th, _floor: cluster_objective_and_grad(
+                    th, state, data, rh, with_grad=False, mom=mom
+                ),
+                lambda th, kept=None: cluster_objective_and_grad(
+                    th, state, data, rh, mom=mom, kept=kept
+                ),
+            )
+            assert evaluations > 3
+            assert (theta.tobytes(), stalled, evaluations) == (want[0].tobytes(), *want[1:])
 
     def test_zeta_one_leaves_logits(self):
         rng = np.random.default_rng(8)
@@ -887,11 +1012,71 @@ class TestUpdateCoupling:
             problem = _CouplingProblem(state, data, rh, lap, mom)
             x0 = problem.pack(state.coupling, state.sparsity)
             for x in (x0, x0 + 0.3 * rng.standard_normal(x0.size)):
-                value, grad = problem.value_and_grad(x)
+                value, grad, _ = problem.value_and_grad(x)
                 want_value, want_grad = reference_coupling(state, data, rh, lap, mom, x)
                 assert value == pytest.approx(want_value, rel=1e-12, abs=0)
                 scale = np.abs(want_grad).max()
                 np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * scale)
+
+    def test_direction_is_the_natural_gradient(self, monkeypatch):
+        """The metric that value_and_grad returns scales each mean entry of
+        the gradient by that pass's variance and each log-variance entry by
+        2, so d = M g entry for entry and g.d > 0 at random states."""
+        rng = np.random.default_rng(16)
+        data = make_dataset(rng, n=20, d=15, k=3, r=4, edge_prob=0.2, mask_prob=0.3)
+        rh = default_hyper(zeta=0.6, xi=4.0).resolve(data)
+        lap = normalized_laplacian(data.graph, rh.epsilon)
+        heads = []
+        membership = _CouplingProblem._membership
+
+        def recorded(self, x):
+            heads.append(membership(self, x))
+            return heads[-1]
+
+        monkeypatch.setattr(_CouplingProblem, "_membership", recorded)
+        n_g, r = data.n_features * data.n_sets, data.n_sets
+        for _ in range(5):
+            state = make_state(rng, data, spread=2.0)
+            problem = _CouplingProblem(state, data, rh, lap, factor_moments(state, data, rh))
+            x = problem.pack(state.coupling, state.sparsity)
+            heads.clear()
+            _, grad, metric = problem.value_and_grad(x)
+            (head,) = heads
+            sig_g, sig_pi = head[1], head[3]
+            diag = np.concatenate([sig_g.ravel(), np.full(n_g, 2.0), sig_pi, np.full(r, 2.0)])
+            d = metric(grad)
+            assert d.tobytes() == (diag * grad).tobytes()
+            assert float(grad @ d) > 0
+            # the metric applies to any vector, as the step rule's M y
+            y = rng.standard_normal(x.size)
+            assert metric(y).tobytes() == (diag * y).tobytes()
+
+    def test_variance_term_far_in_the_tail(self):
+        """Far in the tail, where most squares of E[W]'s entries underflow,
+        the value's variance term, read per set, is the two sums
+        rho . E[V^2] - E[W] . E[W] to rounding, and the value matches the
+        reference formula."""
+        rng = np.random.default_rng(17)
+        data = make_dataset(rng, n=10, d=300, k=2, r=5, mask_prob=0.1)
+        rh = default_hyper(xi=4.0).resolve(data)
+        lap = normalized_laplacian(data.graph, rh.epsilon)
+        tiny = np.finfo(float).tiny
+        for _ in range(3):
+            state = deep_tail_state(rng, data)
+            mom = factor_moments(state, data, rh)
+            rho, w = mom.rho, mom.w
+            assert np.mean((w != 0) & (np.abs(w * w) < tiny)) > 0.5
+            problem = _CouplingProblem(state, data, rh, lap, mom)
+            for r in range(data.n_sets):  # one set at a time
+                problem.a2_sum = np.eye(data.n_sets)[r]
+                want = float(rho[:, r] @ mom.v_second[:, r]) - float(w[:, r] @ w[:, r])
+                assert problem._w_variance(rho, w) == pytest.approx(want, rel=1e-14, abs=0)
+            problem = _CouplingProblem(state, data, rh, lap, mom)
+            x = problem.pack(state.coupling, state.sparsity)
+            with np.errstate(**inference._COUPLING_ERRSTATE):
+                value = problem.value_and_grad(x)[0]
+            want_value = reference_coupling(state, data, rh, lap, mom, x)[0]
+            assert value == pytest.approx(want_value, rel=1e-12, abs=0)
 
     def test_ascends_objective(self):
         rng = np.random.default_rng(14)
@@ -947,8 +1132,12 @@ class TestTrialValues:
 
     @staticmethod
     def assert_same(got, want):
+        """Equal values and gradients, and, for the coupling block, metrics
+        that give equal directions."""
         assert got[0] == want[0]
         assert got[1].tobytes() == want[1].tobytes()
+        if len(want) > 2:
+            assert got[2](got[1]).tobytes() == want[2](want[1]).tobytes()
 
     def test_coupling_value_matches_value_and_grad_and_objective(self):
         data, state, rh, lap, problem, passes, fresh, points = self.coupling_setup(41)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import default_hyper, labeled_graph, make_dataset, make_state, traced_peak
+from conftest import (
+    deep_tail_state,
+    default_hyper,
+    labeled_graph,
+    make_dataset,
+    make_state,
+    traced_peak,
+)
 
 from pathfact.dist import (
     GammaParams,
@@ -174,6 +181,28 @@ def set_space_residual(data, mom):
     """The expected squared residual in set space, from A- and W-side
     moments: ||X||^2 - 2 <E[A], X E[W]> + <E[A^T A], E[W^T W]>."""
     return data.x_sq - 2.0 * float(np.sum(mom.a * mom.xw)) + float(np.sum(mom.aa * mom.ww))
+
+
+class TestFactorMoments:
+    def test_gram_of_w(self):
+        """The off-diagonal of E[W^T W] is W^T W: bit for bit at a random
+        state, and to rounding far in the tail, where most squares of E[W]'s
+        entries underflow. The diagonal holds the second moments."""
+        rng = np.random.default_rng(61)
+        data = make_dataset(rng, n=8, d=300, k=2, r=5)
+        off = ~np.eye(data.n_sets, dtype=bool)
+        tiny = np.finfo(float).tiny
+        for _ in range(3):
+            mom = factor_moments(make_state(rng, data), data, default_hyper())
+            assert mom.ww[off].tobytes() == (mom.w.T @ mom.w)[off].tobytes()
+            mom = factor_moments(deep_tail_state(rng, data), data, default_hyper())
+            w = mom.w
+            assert np.mean((w != 0) & (np.abs(w * w) < tiny)) > 0.5
+            want = w.T @ w
+            np.testing.assert_allclose(
+                mom.ww[off], want[off], rtol=0, atol=1e-15 * np.abs(want).max()
+            )
+            np.testing.assert_array_equal(np.diag(mom.ww), mom.w2_sum)
 
 
 class TestExpectedSqResidual:
