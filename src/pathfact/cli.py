@@ -55,11 +55,6 @@ def _path(help_text):
     return field(default=None, metadata={"help": help_text})
 
 
-def _hyperparameter(f):
-    # the broadcast priors are set as one number
-    return f.name, float if f.type is object else f.type, field(default=f.default)
-
-
 RunConfig = make_dataclass(
     "RunConfig",
     [
@@ -68,7 +63,7 @@ RunConfig = make_dataclass(
         ("gmt", str, _path("gene-set GMT file")),
         ("edges", str, _path("interaction edge list")),
         ("out", str, _path("output directory")),
-        *map(_hyperparameter, fields(Hyperparameters)),
+        *((f.name, f.type, field(default=f.default)) for f in fields(Hyperparameters)),
         ("top_m", int, field(default=5)),
         ("clamp_known", bool, field(default=False)),
     ],
@@ -107,7 +102,8 @@ def _coerce(key, kind, text):
     try:
         return kind(text)
     except ValueError:
-        raise UsageError(f"config key {key!r} has non-numeric value {text!r}")
+        problem = "expects an integer, got" if kind is int else "has non-numeric value"
+        raise UsageError(f"config key {key!r} {problem} {text!r}")
 
 
 def parse_config_file(path, types=_CONFIG_TYPES) -> dict:
@@ -213,18 +209,10 @@ def _render_run_meta(config: RunConfig, hyper, data, report) -> str:
         )
     )
     lines.append("# evaluations: " + render_counts(report.evaluations))
-    # scalar settings as resolved; the broadcast prior arrays keep the
-    # config's scalar
-    resolved = replace(
-        config,
-        **{
-            f.name: getattr(hyper, f.name)
-            for f in fields(Hyperparameters)
-            if np.ndim(getattr(hyper, f.name)) == 0
-        },
-    )
+    # an unset beta_a is recorded as the default the fit used
+    recorded = replace(config, beta_a=hyper.beta_a_for(data.n_sets))
     for f in fields(RunConfig):
-        value = getattr(resolved, f.name)
+        value = getattr(recorded, f.name)
         if value is None:
             text = "none"
         elif isinstance(value, bool):
@@ -261,7 +249,7 @@ def cmd_fit(argv) -> int:
 
     data = dataio.load_observations(config.expression, config.labels, config.gmt, config.edges)
     try:
-        hyper = hyper.resolve(data)
+        hyper.check_epsilon(data.graph.n_edges > 0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -87,17 +87,14 @@ class FitReport:
 def init_state(data: ObservationSet, hyper) -> VariationalState:
     """Prior-anchored initialization; a small seeded jitter on the basis
     means breaks the sign symmetry of V."""
-    rh = hyper.resolve(data)
-    rng = np.random.default_rng(rh.seed)
+    rng = np.random.default_rng(hyper.seed)
     k, r, d, n = data.n_clusters, data.n_sets, data.n_features, data.n_samples
-    a = rh.beta_a / r
+    a = hyper.set_shape(r)
     pi_mean = float(std_normal_quantile(a / (a + 1.0)))
     return VariationalState(
-        noise=GammaParams(rh.alpha_a0, rh.alpha_b0),
-        assoc=TruncatedNormalParams(1.0 / rh.lambda_s0, np.ones((k, r))),
-        basis=NormalParams(
-            rh.mu_v0 + 0.01 * rng.standard_normal((d, r)), rh.sigma_v0.copy()
-        ),
+        noise=GammaParams(hyper.alpha_a0, hyper.alpha_b0),
+        assoc=TruncatedNormalParams(1.0 / hyper.lambda_s0, np.ones((k, r))),
+        basis=NormalParams(hyper.mu_v0 + 0.01 * rng.standard_normal((d, r)), hyper.sigma_v0),
         coupling=NormalParams(np.zeros((d, r)), np.ones((d, r))),
         sparsity=NormalParams(np.full(r, pi_mean), np.ones(r)),
         cluster_logits=np.zeros((n, k)),
@@ -106,36 +103,32 @@ def init_state(data: ObservationSet, hyper) -> VariationalState:
 
 def update_noise(state, data, hyper, mom=None) -> GammaParams:
     """Conjugate Gamma update of the observation precision."""
-    rh = hyper.resolve(data)
-    residual = expected_sq_residual(state, data, rh, mom=mom)
-    shape = rh.alpha_a0 + 0.5 * data.n_samples * data.n_features
-    rate = rh.alpha_b0 + 0.5 * residual
+    residual = expected_sq_residual(state, data, hyper, mom=mom)
+    shape = hyper.alpha_a0 + 0.5 * data.n_samples * data.n_features
+    rate = hyper.alpha_b0 + 0.5 * residual
     return GammaParams(shape, rate)
 
 
-def _assoc_site(k, r, m, gram_u, proj, gram_w, noise_mean, lam_kr):
+def _assoc_site(k, r, m, gram_u, proj, gram_w, noise_mean, lam):
     """Conditional truncated-normal maximizer for one association entry;
     ``gram_w`` is E[W^T W]."""
     prec = noise_mean * gram_u[k, k] * gram_w[r, r]
     linear = noise_mean * (proj[k, r] - (gram_u[k] @ m) @ gram_w[:, r]) + prec * m[k, r]
     scale = min(1.0 / max(prec, _MIN_PRECISION), _MAX_SCALE)
-    return (linear - lam_kr) * scale, scale
+    return (linear - lam) * scale, scale
 
 
 def update_association(state, data, hyper, k, r) -> TruncatedNormalParams:
     """Closed-form update of q(S_kr) with every other factor held fixed."""
-    rh = hyper.resolve(data)
-    mom = factor_moments(state, data, rh)
+    mom = factor_moments(state, data, hyper)
     noise_mean = float(state.noise.mean)
     gram_u = mom.u.T @ mom.u
     proj = mom.u.T @ mom.xw
-    loc, scale = _assoc_site(
-        k, r, mom.s_mean, gram_u, proj, mom.ww, noise_mean, rh.lambda_s0[k, r]
-    )
+    loc, scale = _assoc_site(k, r, mom.s_mean, gram_u, proj, mom.ww, noise_mean, hyper.lambda_s0)
     return TruncatedNormalParams(loc, scale)
 
 
-def _association_sweep(state, data, rh, mom) -> TruncatedNormalParams:
+def _association_sweep(state, data, hyper, mom) -> TruncatedNormalParams:
     noise_mean = float(state.noise.mean)
     gram_u = mom.u.T @ mom.u
     proj = mom.u.T @ mom.xw
@@ -145,7 +138,7 @@ def _association_sweep(state, data, rh, mom) -> TruncatedNormalParams:
     for k in range(data.n_clusters):
         for r in range(data.n_sets):
             loc_new, scale_new = _assoc_site(
-                k, r, m, gram_u, proj, mom.ww, noise_mean, rh.lambda_s0[k, r]
+                k, r, m, gram_u, proj, mom.ww, noise_mean, hyper.lambda_s0
             )
             loc[k, r] = loc_new
             scale[k, r] = scale_new
@@ -154,7 +147,7 @@ def _association_sweep(state, data, rh, mom) -> TruncatedNormalParams:
     return TruncatedNormalParams(loc, scale)
 
 
-def _basis_column(r, w, noise_mean, rh, mom):
+def _basis_column(r, w, noise_mean, hyper, mom):
     """Conditional Gaussian maximizer of q(V_jr) for every feature j at once:
     with U, S and Z fixed the rows of V are conditionally independent. ``w``
     holds E[W] with the current means of the other sets; the sufficient
@@ -162,8 +155,8 @@ def _basis_column(r, w, noise_mean, rh, mom):
     columns."""
     rho = mom.rho[:, r]
     gram = mom.aa
-    prec = 1.0 / rh.sigma_v0[:, r] + noise_mean * rho * mom.a2_sum[r]
-    linear = rh.mu_v0[:, r] / rh.sigma_v0[:, r] + noise_mean * rho * (
+    prec = 1.0 / hyper.sigma_v0 + noise_mean * rho * mom.a2_sum[r]
+    linear = hyper.mu_v0 / hyper.sigma_v0 + noise_mean * rho * (
         mom.xta[:, r] - w @ gram[:, r] + w[:, r] * gram[r, r]
     )
     return linear / prec, 1.0 / prec
@@ -171,21 +164,20 @@ def _basis_column(r, w, noise_mean, rh, mom):
 
 def update_basis(state, data, hyper, j, r) -> NormalParams:
     """Closed-form update of q(V_jr) with every other factor held fixed."""
-    rh = hyper.resolve(data)
-    mom = factor_moments(state, data, rh)
+    mom = factor_moments(state, data, hyper)
     noise_mean = float(state.noise.mean)
-    mean, var = _basis_column(r, mom.w, noise_mean, rh, mom)
+    mean, var = _basis_column(r, mom.w, noise_mean, hyper, mom)
     return NormalParams(mean[j], var[j])
 
 
-def _basis_sweep(state, data, rh, mom) -> NormalParams:
+def _basis_sweep(state, data, hyper, mom) -> NormalParams:
     """Gauss-Seidel over the sets, one column of V per step."""
     noise_mean = float(state.noise.mean)
     mean = mom.v_mean.copy()
     var = np.empty_like(mean)
     w = mom.w.copy()
     for r in range(data.n_sets):
-        mean[:, r], var[:, r] = _basis_column(r, w, noise_mean, rh, mom)
+        mean[:, r], var[:, r] = _basis_column(r, w, noise_mean, hyper, mom)
         w[:, r] = mom.rho[:, r] * mean[:, r]
     return NormalParams(mean, var)
 
@@ -215,7 +207,8 @@ def _backtracking_ascent(x, value, value_and_grad):
     vector shaped like ``g``. The search direction is ``d = M g``. M = I
     (:func:`_steepest`) gives steepest ascent, and the inverse Fisher
     information of a variational factor gives its natural gradient. The
-    search ends early once ``sqrt(g.d)`` is at most ``_GRAD_TOL``.
+    search ends early once ``sqrt(g.d)`` is at most ``_GRAD_TOL``, and
+    raises :class:`NumericalError` when ``g.d`` is NaN.
 
     The first search starts at ``_INIT_STEP``. After a step ``s * d_old`` is
     accepted, the next search starts at the Barzilai-Borwein short step
@@ -249,6 +242,8 @@ def _backtracking_ascent(x, value, value_and_grad):
     max_step = _INIT_STEP * 1024.0
     for _ in range(_MAX_ITERS):
         slope = float(np.vdot(g, d))
+        if math.isnan(slope):
+            raise NumericalError("gradient block met a NaN gradient")
         if math.sqrt(slope) <= _GRAD_TOL:
             break
         s = step
@@ -273,14 +268,15 @@ def _backtracking_ascent(x, value, value_and_grad):
             s *= _SHRINK
         if not accepted:
             break
-    stalled = not accepted_any and math.sqrt(float(np.vdot(g, d))) > _GRAD_TOL
+    # unless a step was accepted, slope is still g.d at the start point
+    stalled = not accepted_any and math.sqrt(slope) > _GRAD_TOL
     return x, stalled, evaluations
 
 
-def _cluster_fixed(state, data, rh):
+def _cluster_fixed(state, data, hyper):
     """The terms of the cluster objective that stay fixed through a block:
     E[gamma], zeta U0 and 1 - zeta."""
-    return float(state.noise.mean), rh.zeta * data.U0, 1.0 - rh.zeta
+    return float(state.noise.mean), hyper.zeta * data.U0, 1.0 - hyper.zeta
 
 
 def cluster_objective_and_grad(
@@ -296,9 +292,8 @@ def cluster_objective_and_grad(
     Returns (value, gradient), or with ``with_grad=False`` (value, pass);
     given ``kept``, the pass of a call at theta, the gradient reuses it.
     """
-    rh = hyper.resolve(data)
-    mom = mom or factor_moments(state, data, rh)
-    noise_mean, zeta_u0, share = fixed or _cluster_fixed(state, data, rh)
+    mom = mom or factor_moments(state, data, hyper)
+    noise_mean, zeta_u0, share = fixed or _cluster_fixed(state, data, hyper)
     if kept is None:
         tilde = softmax_rows(theta)
         u = zeta_u0 + share * tilde
@@ -318,21 +313,20 @@ def update_cluster(state, data, hyper, mom=None):
 
     Returns (logits, stalled, evaluations) as :func:`_backtracking_ascent`.
     """
-    rh = hyper.resolve(data)
-    if rh.zeta == 1.0:
+    if hyper.zeta == 1.0:
         return state.cluster_logits.copy(), False, 0
 
-    mom = mom or factor_moments(state, data, rh)
-    fixed = _cluster_fixed(state, data, rh)
+    mom = mom or factor_moments(state, data, hyper)
+    fixed = _cluster_fixed(state, data, hyper)
 
     def value(theta, _floor):  # the likelihood alone: nothing cheaper to screen by
         return cluster_objective_and_grad(
-            theta, state, data, rh, with_grad=False, mom=mom, fixed=fixed
+            theta, state, data, hyper, with_grad=False, mom=mom, fixed=fixed
         )
 
     def value_and_grad(theta, kept=None):
         value, grad = cluster_objective_and_grad(
-            theta, state, data, rh, mom=mom, kept=kept, fixed=fixed
+            theta, state, data, hyper, mom=mom, kept=kept, fixed=fixed
         )
         return value, grad, _steepest
 
@@ -367,8 +361,8 @@ class _CouplingProblem:
     division by zero (see :data:`_COUPLING_ERRSTATE`).
     """
 
-    def __init__(self, state, data, rh, lap, mom):
-        self.rh = rh
+    def __init__(self, state, data, hyper, lap, mom):
+        self.hyper = hyper
         self.lap = lap
         self.noise_mean = float(state.noise.mean)
         self.pdf_scale = -self.noise_mean / np.sqrt(2.0 * np.pi)  # -E[gamma] phi(0)
@@ -379,13 +373,13 @@ class _CouplingProblem:
         self.proj = mom.xta
         self.mask = data.mask_indices
         self.mask_flat = self.mask[0] * data.n_sets + self.mask[1]  # into a D x R array
-        self.penalized = self.mask[0].size > 0 and rh.xi > 0
+        self.penalized = self.mask[0].size > 0 and hyper.xi > 0
         self.shape = mom.v_mean.shape
         self.n_g = mom.v_mean.size
         # the gradient's terms that stay fixed through the block
         self.half_a2_v_second = (0.5 * mom.a2_sum) * mom.v_second
         self.half_precision_diag = 0.5 * lap.precision_diag[:, None]
-        self.a_beta_less_1 = rh.beta_a / data.n_sets - 1.0
+        self.a_beta_less_1 = hyper.set_shape(data.n_sets) - 1.0
         self.x_sq = data.x_sq
         # how far rounding can lift the likelihood above zero (see value())
         self.likelihood_cap = _SCREEN_RTOL * 0.5 * self.noise_mean * self.x_sq
@@ -459,7 +453,7 @@ class _CouplingProblem:
         t = (mu_pi - mu_g) / root
         t_mask = t.take(self.mask_flat)
         terms, grid = membership_terms(
-            (mu_g, sig_g, log_sig_g), (mu_pi, sig_pi, log_sig_pi), t_mask, self.rh, self.lap
+            (mu_g, sig_g, log_sig_g), (mu_pi, sig_pi, log_sig_pi), t_mask, self.hyper, self.lap
         )
         return mu_g, sig_g, mu_pi, sig_pi, root, t, t_mask, terms, grid
 
@@ -513,7 +507,7 @@ class _CouplingProblem:
             d_t *= np.exp(density, out=density)
             d_t *= self.pdf_scale  # d value / d t
             if self.penalized:  # d_t is a new C-ordered array: reshape gives a view
-                d_t.reshape(-1)[self.mask_flat] += self.rh.xi * pdf_over_cdf(t_mask)
+                d_t.reshape(-1)[self.mask_flat] += self.hyper.xi * pdf_over_cdf(t_mask)
             # d t / d mu_pi = -d t / d mu_g = 1 / root
             d_mu = np.divide(d_t, root, out=d_t)
             np.negative(d_mu, out=mu_out)
@@ -536,10 +530,9 @@ class _CouplingProblem:
 def coupling_objective_and_grad(state, data, hyper, lap=None):
     """Objective restriction and gradient for the membership block at the
     state's current coupling/sparsity parameters (testing hook)."""
-    rh = hyper.resolve(data)
-    lap = lap or normalized_laplacian(data.graph, rh.epsilon)
-    mom = factor_moments(state, data, rh)
-    problem = _CouplingProblem(state, data, rh, lap, mom)
+    lap = lap or normalized_laplacian(data.graph, hyper.epsilon)
+    mom = factor_moments(state, data, hyper)
+    problem = _CouplingProblem(state, data, hyper, lap, mom)
     with np.errstate(**_COUPLING_ERRSTATE):
         return problem.value_and_grad(problem.pack(state.coupling, state.sparsity))[:2]
 
@@ -549,10 +542,9 @@ def update_coupling(state, data, hyper, lap=None, mom=None):
 
     Returns (coupling, sparsity, stalled, evaluations).
     """
-    rh = hyper.resolve(data)
-    lap = lap or normalized_laplacian(data.graph, rh.epsilon)
-    mom = mom or factor_moments(state, data, rh)
-    problem = _CouplingProblem(state, data, rh, lap, mom)
+    lap = lap or normalized_laplacian(data.graph, hyper.epsilon)
+    mom = mom or factor_moments(state, data, hyper)
+    problem = _CouplingProblem(state, data, hyper, lap, mom)
     with np.errstate(**_COUPLING_ERRSTATE):
         x, stalled, evaluations = _backtracking_ascent(
             problem.pack(state.coupling, state.sparsity), problem.value, problem.value_and_grad
@@ -573,22 +565,22 @@ def fit(data: ObservationSet, hyper) -> FitReport:
     for three consecutive sweeps, or at ``max_sweeps``. Deterministic for a
     fixed seed and BLAS thread count.
     """
-    rh = hyper.resolve(data)
-    if rh.xi > 0 and not data.Z0.any():
+    hyper.check_epsilon(data.graph.n_edges > 0)
+    if hyper.xi > 0 and not data.Z0.any():
         warnings.warn("penalty weight xi > 0 but the known-membership set is empty")
-    lap = normalized_laplacian(data.graph, rh.epsilon)
-    state = init_state(data, rh)
+    lap = normalized_laplacian(data.graph, hyper.epsilon)
+    state = init_state(data, hyper)
     stalled = {"cluster": 0, "coupling": 0}
     evaluations = {"cluster": 0, "coupling": 0}
 
     def cluster_step(s, m):
-        theta, stuck, evals = update_cluster(s, data, rh, mom=m)
+        theta, stuck, evals = update_cluster(s, data, hyper, mom=m)
         stalled["cluster"] += stuck
         evaluations["cluster"] += evals
         return s.updated(cluster_logits=theta)
 
     def coupling_step(s, m):
-        coupling, sparsity, stuck, evals = update_coupling(s, data, rh, lap=lap, mom=m)
+        coupling, sparsity, stuck, evals = update_coupling(s, data, hyper, lap=lap, mom=m)
         stalled["coupling"] += stuck
         evaluations["coupling"] += evals
         return s.updated(coupling=coupling, sparsity=sparsity)
@@ -596,9 +588,9 @@ def fit(data: ObservationSet, hyper) -> FitReport:
     # the blocks in sweep order, each with the side of the moments it
     # changes (see factor_moments); no moment depends on q(alpha)
     blocks = {
-        "noise": (lambda s, m: s.updated(noise=update_noise(s, data, rh, mom=m)), None),
-        "association": (lambda s, m: s.updated(assoc=_association_sweep(s, data, rh, m)), "a"),
-        "basis": (lambda s, m: s.updated(basis=_basis_sweep(s, data, rh, m)), "w"),
+        "noise": (lambda s, m: s.updated(noise=update_noise(s, data, hyper, mom=m)), None),
+        "association": (lambda s, m: s.updated(assoc=_association_sweep(s, data, hyper, m)), "a"),
+        "basis": (lambda s, m: s.updated(basis=_basis_sweep(s, data, hyper, m)), "w"),
         "cluster": (cluster_step, "a"),
         "coupling": (coupling_step, "w"),
     }
@@ -613,11 +605,11 @@ def fit(data: ObservationSet, hyper) -> FitReport:
         start = time.perf_counter()
         state = step(state, mom)
         block_seconds[name] += time.perf_counter() - start
-        return state, factor_moments(state, data, rh, side, mom) if side else mom
+        return state, factor_moments(state, data, hyper, side, mom) if side else mom
 
     def objective(current, block, mom, member):
         try:
-            obj, bound, penalty = regularized_objective(current, data, rh, lap, mom, member)
+            obj, bound, penalty = regularized_objective(current, data, hyper, lap, mom, member)
         except NumericalError as exc:
             raise NumericalError(f"after block '{block}': {exc}") from exc
         if not np.isfinite(obj):
@@ -627,22 +619,22 @@ def fit(data: ObservationSet, hyper) -> FitReport:
     # warm-up: one coupling pass before any factor block, so the curated
     # memberships shape q(Z) before the basis commits to features; pure
     # ascent, so the monotonicity contract is unaffected
-    state, mom = run("coupling", state, factor_moments(state, data, rh))
+    state, mom = run("coupling", state, factor_moments(state, data, hyper))
     # the membership terms read only q(g) and q(pi): recomputed after coupling
-    member = state_membership_terms(state, data, rh, lap, mom)
+    member = state_membership_terms(state, data, hyper, lap, mom)
     trace = ElboTrace()
     obj, bound, penalty = objective(state, "init", mom, member)
     trace.append(SweepRecord(sweep=0, elbo=bound, penalty=penalty, objective=obj, block_deltas={}))
     status = "max_sweeps"
     quiet = 0
     sweeps_done = 0
-    for sweep in range(1, rh.max_sweeps + 1):
+    for sweep in range(1, hyper.max_sweeps + 1):
         prev_obj = obj
         deltas = {}
         for name in blocks:
             state, mom = run(name, state, mom)
             if name == "coupling":
-                member = state_membership_terms(state, data, rh, lap, mom)
+                member = state_membership_terms(state, data, hyper, lap, mom)
             new_obj, new_bound, new_penalty = objective(state, name, mom, member)
             deltas[name] = new_obj - obj
             obj, bound, penalty = new_obj, new_bound, new_penalty
@@ -652,7 +644,7 @@ def fit(data: ObservationSet, hyper) -> FitReport:
         )
         sweeps_done = sweep
         rel_change = abs(obj - prev_obj) / max(abs(prev_obj), 1e-12)
-        quiet = quiet + 1 if rel_change < rh.elbo_rel_tol else 0
+        quiet = quiet + 1 if rel_change < hyper.elbo_rel_tol else 0
         if quiet >= 3:
             status = "converged"
             break

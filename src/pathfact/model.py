@@ -8,6 +8,7 @@ All functions here are side-effect free; inference drives them.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from types import SimpleNamespace
@@ -118,17 +119,18 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Prior constants plus fit schedule.
+    """Prior constants plus fit schedule, each a single number.
 
-    ``lambda_s0`` broadcasts to K x R, ``mu_v0``/``sigma_v0`` to D x R.
+    Each prior is shared by every entry it governs: ``lambda_s0`` by the
+    K x R associations, ``mu_v0`` and ``sigma_v0`` by the D x R basis.
     ``beta_a`` defaults to R / 10 when left unset.
     """
 
     alpha_a0: float = 1.0
     alpha_b0: float = 1.0
-    lambda_s0: object = 1.0
-    mu_v0: object = 0.0
-    sigma_v0: object = 1.0
+    lambda_s0: float = 1.0
+    mu_v0: float = 0.0
+    sigma_v0: float = 1.0
     beta_a: float = None
     zeta: float = 0.9
     xi: float = 100.0
@@ -140,19 +142,21 @@ class Hyperparameters:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            # an int is finite, and may be too large for a float
-            if value is None or f.type is int:
+            if value is None and f.default is None:
                 continue
-            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            # an int is finite, and may be too large for a float
+            if f.type is int:
+                if not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{f.name} must be an integer")
+            elif not isinstance(value, numbers.Real):
+                raise ValueError(f"{f.name} must be a single number")
+            elif not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
         if self.alpha_a0 <= 0 or self.alpha_b0 <= 0:
             raise ValueError("noise prior shape/rate must be positive")
-        if not np.all(np.asarray(self.lambda_s0, dtype=float) > 0):
-            raise ValueError("lambda_s0 must be positive")
-        if not np.all(np.asarray(self.sigma_v0, dtype=float) > 0):
-            raise ValueError("sigma_v0 must be positive")
-        if self.beta_a is not None and self.beta_a <= 0:
-            raise ValueError("beta_a must be positive")
+        for name in ("lambda_s0", "sigma_v0", "beta_a", "elbo_rel_tol"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError("zeta must lie in [0, 1]")
         if self.xi < 0:
@@ -161,39 +165,21 @@ class Hyperparameters:
             raise ValueError("epsilon must be nonnegative")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be >= 1")
-        if self.elbo_rel_tol <= 0:
-            raise ValueError("elbo_rel_tol must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def resolve(self, data: ObservationSet) -> "ResolvedHyperparameters":
-        """Prior arrays broadcast to the data's shapes, ``beta_a`` filled in
-        and every scalar cast to its declared type."""
-        if self.epsilon == 0 and data.graph.n_edges:
+    def check_epsilon(self, has_edges):
+        """Reject zero jitter on a graph with edges, whose Laplacian alone is singular."""
+        if self.epsilon == 0 and has_edges:
             raise ValueError("epsilon must be positive for a graph with edges")
-        k, r, d = data.n_clusters, data.n_sets, data.n_features
-        shapes = {"lambda_s0": (k, r), "mu_v0": (d, r), "sigma_v0": (d, r)}
-        values = {}
-        for f in fields(self):
-            value = self.beta_a_for(r) if f.name == "beta_a" else getattr(self, f.name)
-            if f.name in shapes:
-                value = np.broadcast_to(np.asarray(value, dtype=float), shapes[f.name])
-            elif value is not None:
-                value = f.type(value)
-            values[f.name] = value
-        return ResolvedHyperparameters(**values)
 
     def beta_a_for(self, n_sets):
         """``beta_a``, or its default ``n_sets / 10`` when unset."""
         return n_sets / 10.0 if self.beta_a is None else self.beta_a
 
-
-@dataclass(frozen=True)
-class ResolvedHyperparameters(Hyperparameters):
-    """Hyperparameters already resolved against one dataset."""
-
-    def resolve(self, data: ObservationSet) -> "ResolvedHyperparameters":
-        return self
+    def set_shape(self, n_sets):
+        """The shape ``a`` = beta_a / R of each set's Beta(a, 1) level."""
+        return self.beta_a_for(n_sets) / n_sets
 
 
 @dataclass(frozen=True)
@@ -336,7 +322,6 @@ def factor_moments(state: VariationalState, data: ObservationSet, hyper, side=No
     ``c`` = X E[W] E[S]^T, ``m`` = E[S] E[W^T W] E[S]^T and ``var_load``
     read both sides and are recomputed after either (see :func:`sq_residual_at`).
     """
-    hyper = hyper.resolve(data)
     mom = SimpleNamespace(**vars(prev)) if side else SimpleNamespace()
     if side in (None, "a"):
         mom.s_mean, mom.s_var, mom.s_entropy = trunc_norm_moments(
@@ -409,7 +394,7 @@ def membership_terms(g, pi, t_mask, hyper, lap):
         terms["penalty"] = hyper.xi * float(special.log_ndtr(t_mask).sum())
     terms["coupling_prior_var"] = -0.5 * float((lap.precision_diag @ var_g).sum())
     terms["coupling_entropy"] = 0.5 * float(log_var_g.sum()) if var_g.all() else -np.inf
-    a = hyper.beta_a / mu_pi.size
+    a = hyper.set_shape(mu_pi.size)
     grid = gh_grid(mu_pi, var_pi)
     eln = expected_log_ndtr(grid)
     terms["sparsity_prior"] = float(((a - 1.0) * eln - 0.5 * (mu_pi**2 + var_pi)).sum())
@@ -444,7 +429,6 @@ def elbo_terms(state, data: ObservationSet, hyper, lap=None, mom=None, member=No
 
     Raises :class:`NumericalError` naming the first non-finite block.
     """
-    hyper = hyper.resolve(data)
     lap = lap or normalized_laplacian(data.graph, hyper.epsilon)
     mom = mom or factor_moments(state, data, hyper)
     member = member or state_membership_terms(state, data, hyper, lap, mom)
@@ -484,7 +468,7 @@ def elbo_terms(state, data: ObservationSet, hyper, lap=None, mom=None, member=No
     )
     terms["coupling_entropy"] = float(0.5 * (LOG_2PI + 1.0) * d * r + member["coupling_entropy"])
     terms["sparsity_prior"] = float(
-        r * (math.log(hyper.beta_a / r) - 0.5 * LOG_2PI) + member["sparsity_prior"]
+        r * (math.log(hyper.set_shape(r)) - 0.5 * LOG_2PI) + member["sparsity_prior"]
     )
     terms["sparsity_entropy"] = float(0.5 * (LOG_2PI + 1.0) * r + member["sparsity_entropy"])
     terms["penalty"] = member["penalty"]

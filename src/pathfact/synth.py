@@ -263,6 +263,7 @@ def generate(
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge_prob must lie in [0, 1]")
     hyper = Hyperparameters(beta_a=beta_a, epsilon=epsilon, seed=seed)  # the model's own checks
+    hyper.check_epsilon(d > 1)  # random_graph joins every isolated node
     _check_plant(noise_precision, snr, corruption)
     if min_members > d:
         raise ValueError("min_members cannot exceed the feature count")

@@ -166,6 +166,11 @@ class TestSimulate:
             (["--min-members", "5000"], "min_members cannot exceed the feature count"),
             (["--epsilon", "-1"], "epsilon must be nonnegative"),
             (["--epsilon", "nan"], "epsilon must be finite"),
+            (["--epsilon", "0"], "epsilon must be positive for a graph with edges"),
+            (
+                ["--epsilon", "0", "--edge-prob", "0"],
+                "epsilon must be positive for a graph with edges",
+            ),
             (["--edge-prob", "1.5"], "edge_prob must lie in [0, 1]"),
             (["--beta-a", "0"], "beta_a must be positive"),
             (["--seed", "-1"], "seed must be nonnegative"),
@@ -766,6 +771,14 @@ class TestConfigFile:
         values = parse_config_file(cfg)
         assert values == {"xi": 5.0, "seed": 42, "clamp_known": True, "beta_a": None}
 
+    @pytest.mark.parametrize("key, text", [("max_sweeps", "1.5"), ("seed", "abc")])
+    def test_integer_key_with_other_value_rejected(self, tmp_path, capsys, key, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"xi = 5.0\n{key} = {text}\n")
+        assert main(["fit", "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:2: config key {key!r} expects an integer, got {text!r}\n"
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mystery = 1\n")
@@ -776,7 +789,7 @@ class TestConfigFile:
         for f in fields(Hyperparameters):
             assert defaults[f.name] == f.default, f.name
         assert RunConfig().hyperparameters() == Hyperparameters()
-        # the broadcast priors are given as one number
+        # each prior is one number
         types = {f.name: f.type for f in fields(RunConfig)}
         assert [types[name] for name in ("lambda_s0", "mu_v0", "sigma_v0")] == [float] * 3
         assert list(types) == [

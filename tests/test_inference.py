@@ -253,8 +253,8 @@ class TestAssociationSweep:
         rng = np.random.default_rng(12)
         data = make_dataset(rng, n=9, d=7, k=3, r=4)
         state = make_state(rng, data)
-        rh = default_hyper(xi=1.0).resolve(data)
-        mom = factor_moments(state, data, rh)
+        hyper = default_hyper(xi=1.0)
+        mom = factor_moments(state, data, hyper)
         # site -> the standardized location h = loc / sd it is moved to
         placed_h = {
             (0, 0): -38.0, (0, 2): -36.5, (1, 1): 0.0, (1, 3): -1e-9, (2, 0): 40.0, (2, 2): 38.5
@@ -273,7 +273,7 @@ class TestAssociationSweep:
             raise AssertionError("trunc_norm_moments called")
 
         monkeypatch.setattr(inference, "_assoc_site", placed)
-        got = inference._association_sweep(state, data, rh, mom)
+        got = inference._association_sweep(state, data, hyper, mom)
         got_means, means_read[:] = means_read[:], []
 
         loc = state.assoc.location.copy()
@@ -283,7 +283,7 @@ class TestAssociationSweep:
             for r in range(data.n_sets):
                 loc[k, r], scale[k, r] = inference._assoc_site(
                     k, r, m, mom.u.T @ mom.u, mom.u.T @ mom.xw, mom.ww,
-                    float(state.noise.mean), rh.lambda_s0[k, r],
+                    float(state.noise.mean), hyper.lambda_s0,
                 )
                 m[k, r] = trunc_norm_mean_oracle(loc[k, r], scale[k, r])
         assert got.location.tobytes() == loc.tobytes()
@@ -297,7 +297,7 @@ class TestAssociationSweep:
 
         monkeypatch.setattr("pathfact.dist.trunc_norm_moments", forbidden)
         monkeypatch.setattr(inference, "trunc_norm_moments", forbidden, raising=False)
-        again = inference._association_sweep(state, data, rh, mom)
+        again = inference._association_sweep(state, data, hyper, mom)
         assert again.location.tobytes() == loc.tobytes()
 
 
@@ -352,10 +352,7 @@ class TestUpdateBasis:
         rng = np.random.default_rng(31)
         data = make_dataset(rng, n=9, d=7, k=3, r=4)
         state = make_state(rng, data)
-        hyper = default_hyper(
-            mu_v0=rng.normal(0.0, 0.5, size=(7, 4)),
-            sigma_v0=rng.uniform(0.3, 2.0, size=(7, 4)),
-        )
+        hyper = default_hyper(mu_v0=0.3, sigma_v0=1.7)
         rho = factor_moments(state, data, hyper).rho
         assert rho.min() > 1e-3 and rho.max() < 1.0 - 1e-3 and rho.std() > 0.1
         mean = state.basis.mean.copy()
@@ -366,8 +363,7 @@ class TestUpdateBasis:
                 site = update_basis(current, data, hyper, j, r)
                 mean[j, r] = float(site.mean)
                 var[j, r] = float(site.variance)
-        rh = hyper.resolve(data)
-        swept = _basis_sweep(state, data, rh, factor_moments(state, data, rh))
+        swept = _basis_sweep(state, data, hyper, factor_moments(state, data, hyper))
         np.testing.assert_allclose(
             swept.mean, mean, rtol=0, atol=1e-12 * np.abs(mean).max()
         )
@@ -376,13 +372,12 @@ class TestUpdateBasis:
 
 def direct_cluster_objective_and_grad(theta, state, data, hyper):
     """Reference cluster objective: the N x D residual formed explicitly."""
-    rh = hyper.resolve(data)
-    mom = factor_moments(state, data, rh)
+    mom = factor_moments(state, data, hyper)
     noise_mean = float(state.noise.shape / state.noise.rate)
     col_scale = mom.w2_sum - np.einsum("jr,jr->r", mom.w, mom.w)
     var_load = mom.s_var @ mom.w2_sum
     tilde = softmax_rows(theta)
-    u = rh.zeta * data.U0 + (1.0 - rh.zeta) * tilde
+    u = hyper.zeta * data.U0 + (1.0 - hyper.zeta) * tilde
     a = u @ mom.s_mean
     err = data.X - a @ mom.w.T
     total = (
@@ -398,7 +393,7 @@ def direct_cluster_objective_and_grad(theta, state, data, hyper):
     )
     d_value_du = -0.5 * noise_mean * d_total_du
     inner = (tilde * d_value_du).sum(axis=1, keepdims=True)
-    return value, (1.0 - rh.zeta) * tilde * (d_value_du - inner)
+    return value, (1.0 - hyper.zeta) * tilde * (d_value_du - inner)
 
 
 def steepest_ascent(x, value, value_and_grad):
@@ -643,6 +638,25 @@ class TestBacktrackingAscent:
         for (x, _, _, _), handed in zip(obj.points[1:], obj.handed[1:]):
             assert handed.tobytes() == x.tobytes()
 
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_nan_gradient_raises_before_another_trial(self, metric_of, at):
+        """A NaN entry in the gradient at the start (at = 0) or at the first
+        accepted point (at = 1) makes g.d NaN. The ascent raises there,
+        rather than backtrack through every step size and then report no
+        stall, since NaN > _GRAD_TOL is false."""
+        obj = RecordedObjective(np.diag([1.0, 2.0, 3.0]), [1.0, -1.0, 0.5], metric_of(3))
+
+        def value_and_grad(x, kept=None):
+            value, grad, metric = obj.value_and_grad(x, kept)
+            if len(obj.points) > at:
+                grad = np.where(np.arange(3) == 1, np.nan, grad)
+            return value, grad, metric
+
+        with pytest.raises(model.NumericalError, match="^gradient block met a NaN gradient$"):
+            inference._backtracking_ascent(np.zeros(3), obj.value, value_and_grad)
+        assert len(obj.points) == at + 1
+        assert all(start is not obj.points[-1] for _, start in obj.floors)  # no trial from it
+
 
 class TestUpdateCluster:
     @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.9])
@@ -694,8 +708,8 @@ class TestUpdateCluster:
         rng = np.random.default_rng(26)
         data = make_dataset(rng, n=9, d=7, k=3, r=4)
         state = make_state(rng, data)
-        rh = default_hyper(zeta=0.4).resolve(data)
-        mom = factor_moments(state, data, rh)
+        hyper = default_hyper(zeta=0.4)
+        mom = factor_moments(state, data, hyper)
         counts = {"softmax": 0, "trials": 0}
         softmax, evaluate = inference.softmax_rows, inference.cluster_objective_and_grad
 
@@ -709,14 +723,16 @@ class TestUpdateCluster:
 
         monkeypatch.setattr(inference, "softmax_rows", counted_softmax)
         monkeypatch.setattr(inference, "cluster_objective_and_grad", counted_evaluate)
-        theta, stalled, evaluations = update_cluster(state, data, rh, mom=mom)
+        theta, stalled, evaluations = update_cluster(state, data, hyper, mom=mom)
         assert counts["softmax"] == counts["trials"] + 1 < evaluations
         assert not stalled
 
         fresh = inference._backtracking_ascent(
             state.cluster_logits,
-            lambda th, _floor: (evaluate(th, state, data, rh, with_grad=False, mom=mom)[0], None),
-            lambda th, kept=None: (*evaluate(th, state, data, rh, mom=mom), inference._steepest),
+            lambda th, _floor: (
+                evaluate(th, state, data, hyper, with_grad=False, mom=mom)[0], None
+            ),
+            lambda th, kept=None: (*evaluate(th, state, data, hyper, mom=mom), inference._steepest),
         )
         assert theta.tobytes() == fresh[0].tobytes() and evaluations == fresh[2]
 
@@ -729,16 +745,16 @@ class TestUpdateCluster:
         for _ in range(3):
             data = make_dataset(rng, n=12, d=7, k=3, r=4)
             state = make_state(rng, data)
-            rh = default_hyper(zeta=zeta).resolve(data)
-            mom = factor_moments(state, data, rh)
-            theta, stalled, evaluations = update_cluster(state, data, rh, mom=mom)
+            hyper = default_hyper(zeta=zeta)
+            mom = factor_moments(state, data, hyper)
+            theta, stalled, evaluations = update_cluster(state, data, hyper, mom=mom)
             want = steepest_ascent(
                 state.cluster_logits,
                 lambda th, _floor: cluster_objective_and_grad(
-                    th, state, data, rh, with_grad=False, mom=mom
+                    th, state, data, hyper, with_grad=False, mom=mom
                 ),
                 lambda th, kept=None: cluster_objective_and_grad(
-                    th, state, data, rh, mom=mom, kept=kept
+                    th, state, data, hyper, mom=mom, kept=kept
                 ),
             )
             assert evaluations > 3
@@ -798,7 +814,7 @@ class TestUpdateCluster:
         assert not stalled
 
 
-def reference_coupling(state, data, rh, lap, mom, x):
+def reference_coupling(state, data, hyper, lap, mom, x):
     """Value and gradient of the coupling block at the packed point ``x``,
     each term formed on its own: the residual in E[W], d value / d t
     through the Gaussian density, and the chain rule into each packed
@@ -829,7 +845,7 @@ def reference_coupling(state, data, rh, lap, mom, x):
         (mu_g, sig_g, x[n_g : 2 * n_g]),
         (mu_pi, sig_pi, x[2 * n_g + r :]),
         t[rows, cols],
-        rh,
+        hyper,
         lap,
     )
     prec_mu = model.fill_prior_mean(terms, mu_g, lap)
@@ -841,12 +857,12 @@ def reference_coupling(state, data, rh, lap, mom, x):
         mom.v_mean * d_resid_dw + mom.v_second * mom.a2_sum[None, :]
     )
     d_value_dt = d_value_drho * np.exp(-0.5 * t * t) / np.sqrt(2.0 * np.pi)
-    if rows.size > 0 and rh.xi > 0:
+    if rows.size > 0 and hyper.xi > 0:
         pen = np.zeros_like(t)
-        pen[rows, cols] = rh.xi * pdf_over_cdf(t[rows, cols])
+        pen[rows, cols] = hyper.xi * pdf_over_cdf(t[rows, cols])
         d_value_dt = d_value_dt + pen
     d_t_dvar = -0.5 * t / total_var
-    a_beta = rh.beta_a / r
+    a_beta = hyper.beta_a / r
     d_eln_mu, d_eln_var = expected_log_ndtr_grad(gh_grid(mu_pi, sig_pi))
     grad_mu_g = -d_value_dt / root - prec_mu
     grad_sig_g = d_value_dt * d_t_dvar - 0.5 * lap.precision_diag[:, None] + 0.5 / sig_g
@@ -1004,16 +1020,16 @@ class TestUpdateCoupling:
         which forms each term on its own, up to the rounding of the sums."""
         rng = np.random.default_rng(15)
         data = make_dataset(rng, n=30, d=40, k=3, r=6, edge_prob=0.2, mask_prob=mask_prob)
-        rh = default_hyper(zeta=0.6, xi=xi).resolve(data)
-        lap = normalized_laplacian(data.graph, rh.epsilon)
+        hyper = default_hyper(zeta=0.6, xi=xi)
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
         for _ in range(4):
             state = make_state(rng, data)
-            mom = factor_moments(state, data, rh)
-            problem = _CouplingProblem(state, data, rh, lap, mom)
+            mom = factor_moments(state, data, hyper)
+            problem = _CouplingProblem(state, data, hyper, lap, mom)
             x0 = problem.pack(state.coupling, state.sparsity)
             for x in (x0, x0 + 0.3 * rng.standard_normal(x0.size)):
                 value, grad, _ = problem.value_and_grad(x)
-                want_value, want_grad = reference_coupling(state, data, rh, lap, mom, x)
+                want_value, want_grad = reference_coupling(state, data, hyper, lap, mom, x)
                 assert value == pytest.approx(want_value, rel=1e-12, abs=0)
                 scale = np.abs(want_grad).max()
                 np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12 * scale)
@@ -1024,8 +1040,8 @@ class TestUpdateCoupling:
         2, so d = M g entry for entry and g.d > 0 at random states."""
         rng = np.random.default_rng(16)
         data = make_dataset(rng, n=20, d=15, k=3, r=4, edge_prob=0.2, mask_prob=0.3)
-        rh = default_hyper(zeta=0.6, xi=4.0).resolve(data)
-        lap = normalized_laplacian(data.graph, rh.epsilon)
+        hyper = default_hyper(zeta=0.6, xi=4.0)
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
         heads = []
         membership = _CouplingProblem._membership
 
@@ -1037,7 +1053,7 @@ class TestUpdateCoupling:
         n_g, r = data.n_features * data.n_sets, data.n_sets
         for _ in range(5):
             state = make_state(rng, data, spread=2.0)
-            problem = _CouplingProblem(state, data, rh, lap, factor_moments(state, data, rh))
+            problem = _CouplingProblem(state, data, hyper, lap, factor_moments(state, data, hyper))
             x = problem.pack(state.coupling, state.sparsity)
             heads.clear()
             _, grad, metric = problem.value_and_grad(x)
@@ -1058,24 +1074,24 @@ class TestUpdateCoupling:
         reference formula."""
         rng = np.random.default_rng(17)
         data = make_dataset(rng, n=10, d=300, k=2, r=5, mask_prob=0.1)
-        rh = default_hyper(xi=4.0).resolve(data)
-        lap = normalized_laplacian(data.graph, rh.epsilon)
+        hyper = default_hyper(xi=4.0)
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
         tiny = np.finfo(float).tiny
         for _ in range(3):
             state = deep_tail_state(rng, data)
-            mom = factor_moments(state, data, rh)
+            mom = factor_moments(state, data, hyper)
             rho, w = mom.rho, mom.w
             assert np.mean((w != 0) & (np.abs(w * w) < tiny)) > 0.5
-            problem = _CouplingProblem(state, data, rh, lap, mom)
+            problem = _CouplingProblem(state, data, hyper, lap, mom)
             for r in range(data.n_sets):  # one set at a time
                 problem.a2_sum = np.eye(data.n_sets)[r]
                 want = float(rho[:, r] @ mom.v_second[:, r]) - float(w[:, r] @ w[:, r])
                 assert problem._w_variance(rho, w) == pytest.approx(want, rel=1e-14, abs=0)
-            problem = _CouplingProblem(state, data, rh, lap, mom)
+            problem = _CouplingProblem(state, data, hyper, lap, mom)
             x = problem.pack(state.coupling, state.sparsity)
             with np.errstate(**inference._COUPLING_ERRSTATE):
                 value = problem.value_and_grad(x)[0]
-            want_value = reference_coupling(state, data, rh, lap, mom, x)[0]
+            want_value = reference_coupling(state, data, hyper, lap, mom, x)[0]
             assert value == pytest.approx(want_value, rel=1e-12, abs=0)
 
     def test_ascends_objective(self):
@@ -1105,15 +1121,15 @@ class TestTrialValues:
         data = make_dataset(rng, n=30, d=20, k=3, r=5, edge_prob=0.2, mask_prob=0.3)
         assert data.Z0.any()
         state = make_state(rng, data)
-        return rng, data, state, default_hyper(zeta=0.6, xi=4.0).resolve(data), n_points
+        return rng, data, state, default_hyper(zeta=0.6, xi=4.0), n_points
 
     def coupling_setup(self, seed):
         """A problem whose forward passes are counted, and a reference that
         evaluates each point on a fresh problem, with a pass of its own."""
-        rng, data, state, rh, n_points = self.points(seed)
-        lap = normalized_laplacian(data.graph, rh.epsilon)
-        mom = factor_moments(state, data, rh)
-        problem = _CouplingProblem(state, data, rh, lap, mom)
+        rng, data, state, hyper, n_points = self.points(seed)
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
+        mom = factor_moments(state, data, hyper)
+        problem = _CouplingProblem(state, data, hyper, lap, mom)
         passes = []
         forward = problem._forward
 
@@ -1124,11 +1140,11 @@ class TestTrialValues:
         problem._forward = counted
 
         def fresh(x):
-            return _CouplingProblem(state, data, rh, lap, mom).value_and_grad(x)
+            return _CouplingProblem(state, data, hyper, lap, mom).value_and_grad(x)
 
         x0 = problem.pack(state.coupling, state.sparsity)
         points = [x0 + 0.5 * rng.standard_normal(x0.size) for _ in range(n_points)]
-        return data, state, rh, lap, problem, passes, fresh, points
+        return data, state, hyper, lap, problem, passes, fresh, points
 
     @staticmethod
     def assert_same(got, want):
@@ -1140,7 +1156,7 @@ class TestTrialValues:
             assert got[2](got[1]).tobytes() == want[2](want[1]).tobytes()
 
     def test_coupling_value_matches_value_and_grad_and_objective(self):
-        data, state, rh, lap, problem, passes, fresh, points = self.coupling_setup(41)
+        data, state, hyper, lap, problem, passes, fresh, points = self.coupling_setup(41)
         gaps, scale = [], 0.0
         for x in points:
             value, kept = problem.value(x)
@@ -1151,7 +1167,7 @@ class TestTrialValues:
             moved = state.updated(
                 coupling=NormalParams(mu_g, sig_g), sparsity=NormalParams(mu_pi, sig_pi)
             )
-            obj = regularized_objective(moved, data, rh, lap=lap)[0]
+            obj = regularized_objective(moved, data, hyper, lap=lap)[0]
             gaps.append(obj - value)
             scale = max(scale, abs(obj))
         np.testing.assert_allclose(gaps, gaps[0], rtol=0, atol=1e-9 * scale)
@@ -1231,7 +1247,7 @@ class TestTrialValues:
         membership terms, and its gradient reads that grid: a search forms
         one grid per trial plus one for its start, whose gradient is handed
         no pass."""
-        rng, data, state, rh, _ = self.points(51)
+        rng, data, state, hyper, _ = self.points(51)
         grids, trials = [], []
         grid = model.gh_grid
 
@@ -1242,8 +1258,8 @@ class TestTrialValues:
         monkeypatch.setattr(model, "gh_grid", counted)
         monkeypatch.setattr("pathfact.dist.gh_grid", counted)
         monkeypatch.setattr(inference, "gh_grid", counted, raising=False)
-        lap = normalized_laplacian(data.graph, rh.epsilon)
-        problem = _CouplingProblem(state, data, rh, lap, factor_moments(state, data, rh))
+        lap = normalized_laplacian(data.graph, hyper.epsilon)
+        problem = _CouplingProblem(state, data, hyper, lap, factor_moments(state, data, hyper))
         x = problem.pack(state.coupling, state.sparsity)
         _, kept = problem.value(x)
         problem.value_and_grad(x, kept)
@@ -1259,7 +1275,7 @@ class TestTrialValues:
 
         grids.clear()
         monkeypatch.setattr(_CouplingProblem, "value", trial)
-        update_coupling(state, data, rh, lap=lap)
+        update_coupling(state, data, hyper, lap=lap)
         assert len(trials) > 1 and len(grids) == len(trials) + 1
 
     def test_screened_decisions_are_exact(self):
@@ -1304,20 +1320,20 @@ class TestTrialValues:
         assert screened > 0 and unscreened > 0
 
     def test_cluster_value_matches_value_and_grad_and_objective(self):
-        rng, data, state, rh, n_points = self.points(42)
-        mom = factor_moments(state, data, rh)
+        rng, data, state, hyper, n_points = self.points(42)
+        mom = factor_moments(state, data, hyper)
         gaps, scale = [], 0.0
         for _ in range(n_points):
             theta = state.cluster_logits + rng.standard_normal(state.cluster_logits.shape)
             value, kept = cluster_objective_and_grad(
-                theta, state, data, rh, with_grad=False, mom=mom
+                theta, state, data, hyper, with_grad=False, mom=mom
             )
-            want = cluster_objective_and_grad(theta, state, data, rh, mom=mom)
+            want = cluster_objective_and_grad(theta, state, data, hyper, mom=mom)
             assert value == want[0]
             self.assert_same(
-                cluster_objective_and_grad(theta, state, data, rh, mom=mom, kept=kept), want
+                cluster_objective_and_grad(theta, state, data, hyper, mom=mom, kept=kept), want
             )
-            obj = regularized_objective(state.updated(cluster_logits=theta), data, rh)[0]
+            obj = regularized_objective(state.updated(cluster_logits=theta), data, hyper)[0]
             gaps.append(obj - value)
             scale = max(scale, abs(obj))
         np.testing.assert_allclose(gaps, gaps[0], rtol=0, atol=1e-9 * scale)
@@ -1382,8 +1398,8 @@ class TestFit:
         byte in every field."""
         checks = []
 
-        def objective(state, data, rh, lap=None, mom=None, member=None):
-            fresh = vars(model.factor_moments(state, data, rh))
+        def objective(state, data, hyper, lap=None, mom=None, member=None):
+            fresh = vars(model.factor_moments(state, data, hyper))
             held = vars(mom)
             assert held.keys() == fresh.keys()
             assert {"xw", "xta", "c", "m", "var_load"} <= fresh.keys()
@@ -1392,7 +1408,7 @@ class TestFit:
                 assert kept.dtype == value.dtype and kept.shape == value.shape, name
                 assert kept.tobytes() == value.tobytes(), name
             checks.append(state)
-            return model.regularized_objective(state, data, rh, lap=lap, mom=mom, member=member)
+            return model.regularized_objective(state, data, hyper, lap=lap, mom=mom, member=member)
 
         monkeypatch.setattr(inference, "regularized_objective", objective)
         rng = np.random.default_rng(23)
@@ -1635,9 +1651,9 @@ class TestFit:
         some of its trials are decided without the full pass."""
         rng = np.random.default_rng(23)
         data = make_dataset(rng, n=30, d=20, k=3, r=5)
-        rh = default_hyper().resolve(data)
+        hyper = default_hyper()
         calls = self.count_coupling_passes(monkeypatch)
-        update_coupling(init_state(data, rh), data, rh)
+        update_coupling(init_state(data, hyper), data, hyper)
         assert calls["_forward"] < calls["value"]
 
     def test_screen_leaves_the_fit_bit_equal(self, monkeypatch):
@@ -1678,6 +1694,28 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit(data, default_hyper(max_sweeps=3))
+
+
+    def test_int_settings_fit_as_their_floats(self):
+        """Settings are read as given, with no cast: a fit whose float
+        settings are given as Python ints has the bits of one given floats."""
+        rng = np.random.default_rng(29)
+        data = make_dataset(rng, n=10, d=8, k=2, r=3, mask_prob=0.4)
+        as_int = dict(lambda_s0=2, mu_v0=0, sigma_v0=1, xi=10, beta_a=2, alpha_b0=3)
+        runs = [
+            fit(data, default_hyper(max_sweeps=5, **{k: kind(v) for k, v in as_int.items()}))
+            for kind in (int, float)
+        ]
+
+        def bits(report):
+            arrays = [report.state.cluster_logits]
+            for name in ("noise", "assoc", "basis", "coupling", "sparsity"):
+                arrays += vars(getattr(report.state, name)).values()
+            records = report.trace.records
+            trace = [(r.elbo, r.penalty, r.objective, r.block_deltas) for r in records]
+            return [a.tobytes() for a in arrays], trace, report.evaluations
+
+        assert bits(runs[0]) == bits(runs[1])
 
 
 class TestInitState:

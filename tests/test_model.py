@@ -42,7 +42,6 @@ from pathfact.model import (
 
 def sample_posterior(rng, state, data, hyper, n_draws):
     """Joint draws from the factorized posterior, for Monte Carlo oracles."""
-    hyper = hyper.resolve(data)
     k, r = data.n_clusters, data.n_sets
     d = data.n_features
     loc, sc = state.assoc.location, np.sqrt(state.assoc.scale_sq)
@@ -320,11 +319,10 @@ def one_by_one_instance(x=1.3):
 class TestElbo:
     def test_hand_assembled_one_by_one(self):
         data, state, hyper = one_by_one_instance()
-        rh = hyper.resolve(data)
-        a0, b0 = rh.alpha_a0, rh.alpha_b0
+        a0, b0 = hyper.alpha_a0, hyper.alpha_b0
         aq, bq = 2.0, 3.0
         lam, mu0, s0 = 1.2, 0.3, 1.1
-        a = rh.beta_a / 1.0
+        a = hyper.beta_a / 1.0
 
         e_gamma = aq / bq
         e_log_gamma = stats.gamma(a=aq, scale=1 / bq).expect(np.log)
@@ -411,20 +409,19 @@ class TestElbo:
             set_ids=("SET0",),
         )
         hyper = default_hyper(beta_a=0.5, xi=0.0, epsilon=0.05)
-        rh = hyper.resolve(data)
         state = make_state(rng, data, spread=0.5)
 
         n = 2_000_000
-        gamma = rng.gamma(rh.alpha_a0, 1 / rh.alpha_b0, n)
-        s = rng.exponential(1.0 / rh.lambda_s0[0, 0], size=(n, 1, 1))
-        v = rng.normal(rh.mu_v0[0, 0], np.sqrt(rh.sigma_v0[0, 0]), size=(n, 2, 1))
-        lap = normalized_laplacian(graph, rh.epsilon)
+        gamma = rng.gamma(hyper.alpha_a0, 1 / hyper.alpha_b0, n)
+        s = rng.exponential(1.0 / hyper.lambda_s0, size=(n, 1, 1))
+        v = rng.normal(hyper.mu_v0, np.sqrt(hyper.sigma_v0), size=(n, 2, 1))
+        lap = normalized_laplacian(graph, hyper.epsilon)
         cov = np.linalg.inv(lap.precision.toarray())
         g = rng.multivariate_normal(np.zeros(2), cov, size=n)[:, :, None]
-        pi = rng.beta(rh.beta_a / 1.0, 1.0, size=(n, 1))
+        pi = rng.beta(hyper.beta_a / 1.0, 1.0, size=(n, 1))
         pi_bar = stats.norm.ppf(pi)[:, None, :]
         z = (g < pi_bar).astype(float)
-        u = mix_cluster(state.cluster_logits, data.U0, rh.zeta)
+        u = mix_cluster(state.cluster_logits, data.U0, hyper.zeta)
         recon = np.einsum("ik,nkr,njr->nij", u, s, z * v)
         loglik = (
             0.5 * 4 * (np.log(gamma) - np.log(2 * np.pi))
@@ -724,7 +721,7 @@ class TestSummarize:
 
 class TestHyperparameters:
     @pytest.mark.parametrize(
-        "name, value", [("lambda_s0", [1.0, np.inf]), ("sigma_v0", np.nan), ("zeta", np.nan)]
+        "name, value", [("lambda_s0", np.inf), ("sigma_v0", np.nan), ("zeta", np.nan)]
     )
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
@@ -745,6 +742,22 @@ class TestHyperparameters:
 
     def test_int_beyond_float_range_accepted(self):
         assert default_hyper(seed=10**400).seed == 10**400
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("lambda_s0", [1.0, 2.0], "lambda_s0 must be a single number"),
+            ("sigma_v0", np.ones((3, 2)), "sigma_v0 must be a single number"),
+            ("mu_v0", "0.5", "mu_v0 must be a single number"),
+            ("max_sweeps", 2.5, "max_sweeps must be an integer"),
+            ("seed", 1.0, "seed must be an integer"),
+        ],
+    )
+    def test_setting_not_of_its_type_rejected(self, name, value, message):
+        """Settings are read as given, never broadcast or cast, so a prior
+        must be one number and an int setting an integer."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            default_hyper(**{name: value})
 
 
 class TestObservationSetValidation:

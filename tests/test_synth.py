@@ -79,6 +79,11 @@ class TestGenerate:
         np.testing.assert_array_equal(data.U0.sum(axis=1), 1.0)
         np.testing.assert_array_equal(np.argmax(data.U0, axis=1), np.arange(9) % 3)
 
+    def test_single_feature_needs_no_jitter(self):
+        """One feature has no edge, so its Laplacian needs no jitter."""
+        data, _ = generate((6, 2, 1, 2), epsilon=0.0, seed=2)
+        assert data.graph.n_edges == 0 and data.n_features == 1
+
     def test_rejects_bad_dims_and_rho(self):
         with pytest.raises(ValueError):
             generate((0, 1, 4, 2))
@@ -200,6 +205,12 @@ def test_rejects_nonpositive_noise_precision(generator, noise, monkeypatch):
         (generate, {"beta_a": 0.0}, "beta_a must be positive"),
         (generate, {"epsilon": -1.0}, "epsilon must be nonnegative"),
         (generate, {"epsilon": float("nan")}, "epsilon must be finite"),
+        (generate, {"epsilon": 0.0}, "epsilon must be positive for a graph with edges"),
+        (
+            generate,
+            {"epsilon": 0.0, "edge_prob": 0.0},
+            "epsilon must be positive for a graph with edges",
+        ),
         (generate, {"seed": -1}, "seed must be nonnegative"),
     ],
 )
