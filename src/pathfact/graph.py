@@ -1,4 +1,4 @@
-"""Interaction-graph prior: normalized Laplacian and the smoothing precision.
+"""Interaction-graph prior: normalized Laplacian, the smoothing precision and its factors.
 
 The coupling functions over features get a Gaussian Markov random field
 prior whose precision is the jittered normalized Laplacian, so values on
@@ -133,65 +133,69 @@ def normalized_laplacian(graph: InteractionGraph, jitter: float = 0.05) -> Lapla
     L_jj = 1 with zero off-diagonals, i.e. an independent standard-normal
     coupling prior for that feature.
     """
+    _check_jitter(graph, jitter)
+    lap = _laplacian(graph)  # its temporaries are freed before the sparse LU
+    prec = (lap + jitter * sparse.identity(graph.n_nodes, format="csr")).tocsr()
+    log_det = float(np.sum(np.log(np.abs(precision_lu(graph, prec).U.diagonal()))))
+    return LaplacianOperator(lap, float(jitter), prec, prec.diagonal().copy(), log_det)
+
+
+def precision_root(graph: InteractionGraph, jitter: float) -> sparse.csr_matrix:
+    """The (m + D) x D matrix B with B^T B = L + jitter*I on a graph of m
+    edges: one row sqrt(w) (e_h / sqrt(d_h) - e_t / sqrt(d_t)) per edge,
+    then the diagonal sqrt(jitter + [d_j = 0])."""
+    _check_jitter(graph, jitter)
+    m, n, inv_root = graph.n_edges, graph.n_nodes, _inverse_root_degrees(graph)
+    h, t, root_w, diag = graph.heads, graph.tails, np.sqrt(graph.weights), np.arange(n)
+    values = (root_w * inv_root[h], -root_w * inv_root[t], np.sqrt(jitter + (inv_root == 0)))
+    rows = np.concatenate((np.arange(m), np.arange(m), m + diag))
+    cols = np.concatenate((h, t, diag))
+    return sparse.csr_matrix((np.concatenate(values), (rows, cols)), shape=(m + n, n))
+
+
+def precision_lu(graph: InteractionGraph, precision):
+    """Sparse LU of ``precision``, L + jitter*I or its B^T B on ``graph``."""
+    # SPD, so diagonal pivots on a symmetric minimum-degree order are stable and fill little
+    try:
+        return splu(precision.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except MemoryError:
+        raise MemoryError("out of memory in the graph precision's sparse LU "
+                          f"(D={graph.n_nodes}, {graph.n_edges} edges)") from None
+
+
+def _check_jitter(graph, jitter):
+    """Reject a graph and jitter whose L + jitter*I is not positive definite."""
     if graph.n_nodes < 1:
         raise ValueError("graph must have at least one node")
-    if jitter < 0:
+    if not jitter >= 0:  # also rejects nan
         raise ValueError("jitter must be nonnegative")
     # L itself is singular on any graph with edges; precision needs jitter
     if graph.n_edges and not jitter > 0:
         raise ValueError("jitter must be positive for a graph with edges")
-    lap = _laplacian(graph)  # its temporaries are freed before the sparse LU
-    n = graph.n_nodes
-    prec = (lap + jitter * sparse.identity(n, format="csr")).tocsr()
-    try:
-        log_det = _sparse_log_det(prec)
-    except MemoryError:
-        msg = f"out of memory in the graph precision's sparse LU (D={n}, {graph.n_edges} edges)"
-        raise MemoryError(msg) from None
-    return LaplacianOperator(
-        laplacian=lap,
-        jitter=float(jitter),
-        precision=prec,
-        precision_diag=prec.diagonal().copy(),
-        log_det_precision=log_det,
-    )
 
 
-def _laplacian(graph):
-    """L = I - D^{-1/2} A D^{-1/2} in CSR form, from the edge arrays."""
+def _inverse_root_degrees(graph):
+    """D^{-1/2}: each node's weighted degree to the power -1/2, 0 if it is 0."""
     n = graph.n_nodes
     rows = np.concatenate((graph.heads, graph.tails))
     cols = np.concatenate((graph.tails, graph.heads))
     # each degree sums its row in column order, whatever the edge order
     order = np.argsort(rows * n + cols, kind="stable")
     degrees = np.bincount(rows[order], np.tile(graph.weights, 2)[order], n)
-    inv_root = np.zeros_like(degrees)
-    nz = degrees > 0
-    inv_root[nz] = 1.0 / np.sqrt(degrees[nz])
+    return np.divide(1.0, np.sqrt(degrees), out=np.zeros(n), where=degrees > 0)
+
+
+def _laplacian(graph):
+    """L = I - D^{-1/2} A D^{-1/2} in CSR form, from the edge arrays."""
+    n, h, t, inv_root = graph.n_nodes, graph.heads, graph.tails, _inverse_root_degrees(graph)
     # one product per edge, stored at (h, t) and at (t, h), keeps L exactly symmetric
-    off = -(graph.weights * inv_root[graph.heads] * inv_root[graph.tails])
+    off = -(graph.weights * inv_root[h] * inv_root[t])
     diag = np.arange(n)
     lap = sparse.csr_matrix(
         (np.concatenate((off, off, np.ones(n))),
-         (np.concatenate((rows, diag)), np.concatenate((cols, diag)))),
+         (np.concatenate((h, t, diag)), np.concatenate((t, h, diag)))),
         shape=(n, n),
     )
     lap.eliminate_zeros()  # a zero-weight edge stores no entry
     return lap
-
-
-def _sparse_log_det(matrix) -> float:
-    # the precision is symmetric positive definite, so diagonal pivots under a
-    # symmetric minimum-degree ordering are stable and fill far less than the
-    # default column ordering
-    lu = splu(
-        matrix.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    diag = lu.U.diagonal()
-    if np.any(diag == 0):
-        raise ValueError("precision matrix is singular")
-    return float(np.sum(np.log(np.abs(diag))))
-

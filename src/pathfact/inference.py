@@ -207,8 +207,9 @@ def _backtracking_ascent(x, value, value_and_grad):
     vector shaped like ``g``. The search direction is ``d = M g``. M = I
     (:func:`_steepest`) gives steepest ascent, and the inverse Fisher
     information of a variational factor gives its natural gradient. The
-    search ends early once ``sqrt(g.d)`` is at most ``_GRAD_TOL``, and
-    raises :class:`NumericalError` when ``g.d`` is NaN.
+    search ends early once ``sqrt(g.d)`` is at most ``_GRAD_TOL`` or is
+    infinite, which puts every Armijo floor at +inf, and raises
+    :class:`NumericalError` when ``g.d`` is NaN.
 
     The first search starts at ``_INIT_STEP``. After a step ``s * d_old`` is
     accepted, the next search starts at the Barzilai-Borwein short step
@@ -244,7 +245,7 @@ def _backtracking_ascent(x, value, value_and_grad):
         slope = float(np.vdot(g, d))
         if math.isnan(slope):
             raise NumericalError("gradient block met a NaN gradient")
-        if math.sqrt(slope) <= _GRAD_TOL:
+        if math.sqrt(slope) <= _GRAD_TOL or math.isinf(slope):
             break
         s = step
         accepted = False

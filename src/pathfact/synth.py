@@ -10,9 +10,8 @@ how much of the hidden structure a fit recovers.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
-from .graph import InteractionGraph, LaplacianOperator, normalized_laplacian
+from .graph import InteractionGraph, precision_lu, precision_root
 from .model import Hyperparameters, ObservationSet, expected_reconstruction, factor_moments, rank_row
 from .dist import std_normal_quantile
 
@@ -110,20 +109,18 @@ def community_graph(feature_ids, assignment, p_in, p_out, rng) -> InteractionGra
     return InteractionGraph(feature_ids, heads, tails, np.ones(len(heads)))
 
 
-def sample_membership(n_features, n_sets, beta_a, lap: LaplacianOperator, rng):
-    """One draw of (Z, G, pi_bar) from the coupled threshold prior."""
-    a = beta_a / n_sets
+def sample_membership(graph, jitter, n_sets, a, rng):
+    """One draw of (Z, G, pi_bar) from the coupled threshold prior, with set levels
+    Beta(a, 1). G = P^{-1} B^T E, for P = B^T B the graph's precision and E standard
+    normal, has covariance exactly P^{-1}; each set draws its m + D normals in turn."""
+    root = precision_root(graph, jitter)
     pi = rng.beta(a, 1.0, size=n_sets)
     pi_bar = std_normal_quantile(np.clip(pi, 1e-300, 1 - 1e-16))
-    try:
-        chol = np.linalg.cholesky(lap.precision.toarray())
-    except MemoryError:
-        msg = f"out of memory in the dense Cholesky factor of the graph precision (D={n_features})"
-        raise MemoryError(msg) from None
-    noise = rng.standard_normal((n_features, n_sets))
-    g = linalg.solve_triangular(chol.T, noise, lower=False)
-    z = (g < pi_bar[None, :]).astype(int)
-    return z, g, pi_bar
+    step = max(1, (1 << 20) // root.shape[0])  # sets per block, which holds <= 2^20 normals
+    noise = np.vstack([rng.standard_normal((min(step, n_sets - j), root.shape[0])) @ root
+                       for j in range(0, n_sets, step)]).T
+    g = precision_lu(graph, root.T @ root).solve(noise)
+    return (g < pi_bar[None, :]).astype(int), g, pi_bar
 
 
 def _patch_coverage(z, g, pi_bar, min_members=1):
@@ -271,9 +268,7 @@ def generate(
     ids = _ids(dims)
 
     graph = random_graph(ids[2], edge_prob, rng)
-    lap = normalized_laplacian(graph, epsilon)
-
-    z, g, pi_bar = sample_membership(d, r, hyper.beta_a_for(r), lap, rng)
+    z, g, pi_bar = sample_membership(graph, epsilon, r, hyper.set_shape(r), rng)
     z = _patch_coverage(z, g, pi_bar, min_members=min_members)
 
     return _plant(

@@ -242,12 +242,11 @@ def test_criterion_4_membership_marginal_oracle():
 
 def test_criterion_5_prior_mass():
     d, r, beta_a = 50, 20, 2.0
-    labels = tuple(f"G{j}" for j in range(d))
     # empty graph with zero jitter: exactly the independent standard-normal model
-    lap = normalized_laplacian(InteractionGraph(node_labels=labels), jitter=0.0)
+    graph = InteractionGraph(node_labels=tuple(f"G{j}" for j in range(d)))
     rng = np.random.default_rng(17)
     counts = np.array(
-        [sample_membership(d, r, beta_a, lap, rng)[0].sum() for _ in range(10_000)]
+        [sample_membership(graph, 0.0, r, beta_a / r, rng)[0].sum() for _ in range(10_000)]
     )
     expected = d * beta_a / (1.0 + beta_a / r)
     se = counts.std(ddof=1) / np.sqrt(counts.size)

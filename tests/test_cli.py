@@ -128,11 +128,13 @@ class TestSimulate:
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(np.linalg, "cholesky", out_of_memory)
+        monkeypatch.setattr("pathfact.graph.splu", out_of_memory)
         out = tmp_path / "out"
         assert main(simulate_args(out)) == EXIT_DATA
+        feature_ids = synth._ids((24, 2, 16, 3))[2]
+        edges = synth.random_graph(feature_ids, 0.15, np.random.default_rng(7)).n_edges
         assert capsys.readouterr().err == (
-            "error: out of memory in the dense Cholesky factor of the graph precision (D=16)\n"
+            f"error: out of memory in the graph precision's sparse LU (D=16, {edges} edges)\n"
         )
         assert not out.exists()
 
@@ -182,7 +184,7 @@ class TestSimulate:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before checking the settings")
 
-        monkeypatch.setattr(np.linalg, "cholesky", no_draw)
+        monkeypatch.setattr("pathfact.graph.splu", no_draw)
         monkeypatch.setattr(synth, "_draw_edges", no_draw)
         out = tmp_path / "out"
         assert main(simulate_args(out, extra=extra)) == EXIT_DATA
@@ -190,15 +192,15 @@ class TestSimulate:
         assert not out.exists()
 
     def test_default_beta_a_is_the_one_fit_resolves(self, tmp_path, monkeypatch):
-        """Without --beta-a, simulate samples the memberships with the
-        beta_a that fit resolves, and records in run_meta, for the same
-        number of sets."""
+        """Without --beta-a, simulate samples the memberships with the set
+        shape beta_a / R of the beta_a that fit resolves, and records in
+        run_meta, for the same number of sets."""
         drawn = []
         sample = synth.sample_membership
 
-        def recorded(d, r, beta_a, lap, rng):
-            drawn.append(beta_a)
-            return sample(d, r, beta_a, lap, rng)
+        def recorded(graph, jitter, r, a, rng):
+            drawn.append(a)
+            return sample(graph, jitter, r, a, rng)
 
         monkeypatch.setattr(synth, "sample_membership", recorded)
         args = simulate_args(tmp_path / "data", r=7)
@@ -211,7 +213,7 @@ class TestSimulate:
         del fit[at : at + 2]
         assert main(fit) == EXIT_MAX_SWEEPS
         meta = (out / "run_meta").read_text().splitlines()
-        assert drawn == [0.7] and f"beta_a = {dataio.format_number(0.7)}" in meta
+        assert drawn == [0.7 / 7] and f"beta_a = {dataio.format_number(0.7)}" in meta
 
     def test_nan_epsilon_exit_one(self, tmp_path, capsys):
         out = tmp_path / "out"

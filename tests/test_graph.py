@@ -5,7 +5,7 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import labeled_graph
 
-from pathfact.graph import InteractionGraph, normalized_laplacian
+from pathfact.graph import InteractionGraph, normalized_laplacian, precision_lu
 
 
 def random_graph(n_nodes, edge_prob, rng, weighted=False):
@@ -274,3 +274,10 @@ class TestNormalizedLaplacian:
             normalized_laplacian(g, jitter=0.0)
         with pytest.raises(ValueError):
             normalized_laplacian(g, jitter=float("nan"))
+
+    def test_sparse_lu_raises_on_an_exactly_singular_precision(self):
+        """SuperLU itself rejects an exactly singular matrix, so a zero
+        pivot never reaches the log-determinant."""
+        singular = sparse.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        with pytest.raises(RuntimeError, match="singular"):
+            precision_lu(labeled_graph(("a", "b"), {("a", "b"): 1.0}), singular)

@@ -657,6 +657,21 @@ class TestBacktrackingAscent:
         assert len(obj.points) == at + 1
         assert all(start is not obj.points[-1] for _, start in obj.floors)  # no trial from it
 
+    def test_infinite_gradient_ends_the_search_before_any_trial(self, metric_of):
+        """An infinite g.d puts every Armijo floor at +inf, which no trial
+        can pass. The search ends at the start point, stalled, after its one
+        gradient, rather than backtrack through every step size."""
+        obj = RecordedObjective(np.zeros((2, 2)), [1.0, 1.0], metric_of(2))
+
+        def value_and_grad(x, kept=None):
+            value, _, metric = obj.value_and_grad(x, kept)
+            return value, np.array([np.inf, 1.0]), metric
+
+        x0 = np.zeros(2)
+        x, stalled, evaluations = inference._backtracking_ascent(x0, obj.value, value_and_grad)
+        assert obj.trials == [] and evaluations == 1 and stalled
+        assert x.tobytes() == x0.tobytes()
+
 
 class TestUpdateCluster:
     @pytest.mark.parametrize("zeta", [0.0, 0.5, 0.9])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
@@ -5,7 +7,7 @@ from scipy.stats import rankdata
 from conftest import default_hyper, labeled_graph, oracle_state
 
 from pathfact import model, synth
-from pathfact.graph import InteractionGraph, normalized_laplacian
+from pathfact.graph import InteractionGraph, normalized_laplacian, precision_root
 from pathfact.inference import FitReport, fit
 from pathfact.model import ElboTrace
 from pathfact.synth import (
@@ -97,11 +99,10 @@ class TestMembershipPrior:
     def test_expected_nonzero_count_independent_model(self):
         # empty graph with zero jitter: exact standard-normal marginals
         d, r, beta_a = 50, 20, 2.0
-        labels = tuple(f"G{j}" for j in range(d))
-        lap = normalized_laplacian(InteractionGraph(node_labels=labels), jitter=0.0)
+        graph = InteractionGraph(node_labels=tuple(f"G{j}" for j in range(d)))
         rng = np.random.default_rng(21)
         counts = np.array(
-            [sample_membership(d, r, beta_a, lap, rng)[0].sum() for _ in range(2000)]
+            [sample_membership(graph, 0.0, r, beta_a / r, rng)[0].sum() for _ in range(2000)]
         )
         expected = d * beta_a / (1.0 + beta_a / r)
         se = counts.std(ddof=1) / np.sqrt(counts.size)
@@ -112,30 +113,99 @@ class TestMembershipPrior:
         d, r = 12, 4
         labels = tuple(f"G{j:02d}" for j in range(d))
         graph = labeled_graph(labels, {(labels[i], labels[(i + 1) % d]): 1.0 for i in range(d)})
-        lap = normalized_laplacian(graph, jitter=0.01)
         rng = np.random.default_rng(22)
         adjacent = [(i, (i + 1) % d) for i in range(d)]
         far = [(i, (i + 6) % d) for i in range(d)]
         agree_adj, agree_far = [], []
         for _ in range(400):
-            z = sample_membership(d, r, 8.0, lap, rng)[0]
+            z = sample_membership(graph, 0.01, r, 8.0 / r, rng)[0]
             for i, j in adjacent:
                 agree_adj.append(np.mean(z[i] == z[j]))
             for i, j in far:
                 agree_far.append(np.mean(z[i] == z[j]))
         assert np.mean(agree_adj) > np.mean(agree_far) + 0.01
 
+    def test_root_squares_to_the_precision(self):
+        """B^T B is the jittered normalized Laplacian on a weighted graph
+        with an isolated node, a node whose only edge weighs zero, and an
+        edge given tail first."""
+        graph = InteractionGraph(
+            tuple("abcdefg"), [0, 0, 2, 1, 3, 5], [1, 2, 1, 3, 4, 6], [1.0, 2.5, 0.7, 3.0, 0.4, 0.0]
+        )
+        for jitter in (0.05, 1e-3, 2.0):
+            root = precision_root(graph, jitter)
+            assert root.shape == (graph.n_edges + graph.n_nodes, graph.n_nodes)
+            want = normalized_laplacian(graph, jitter).precision.toarray()
+            np.testing.assert_allclose((root.T @ root).toarray(), want, rtol=0, atol=1e-14)
 
-    def test_dense_factor_out_of_memory_names_d(self, monkeypatch):
+    def test_draws_have_the_precision_inverse_as_covariance(self):
+        """The empirical covariance of many draws on a small weighted graph
+        matches the dense P^{-1} within Monte-Carlo error: each mean of
+        g_i g_j lies within 4 standard errors, from the products' own
+        spread, of (P^{-1})_ij, and each mean of g_i within 4 of 0."""
+        graph = InteractionGraph(
+            tuple("abcdef"), [0, 1, 2, 0, 3], [1, 2, 0, 3, 4], [1.0, 2.0, 0.5, 1.5, 3.0]
+        )
+        cov = np.linalg.inv(normalized_laplacian(graph, 0.1).precision.toarray())
+        rng = np.random.default_rng(23)
+        g = np.hstack([sample_membership(graph, 0.1, 500, 0.5, rng)[1] for _ in range(40)])
+        n = g.shape[1]
+        products = g[:, None, :] * g[None, :, :]
+        se = np.sqrt(((products - cov[:, :, None]) ** 2).mean(axis=2) / n)
+        assert np.abs(g.mean(axis=1)).max() < 4 * np.sqrt(cov.diagonal().max() / n)
+        assert (np.abs(products.mean(axis=2) - cov) < 4 * se).all()
+
+    @pytest.mark.parametrize(
+        "d, ends, r, limit_mb",
+        [
+            (20_000, (np.arange(20_000), (np.arange(20_000) + 1) % 20_000), 2, 64),
+            (400, np.triu_indices(400, 1), 200, 32),
+        ],
+        ids=["ring", "complete"],
+    )
+    def test_real_scale_draw_holds_no_dense_matrix(self, d, ends, r, limit_mb):
+        """A draw peaks far below a dense D x D precision (3.2 GB on the
+        20,000-node ring) and below the (m + D) x R normals of all sets at
+        once (128 MB on the complete graph of 400 nodes)."""
+        graph = InteractionGraph(tuple(f"G{j}" for j in range(d)), *ends, np.ones(len(ends[0])))
+        tracemalloc.start()
+        try:
+            z, g, _ = sample_membership(graph, 0.05, r, 0.1, np.random.default_rng(24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert z.shape == g.shape == (d, r) and np.isfinite(g).all()
+        assert peak < limit_mb * 2**20
+
+    def test_sparse_factor_out_of_memory_names_d_and_edges(self, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(synth.np.linalg, "cholesky", out_of_memory)
+        monkeypatch.setattr("pathfact.graph.splu", out_of_memory)
         with pytest.raises(MemoryError) as caught:
             generate((6, 2, 9, 3), seed=1)
+        edges = random_graph(synth._ids((6, 2, 9, 3))[2], 0.15, np.random.default_rng(1)).n_edges
+        assert edges > 0
         assert str(caught.value) == (
-            "out of memory in the dense Cholesky factor of the graph precision (D=9)"
+            f"out of memory in the graph precision's sparse LU (D=9, {edges} edges)"
         )
+
+    @pytest.mark.parametrize(
+        "edges, jitter, message",
+        [
+            ({("a", "b"): 1.0}, 0.0, "jitter must be positive for a graph with edges"),
+            ({("a", "b"): 1.0}, -1e-3, "jitter must be nonnegative"),
+            ({("a", "b"): 1.0}, float("nan"), "jitter must be nonnegative"),
+            # without edges the LU would find P = nan * I exactly singular
+            ({}, float("nan"), "jitter must be nonnegative"),
+        ],
+    )
+    def test_rejects_jitter_as_the_laplacian_does(self, edges, jitter, message, monkeypatch):
+        graph = labeled_graph(("a", "b", "c"), edges)
+        monkeypatch.setattr("pathfact.graph.splu", no_draw)
+        for build in (normalized_laplacian, lambda g, e: sample_membership(g, e, 2, 0.5, None)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                build(graph, jitter)
 
 
 class TestGeneratePlanted:
